@@ -2,9 +2,9 @@
 
 Everything the engine computes by evolving amplitudes also has an explicit
 finite-sum expression.  This demo evaluates those expressions and checks them
-against the engine, including at times where naive double-precision summation
-would have lost all accuracy (the evaluation silently switches to
-arbitrary-precision arithmetic there).
+against the engine, including at times where summing the alternating sums
+term by term would have lost all accuracy: the closed forms never sum them,
+but evaluate them as Jacobi-polynomial values by a float recurrence.
 """
 
 import math
@@ -54,9 +54,9 @@ for m in (1, 2):
     print(f"  m = {m}: four random states give spread {spread:.2e} "
           f"({'state-dependent' if spread > 1e-6 else 'state-independent'})")
 
-# At n = 500 the alternating sums cancel ~75 digits for the balanced coin;
-# the closed forms still match the engine because the evaluation escalates
-# its working precision.
+# At n = 500 the alternating sums would cancel ~75 digits for the balanced
+# coin if summed term by term; the Jacobi recurrence cancels nothing, so the
+# closed forms still match the engine in plain floats.
 h = hadamard_coin()
 q = make_qubit(0.0, 1.0)
 hp = WalkParams(coin=h, qubit=q)

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateCoinError,
     NonConvergentError,
     NotUnitaryError,
+    NumericalHealthError,
     OutOfWindowError,
     ParityViolationError,
     PoleAtCError,

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine, limit
 from .analytic import WalkParams, characteristic_function, moment, position_probability
 from .coin import Coin, Qubit, hadamard_coin, make_qubit, validate_coin
-from .errors import QWalkError
+from .errors import NumericalHealthError, QWalkError
 from .paths import StepCount, closed_form_coefficients, path_sum, path_sum_exhaustive
 from .symmetry import is_symmetric_state, mean_zero_check, symmetry_evidence
 
@@ -328,6 +328,9 @@ def main(argv=None) -> int:
         coin = _coin_from_args(args)
         qubit = _qubit_from_args(args)
         return _HANDLERS[args.command](args, coin, qubit)
+    except NumericalHealthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except (CliInputError, QWalkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

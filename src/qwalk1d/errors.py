@@ -29,6 +29,10 @@ class NonConvergentError(QWalkError, ArithmeticError):
     """A series failed to converge within the iteration cap."""
 
 
+class NumericalHealthError(QWalkError, ArithmeticError):
+    """A computed value failed a numerical sanity check (never clamped)."""
+
+
 class PoleAtCError(QWalkError, ZeroDivisionError):
     """The hypergeometric lower parameter hits a pole before termination."""
 

@@ -7,15 +7,23 @@ import qwalk1d.analytic as analytic
 from qwalk1d.analytic import (
     WalkParams,
     characteristic_function,
-    kappa_factor,
     moment,
-    nu_factor,
     position_probability,
     reduced_mean,
 )
 from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import distribution
 from qwalk1d.errors import DegenerateCoinError, ParityViolationError, PreconditionError
+from qwalk1d.special import rho_value
+
+
+def worst_engine_gap(coin, qubit, n):
+    params = WalkParams(coin=coin, qubit=qubit)
+    dist = distribution(coin, qubit, n)
+    return max(
+        abs(position_probability(params, n, int(k)) - dist.probability(int(k)))
+        for k in dist.positions
+    )
 
 
 def direct_characteristic(dist, xi):
@@ -30,10 +38,6 @@ class TestWalkParams:
             z = params.z_cross
             assert params.cross == pytest.approx((z + z.conjugate()).real, abs=1e-15)
             assert -1.0 - 1e-12 <= params.mu <= 1.0 + 1e-12
-
-    def test_kappa_and_nu(self):
-        assert kappa_factor(8, 3, 2, 1) == math.comb(2, 1) * math.comb(2, 0) * math.comb(4, 1) * math.comb(4, 0)
-        assert nu_factor(8, 3, 2, 1, 0.5) == pytest.approx(25 + 9 - 8 * 3 + 2 * 2 / 0.5)
 
 
 class TestPositionProbability:
@@ -203,33 +207,22 @@ class TestMoments:
                 assert max(values) - min(values) < 1e-9
 
 
-class TestPrecisionEscalation:
-    def test_paths_agree_in_overlap(self, rng, monkeypatch):
-        # Same inputs through the float path and the forced high-precision path.
-        coins = [random_unitary_coin(rng) for _ in range(3)]
-        qubits = [random_qubit(rng) for _ in range(3)]
-        cases = []
-        for coin, qubit in zip(coins, qubits):
-            params = WalkParams(coin=coin, qubit=qubit)
-            for n in (6, 11):
-                row = [position_probability(params, n, n - 2) for _ in (0,)]
-                row.append(moment(params, n, 1))
-                row.append(characteristic_function(params, n, 0.83))
-                cases.append((params, n, row))
-        analytic._cf_tables.cache_clear()
-        monkeypatch.setattr(analytic, "_MAX_FLOAT_DIGITS_LOST", -1.0)
-        try:
-            for params, n, row in cases:
-                assert position_probability(params, n, n - 2) == pytest.approx(row[0], abs=1e-12)
-                assert moment(params, n, 1) == pytest.approx(row[1], abs=1e-10)
-                assert characteristic_function(params, n, 0.83) == pytest.approx(row[2], abs=1e-12)
-        finally:
-            analytic._cf_tables.cache_clear()
+class TestJacobiKernel:
+    def test_kernel_matches_exact_jacobi_values(self, rng):
+        # rho_value sums the terminating 2F1 exactly in rational arithmetic.
+        a2_values = [0.01, 0.5, 0.99] + [random_unitary_coin(rng).abs_a_sq for _ in range(2)]
+        for a2 in a2_values:
+            for n in range(2, 61):
+                for kk in range(1, n // 2 + 1):
+                    for i in (0, 1):
+                        expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
+                        got = analytic._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
+                        assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_small_amplitude_coin_against_engine(self, rng):
-        # |a| ~ 0.12 forces the high-precision path already at moderate n.
+        # |a| ~ 0.12: summed term by term, the alternating sums would cancel
+        # about 11 digits at n = 14.
         coin = coin_from_angles(1.45, 0.3, 1.1, 2.0)
-        assert analytic._digits_lost(coin, 14) > analytic._MAX_FLOAT_DIGITS_LOST
         qubit = random_qubit(rng)
         params = WalkParams(coin=coin, qubit=qubit)
         dist = distribution(coin, qubit, 14)
@@ -237,6 +230,17 @@ class TestPrecisionEscalation:
             assert position_probability(params, 14, int(k)) == pytest.approx(
                 dist.probability(int(k)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [40, 56, 60, 61, 62, 200, 1000])
+    def test_hadamard_against_engine(self, hadamard, symmetric_qubit, n):
+        assert worst_engine_gap(hadamard, symmetric_qubit, n) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1.4706, 1.3, 0.9, 0.2])
+    @pytest.mark.parametrize("n", [61, 200, 1000])
+    def test_random_coins_against_engine(self, rng, theta, n):
+        # theta = 1.4706 gives |a|^2 = cos(theta)^2 ~ 0.01.
+        coin = coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3))
+        assert worst_engine_gap(coin, random_qubit(rng), n) <= 1e-12
 
 
 class TestReducedMean:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import qwalk1d.analytic as analytic
 import qwalk1d.cli as cli
 from qwalk1d.analytic import WalkParams, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit
@@ -114,6 +115,22 @@ def test_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DIST_TOL", -1.0)
     code, _, _ = run_cli(capsys, ["dist", "-n", "4"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["dist", "moments", "charfn"])
+def test_closed_forms_pass_at_large_n(capsys, command):
+    code, out, err = run_cli(capsys, [command, "-n", "1000", "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
+
+
+def test_numerical_health_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(analytic, "_scaled_jacobi", lambda *args: 1e3)
+    code, out, err = run_cli(capsys, ["dist", "-n", "8"])
+    assert code == 3
+    assert out == ""
+    assert "escapes [0, 1]" in err
+    assert "Traceback" not in err
 
 
 def test_json_round_trip_bit_exact(capsys):
