@@ -189,8 +189,7 @@ def position_probability(params: WalkParams, n: int, k: int) -> float:
     Raises
     ------
     NumericalHealthError
-        If the value leaves ``[0, 1]`` (it is never clamped), or the two
-        displays of the central position disagree.
+        If the value leaves ``[0, 1]`` (it is never clamped).
     """
     _require_generic(params.coin)
     if n < 1:
@@ -206,14 +205,6 @@ def position_probability(params: WalkParams, n: int, k: int) -> float:
         value = scale * (b2 * wa + a2 * wb - params.cross)
     elif k == -n:
         value = scale * (a2 * wa + b2 * wb + params.cross)
-    elif k == 0:
-        kk = n // 2
-        value = _interior_probability(params, n, kk, positive_side=True)
-        mirrored = _interior_probability(params, n, kk, positive_side=False)
-        if abs(value - mirrored) > 1e-10 * (abs(value) + 1.0):
-            raise NumericalHealthError(
-                f"central-position displays disagree: {value} vs {mirrored}"
-            )
     else:
         kk = (n - abs(k)) // 2
         value = _interior_probability(params, n, kk, positive_side=k > 0)

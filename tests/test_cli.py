@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import qwalk1d.analytic as analytic
 import qwalk1d.cli as cli
+import qwalk1d.engine as engine
+import qwalk1d.limit as limit
 from qwalk1d.analytic import WalkParams, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit
 
@@ -101,6 +104,36 @@ def test_converge_reports_distances(capsys):
     distances = [float(line.split(",")[1]) for line in lines]
     assert len(distances) == 2
     assert 0.0 < distances[1] < distances[0] < 1.0
+
+
+def test_limit_rejects_non_monotone_cdf(capsys, monkeypatch):
+    true_cdf = limit.limit_cdf
+    # reversed, the grid column stays in [0, 1] but decreases; the norm is untouched
+    monkeypatch.setattr(
+        limit, "limit_cdf", lambda ld, x: true_cdf(ld, x)[::-1] if np.ndim(x) else true_cdf(ld, x)
+    )
+    code, out, err = run_cli(capsys, ["limit", "--grid-points", "11", "--format", "json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["norm"] == 1.0
+    assert "Traceback" not in err
+
+
+def test_converge_evolves_each_time_once(capsys, monkeypatch):
+    calls = []
+    true_distribution = engine.distribution
+
+    def counting(coin, qubit, n):
+        calls.append(n)
+        return true_distribution(coin, qubit, n)
+
+    monkeypatch.setattr(engine, "distribution", counting)
+    code, out, _ = run_cli(capsys, ["converge", "--n-list", "10,40"])
+    assert code == 0
+    assert calls == [10, 40]
+    totals = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+    assert totals == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_oracle_clean(capsys):

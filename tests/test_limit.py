@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, real_coin, validate_coin
+from qwalk1d.coin import (
+    coin_from_angles,
+    make_qubit,
+    random_qubit,
+    random_unitary_coin,
+    real_coin,
+    validate_coin,
+)
 from qwalk1d.errors import CapExceededError, DegenerateCoinError, OutOfWindowError
 from qwalk1d.limit import (
     LimitDensity,
@@ -22,6 +29,28 @@ from qwalk1d.symmetry import is_symmetric_state
 # regression bounds (the weak limit comes with no convergence rate).
 SMOOTHED_KS_SYMMETRIC_400 = 0.0292
 RAW_KS_RIGHT_400 = 0.0528
+
+# Coin angles from |a|^2 = cos(theta)^2 ~ 0.01 (1.4706) to ~ 0.99 (0.1002).
+ORACLE_THETAS = (1.4706, 1.1, 0.7, 0.1002)
+
+
+def oracle_laws(rng):
+    """Limit laws for ``ORACLE_THETAS`` with random phases and initial states."""
+    return [
+        LimitDensity(
+            coin=coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3)),
+            qubit=random_qubit(rng),
+        )
+        for theta in ORACLE_THETAS
+    ]
+
+
+def mp_density(mpmath, ld):
+    """The limit density in mpmath arithmetic, independent of ``limit.py``."""
+    a = mpmath.mpf(ld.a_abs)
+    c = mpmath.sqrt(1 - a * a)
+    lam = mpmath.mpf(ld.slope)
+    return lambda x: c * (1 - lam * x) / (mpmath.pi * (1 - x * x) * mpmath.sqrt(a * a - x * x))
 
 
 def envelope_peak(coin, n, x, i, spread=2):
@@ -108,14 +137,32 @@ class TestCdf:
         assert limit_cdf(ld, 0.0) == pytest.approx(0.25, abs=1e-9)
 
     def test_matches_independent_quadrature(self, rng):
-        # tanh-sinh quadrature handles the endpoint singularities on its own,
-        # without the sine substitution used by limit_cdf
+        # 30-digit tanh-sinh quadrature handles the endpoint singularity on
+        # its own and shares nothing with the closed form
         mpmath = pytest.importorskip("mpmath")
-        ld = LimitDensity(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
-        a = ld.a_abs
-        for x in (-0.7 * a, -0.1 * a, 0.4 * a):
-            reference = float(mpmath.quad(lambda t: density(ld, float(t)), [-a, x]))
-            assert limit_cdf(ld, x) == pytest.approx(reference, abs=1e-7)
+        with mpmath.workdps(30):
+            for ld in oracle_laws(rng):
+                f = mp_density(mpmath, ld)
+                a = ld.a_abs
+                for x in (-0.7 * a, -0.1 * a, 0.4 * a, 0.95 * a):
+                    reference = float(mpmath.quad(f, [-a, x]))
+                    assert limit_cdf(ld, x) == pytest.approx(reference, abs=1e-12)
+
+    def test_derivative_is_density(self, rng):
+        for ld in oracle_laws(rng):
+            a = ld.a_abs
+            h = 1e-5 * a
+            for x in (-0.8 * a, -0.3 * a, 0.0, 0.5 * a, 0.8 * a):
+                slope = (limit_cdf(ld, x + h) - limit_cdf(ld, x - h)) / (2.0 * h)
+                assert slope == pytest.approx(density(ld, x), rel=1e-6)
+
+    def test_array_matches_scalar_calls(self, rng):
+        for ld in oracle_laws(rng):
+            xs = np.linspace(-1.2 * ld.a_abs, 1.2 * ld.a_abs, 101)
+            xs = np.append(xs, [-ld.a_abs, ld.a_abs])
+            scalars = [limit_cdf(ld, float(x)) for x in xs]
+            assert all(type(value) is float for value in scalars)
+            np.testing.assert_array_equal(limit_cdf(ld, xs), scalars)
 
 
 class TestMoments:
@@ -132,17 +179,15 @@ class TestMoments:
         assert sd == pytest.approx(math.sqrt((math.sqrt(2.0) - 1.0) / 2.0), abs=1e-12)
 
     def test_quadrature_consistent_with_closed_forms(self, rng):
-        # independent tanh-sinh reference for both the closed-form orders and
-        # the substitution-based quadrature used for m >= 3
+        # independent 30-digit tanh-sinh reference for the moment recurrence
         mpmath = pytest.importorskip("mpmath")
-        for _ in range(3):
-            ld = LimitDensity(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
-            a = ld.a_abs
-            for m in (1, 2, 3):
-                reference = float(
-                    mpmath.quad(lambda t: float(t) ** m * density(ld, float(t)), [-a, 0, a])
-                )
-                assert limit_moment(ld, m) == pytest.approx(reference, abs=1e-7)
+        with mpmath.workdps(30):
+            for ld in oracle_laws(rng):
+                f = mp_density(mpmath, ld)
+                a = ld.a_abs
+                for m in range(1, 9):
+                    reference = float(mpmath.quad(lambda t: t**m * f(t), [-a, 0, a]))
+                    assert limit_moment(ld, m) == pytest.approx(reference, abs=1e-12)
 
     def test_moment_bound(self, rng):
         for _ in range(10):
