@@ -1,8 +1,14 @@
 """Closed-form position probabilities, characteristic functions, and moments.
 
 Everything here evaluates explicit finite sums; the walk engine is the
-independent oracle.  Every interior formula is a bracket, affine in
-``gamma``, ``delta`` and ``gamma*delta``, summed over cluster counts against
+independent oracle.  For a coin with all entries nonzero, the law at time
+``n`` is built once and cached (:func:`_probabilities`); the position
+probabilities are its entries, and the characteristic function and the
+moments are the finite sums ``sum_k P(X_n = k) exp(i xi k)`` and
+``sum_k k^m P(X_n = k)`` over it.
+
+The mirror positions ``+-(n-2kk)`` share one bracket, affine in ``gamma``,
+``delta`` and ``gamma*delta``, summed over cluster counts against
 ``(-|b|^2/|a|^2)^(gamma+delta)`` and four binomials.  The binomials split into
 a ``gamma`` part times a ``delta`` part, so each double sum is a combination of
 the products ``T_i*T_j`` of two single alternating sums
@@ -115,50 +121,6 @@ def _t_products(coin: Coin, n: int, kk: int) -> tuple[float, float, float]:
     return c * u0 * u0, c * u0 * u1, c * u1 * u1
 
 
-def _mirror_mass(coin: Coin, n: int, kk: int, products) -> float:
-    """``P(X_n = n-2kk) + P(X_n = 2kk-n)``, which no initial state changes."""
-    t00, t01, t11 = products
-    return ((n - kk) ** 2 + kk**2) * t11 - 2 * n * t01 + 2 * t00 / coin.abs_b_sq
-
-
-@lru_cache(maxsize=512)
-def _cf_tables(params: WalkParams, n: int):
-    """Scaled per-position coefficient tables for the generic branch.
-
-    Returns ``(cos0, sin0, rows, middle)`` with rows of
-    ``(pos, cos_coef, sin_coef)`` for positions ``pos = n - 2*kk > 0``:
-
-    - characteristic value  = cos0*cos(n xi) - i*sin0*sin(n xi)
-        + sum(cos_coef*cos(pos xi) - i*pos*sin_coef*sin(pos xi)) + middle
-    - even moment = cos0*n^m + sum(pos^m * cos_coef)
-    - odd moment  = -(sin0*n^m + sum(pos^(m+1) * sin_coef))
-
-    ``middle`` is the position-0 block present only at even ``n``
-    (:func:`_even_middle_term`).
-    """
-    coin = params.coin
-    b2 = coin.abs_b_sq
-    mu, gap = params.mu, params.weight_gap
-    scale = coin.abs_a_sq ** (n - 1)
-    rows = []
-    for kk in range(1, (n - 1) // 2 + 1):
-        products = _t_products(coin, n, kk)
-        sin_coef = mu * n * products[2] + (gap - mu) / b2 * products[1]
-        rows.append((n - 2 * kk, _mirror_mass(coin, n, kk, products), sin_coef))
-    middle = _even_middle_term(params, n) if n % 2 == 0 else 0.0
-    return scale, scale * mu, tuple(rows), middle
-
-
-def _even_middle_term(params: WalkParams, n: int) -> float:
-    """The position-0 block of the even-time characteristic function.
-
-    Equals ``P(X_n = 0)`` for any initial state: the state-dependent terms
-    cancel at the central position.
-    """
-    kk = n // 2
-    return 0.5 * _mirror_mass(params.coin, n, kk, _t_products(params.coin, n, kk))
-
-
 def _require_generic(coin: Coin) -> None:
     if coin.branch != BRANCH_GENERIC:
         raise DegenerateCoinError(
@@ -166,51 +128,65 @@ def _require_generic(coin: Coin) -> None:
         )
 
 
-def _interior_probability(params: WalkParams, n: int, kk: int, positive_side: bool) -> float:
+def _mirror_pair(params: WalkParams, n: int, kk: int) -> tuple[float, float]:
+    """``(P(X_n = n-2kk), P(X_n = 2kk-n))``: one Jacobi bracket serves both.
+
+    ``kk = 0`` gives the extreme positions, which have single-term closed forms.
+    """
     coin, qubit = params.coin, params.qubit
     a2, b2 = coin.abs_a_sq, coin.abs_b_sq
+    wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
+    cross = params.cross
+    if kk == 0:
+        scale = a2 ** (n - 1)
+        return scale * (b2 * wa + a2 * wb - cross), scale * (a2 * wa + b2 * wb + cross)
     t00, t01, t11 = _t_products(coin, n, kk)
     a_big = (kk**2 * a2 + (n - kk) ** 2 * b2) * t11 - 2 * (n - kk) * t01
     a_small = (kk**2 * b2 + (n - kk) ** 2 * a2) * t11 - 2 * kk * t01
-    odd_part = (n - 2 * kk) * (t01 - n * b2 * t11)
-    if not positive_side:
-        a_big, a_small = a_small, a_big
-        odd_part = -odd_part
-    wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
-    return a_big * wa + a_small * wb + (odd_part * params.cross + t00) / b2
+    odd_part = (n - 2 * kk) * (t01 - n * b2 * t11) * cross
+    return (
+        a_big * wa + a_small * wb + (odd_part + t00) / b2,
+        a_small * wa + a_big * wb + (-odd_part + t00) / b2,
+    )
+
+
+@lru_cache(maxsize=512)
+def _probabilities(params: WalkParams, n: int) -> tuple[float, ...]:
+    """The closed-form law at time ``n`` over ``k = -n, -n+2, ..., n``.
+
+    Raises
+    ------
+    NumericalHealthError
+        If a value leaves ``[0, 1]`` (values are never clamped).
+    """
+    probs = [0.0] * (n + 1)
+    for kk in range(n // 2 + 1):
+        probs[n - kk], probs[kk] = _mirror_pair(params, n, kk)
+    for j, value in enumerate(probs):
+        if not -1e-9 <= value <= 1.0 + 1e-9:
+            raise NumericalHealthError(
+                f"probability {value} escapes [0, 1] at n={n}, k={2 * j - n}"
+            )
+    return tuple(probs)
 
 
 def position_probability(params: WalkParams, n: int, k: int) -> float:
     """Closed-form ``P(X_n = k)`` for a coin with all entries nonzero.
 
-    Interior positions use the Jacobi-value bracket; the extreme positions
-    ``k = +-n`` have single-term closed forms.
+    The first call at a time builds and caches the whole law at that time
+    (O(n^2)); later calls at that time are lookups.
 
     Raises
     ------
     NumericalHealthError
-        If the value leaves ``[0, 1]`` (it is never clamped).
+        If a value of the law leaves ``[0, 1]`` (it is never clamped).
     """
     _require_generic(params.coin)
     if n < 1:
         raise ValueError(f"time must be >= 1, got {n}")
     if abs(k) > n or (n + k) % 2 != 0:
         raise ParityViolationError(f"position {k} unreachable at time {n}")
-    coin = params.coin
-    a2, b2 = coin.abs_a_sq, coin.abs_b_sq
-    wa = abs(params.qubit.alpha) ** 2
-    wb = abs(params.qubit.beta) ** 2
-    scale = a2 ** (n - 1)
-    if k == n:
-        value = scale * (b2 * wa + a2 * wb - params.cross)
-    elif k == -n:
-        value = scale * (a2 * wa + b2 * wb + params.cross)
-    else:
-        kk = (n - abs(k)) // 2
-        value = _interior_probability(params, n, kk, positive_side=k > 0)
-    if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise NumericalHealthError(f"probability {value} escapes [0, 1] at n={n}, k={k}")
-    return value
+    return _probabilities(params, n)[(n + k) // 2]
 
 
 def characteristic_function(params: WalkParams, n: int, xi: float) -> complex:
@@ -226,13 +202,12 @@ def characteristic_function(params: WalkParams, n: int, xi: float) -> complex:
         if n % 2 == 1:
             return complex(math.cos(xi), (wa - wb) * math.sin(xi))
         return complex(1.0, 0.0)
-    cos0, sin0, rows, middle = _cf_tables(params, n)
-    re_parts = [cos0 * math.cos(n * xi), middle]
-    im_parts = [-sin0 * math.sin(n * xi)]
-    for pos, cos_coef, sin_coef in rows:
-        re_parts.append(cos_coef * math.cos(pos * xi))
-        im_parts.append(-pos * sin_coef * math.sin(pos * xi))
-    return complex(fsum(re_parts), fsum(im_parts))
+    probs = _probabilities(params, n)
+    ks = range(-n, n + 1, 2)
+    return complex(
+        fsum(p * math.cos(k * xi) for k, p in zip(ks, probs)),
+        fsum(p * math.sin(k * xi) for k, p in zip(ks, probs)),
+    )
 
 
 def moment(params: WalkParams, n: int, m: int) -> float:
@@ -248,14 +223,8 @@ def moment(params: WalkParams, n: int, m: int) -> float:
         if n % 2 == 0:
             return 0.0
         return (wa - wb) if m % 2 == 1 else 1.0
-    cos0, sin0, rows, _ = _cf_tables(params, n)
-    if m % 2 == 1:
-        parts = [sin0 * float(n) ** m]
-        parts.extend(float(pos) ** (m + 1) * sin_coef for pos, _, sin_coef in rows)
-        return -fsum(parts)
-    parts = [cos0 * float(n) ** m]
-    parts.extend(float(pos) ** m * cos_coef for pos, cos_coef, _ in rows)
-    return fsum(parts)
+    probs = _probabilities(params, n)
+    return fsum(float(k) ** m * p for k, p in zip(range(-n, n + 1, 2), probs))
 
 
 def reduced_mean(params: WalkParams, n: int) -> float:

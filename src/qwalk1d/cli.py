@@ -22,7 +22,7 @@ from . import engine, limit
 from .analytic import WalkParams, characteristic_function, moment, position_probability
 from .coin import Coin, Qubit, hadamard_coin, make_qubit, validate_coin
 from .errors import NumericalHealthError, QWalkError
-from .paths import StepCount, closed_form_coefficients, path_sum, path_sum_exhaustive
+from .paths import StepCount, path_sum, path_sum_coefficients, path_sum_exhaustive
 from .symmetry import is_symmetric_state, mean_zero_check, symmetry_evidence
 
 EXIT_OK = 0
@@ -256,7 +256,7 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
             sc = StepCount(l=l, m=m)
             exhaustive = path_sum_exhaustive(coin, sc)
             closed = path_sum(coin, sc)
-            coeffs = closed_form_coefficients(coin, sc).materialize()
+            coeffs = path_sum_coefficients(coin, sc).materialize()
             d1 = float(np.max(np.abs(exhaustive - closed)))
             d2 = float(np.max(np.abs(coeffs - closed)))
             worst = max(worst, d1, d2)

@@ -195,18 +195,30 @@ def ks_distance(ld: LimitDensity, dist: engine.Distribution) -> float:
 def ks_convergence(
     coin: Coin, qubit: Qubit, n_list, cap: int = KS_TIME_CAP
 ) -> ConvergenceReport:
-    """KS distance of the exact law of ``X_n/n`` from the limit, per time."""
+    """KS distance of the exact law of ``X_n/n`` from the limit, per time.
+
+    One field is stepped up to the largest time and the law is kept at each
+    requested time, so every time is evolved once; the entries follow
+    ``n_list``, repeats included.
+    """
     ld = LimitDensity(coin=coin, qubit=qubit)
-    entries, totals = [], []
-    for n in n_list:
+    times = [int(n) for n in n_list]
+    for n in times:
         if n < 1:
             raise ValueError(f"convergence times must be >= 1, got {n}")
         if n > cap:
             raise CapExceededError(f"time {n} exceeds the cap {cap}")
-        dist = engine.distribution(coin, qubit, n)
-        entries.append((int(n), ks_distance(ld, dist)))
-        totals.append(dist.total())
-    return ConvergenceReport(entries=tuple(entries), totals=tuple(totals))
+    wanted = set(times)
+    laws = {}
+    field = engine.initial_field(qubit)
+    for _ in range(max(times, default=0)):
+        field = engine.step(coin, field)
+        if field.n in wanted:
+            laws[field.n] = field.to_distribution()
+    return ConvergenceReport(
+        entries=tuple((n, ks_distance(ld, laws[n])) for n in times),
+        totals=tuple(laws[n].total() for n in times),
+    )
 
 
 def parity_smoothed_ks(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, float]]:
@@ -216,11 +228,10 @@ def parity_smoothed_ks(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, floa
     oscillates between parity classes; the pair average is the meaningful
     convergence diagnostic.
     """
-    out = []
-    for n in n_list:
-        report = ks_convergence(coin, qubit, [n, n + 1])
-        out.append((int(n), 0.5 * (report.entries[0][1] + report.entries[1][1])))
-    return out
+    times = [int(n) for n in n_list]
+    report = ks_convergence(coin, qubit, [t for n in times for t in (n, n + 1)])
+    d = report.distances()
+    return [(n, 0.5 * (d[2 * i] + d[2 * i + 1])) for i, n in enumerate(times)]
 
 
 def _window(coin: Coin) -> tuple[float, float]:

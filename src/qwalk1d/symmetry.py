@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import engine
 from .analytic import WalkParams, moment
 from .coin import BRANCH_GENERIC, Coin, Qubit
@@ -63,10 +65,8 @@ def symmetry_evidence(
     field = engine.initial_field(qubit)
     for n in range(1, n_max + 1):
         field = engine.step(coin, field)
-        dist = field.to_distribution()
-        gap = max(
-            abs(dist.probability(k) - dist.probability(-k)) for k in range(1, n + 1)
-        )
+        probs = field.to_distribution().probs
+        gap = float(np.max(np.abs(probs - probs[::-1])))
         evidence.append((n, gap))
     symmetric = all(gap < tol for _, gap in evidence)
     return SymmetryReport(symmetric=symmetric, evidence=tuple(evidence))

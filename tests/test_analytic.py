@@ -145,16 +145,19 @@ class TestCharacteristicFunction:
             rhs = characteristic_function(params, 9, xi).conjugate()
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
-    def test_even_time_middle_block_is_central_probability(self, rng):
-        for _ in range(5):
+    def test_central_probability_is_state_independent(self, rng):
+        for _ in range(3):
             coin = random_unitary_coin(rng)
-            qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
+            qubits = [random_qubit(rng) for _ in range(10)]
             for n in (2, 6, 10):
-                middle = analytic._even_middle_term(params, n)
-                dist = distribution(coin, qubit, n)
-                assert middle == pytest.approx(dist.probability(0), abs=1e-11)
-                assert middle == pytest.approx(position_probability(params, n, 0), abs=1e-11)
+                central = [
+                    position_probability(WalkParams(coin=coin, qubit=qubit), n, 0)
+                    for qubit in qubits
+                ]
+                assert max(central) - min(central) < 1e-15
+                for qubit, value in zip(qubits, central):
+                    engine_value = distribution(coin, qubit, n).probability(0)
+                    assert value == pytest.approx(engine_value, abs=1e-11)
 
 
 class TestMoments:

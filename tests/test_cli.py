@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,19 +122,40 @@ def test_limit_rejects_non_monotone_cdf(capsys, monkeypatch):
 
 
 def test_converge_evolves_each_time_once(capsys, monkeypatch):
-    calls = []
-    true_distribution = engine.distribution
+    steps = []
+    true_step = engine.step
 
-    def counting(coin, qubit, n):
-        calls.append(n)
-        return true_distribution(coin, qubit, n)
+    def counting_step(coin, field):
+        steps.append(field.n)
+        return true_step(coin, field)
 
-    monkeypatch.setattr(engine, "distribution", counting)
+    def no_distribution(*args):
+        raise AssertionError("converge must not evolve from scratch per time")
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    monkeypatch.setattr(engine, "distribution", no_distribution)
     code, out, _ = run_cli(capsys, ["converge", "--n-list", "10,40"])
     assert code == 0
-    assert calls == [10, 40]
+    assert steps == list(range(40))
     totals = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
     assert totals == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+def test_closed_forms_share_one_law_per_time(capsys, monkeypatch):
+    calls = []
+    true_products = analytic._t_products
+
+    def counting(coin, n, kk):
+        calls.append((n, kk))
+        return true_products(coin, n, kk)
+
+    monkeypatch.setattr(analytic, "_t_products", counting)
+    analytic._probabilities.cache_clear()
+    coin = "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0"
+    for command in ("dist", "charfn", "moments"):
+        code, _, _ = run_cli(capsys, [command, "-n", "40", coin])
+        assert code == 0
+    assert sorted(calls) == [(40, kk) for kk in range(1, 21)]
 
 
 def test_oracle_clean(capsys):
@@ -142,6 +164,21 @@ def test_oracle_clean(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["max_abs_diff"] < 1e-12
+
+
+def test_oracle_checks_binomial_sums(capsys, monkeypatch):
+    true_coefficients = cli.path_sum_coefficients
+
+    def wrong(coin, sc):
+        coeffs = true_coefficients(coin, sc)
+        return replace(coeffs, p=coeffs.p + 1e-6)
+
+    monkeypatch.setattr(cli, "path_sum_coefficients", wrong)
+    code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["max_abs_diff"] > cli.ORACLE_TOL
 
 
 def test_self_check_exit_code(capsys, monkeypatch):
@@ -159,6 +196,7 @@ def test_closed_forms_pass_at_large_n(capsys, command):
 
 def test_numerical_health_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(analytic, "_scaled_jacobi", lambda *args: 1e3)
+    analytic._probabilities.cache_clear()
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
     assert code == 3
     assert out == ""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwalk1d.engine as engine
 from qwalk1d.coin import (
     coin_from_angles,
     make_qubit,
@@ -67,6 +68,19 @@ def envelope_peak(coin, n, x, i, spread=2):
         if 1 <= k <= n // 2 and lo < k / n < hi
     ]
     return max(values)
+
+
+def count_steps(monkeypatch):
+    """Record the time of every ``engine.step`` call from now on."""
+    steps = []
+    true_step = engine.step
+
+    def counting(coin, field):
+        steps.append(field.n)
+        return true_step(coin, field)
+
+    monkeypatch.setattr(engine, "step", counting)
+    return steps
 
 
 class TestDensity:
@@ -254,6 +268,26 @@ class TestConvergence:
             ks_convergence(hadamard, symmetric_qubit, [0])
         with pytest.raises(CapExceededError):
             ks_convergence(hadamard, symmetric_qubit, [2001])
+
+    def test_times_checked_before_evolving(self, hadamard, symmetric_qubit, monkeypatch):
+        steps = count_steps(monkeypatch)
+        with pytest.raises(CapExceededError):
+            ks_convergence(hadamard, symmetric_qubit, [400, 2001])
+        with pytest.raises(ValueError):
+            ks_convergence(hadamard, symmetric_qubit, [400, 0])
+        assert steps == []
+
+    def test_repeated_unordered_times_match_single_reports(self, rng):
+        coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+        report = ks_convergence(coin, qubit, [40, 10, 40])
+        singles = [ks_convergence(coin, qubit, [n]) for n in (40, 10, 40)]
+        assert report.entries == tuple(s.entries[0] for s in singles)
+        assert report.totals == tuple(s.totals[0] for s in singles)
+
+    def test_parity_smoothed_evolves_once(self, hadamard, symmetric_qubit, monkeypatch):
+        steps = count_steps(monkeypatch)
+        parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100])
+        assert len(steps) == 101
 
     def test_parity_smoothed_monotone(self, hadamard, symmetric_qubit):
         smoothed = parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100, 200, 400])
