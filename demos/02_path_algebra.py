@@ -17,9 +17,11 @@ from qwalk1d import (
     StepCount,
     basis_decompose,
     cluster_count,
+    evolve,
     hadamard_coin,
     letter_matrix,
     letter_product,
+    make_qubit,
     path_sum,
     path_sum_exhaustive,
 )
@@ -65,3 +67,11 @@ big = StepCount(l=7, m=7)
 enumerated = path_sum_exhaustive(coin, big)
 print(f"\n(l, m) = (7, 7): {math.comb(14, 7)} words;"
       f" closed form still exact: {np.max(np.abs(path_sum(coin, big) - enumerated)):.2e}")
+
+# Far beyond enumeration, check the amplitude Xi(l, m) phi against the engine.
+qubit = make_qubit(1 / math.sqrt(2), 1j / math.sqrt(2))
+huge = StepCount(l=300, m=500)
+amplitude = path_sum(coin, huge) @ qubit.vector
+engine_amplitude = evolve(coin, qubit, huge.n).amplitude(huge.k)
+print(f"(l, m) = (300, 500): about 10^{math.log10(math.comb(800, 300)):.0f} words;"
+      f" closed form vs engine amplitude: {np.max(np.abs(amplitude - engine_amplitude)):.2e}")

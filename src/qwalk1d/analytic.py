@@ -1,32 +1,23 @@
 """Closed-form position probabilities, characteristic functions, and moments.
 
-Everything here evaluates explicit finite sums; the walk engine is the
-independent oracle.  For a coin with all entries nonzero, the law at time
-``n`` is built once and cached (:func:`_probabilities`); the position
-probabilities are its entries, and the characteristic function and the
-moments are the finite sums ``sum_k P(X_n = k) exp(i xi k)`` and
-``sum_k k^m P(X_n = k)`` over it.
+The amplitude at time ``n = l + m`` and position ``m - l`` is ``Xi(l, m) phi``,
+the path-sum closed form (:mod:`qwalk1d.paths`) applied to the initial state
+``phi = (alpha, beta)``.  In the letter basis ``Xi = pP + qQ + rR + sS``, so with
+``A = a alpha + b beta`` and ``C = c alpha + d beta``
 
-The mirror positions ``+-(n-2kk)`` share one bracket, affine in ``gamma``,
-``delta`` and ``gamma*delta``, summed over cluster counts against
-``(-|b|^2/|a|^2)^(gamma+delta)`` and four binomials.  The binomials split into
-a ``gamma`` part times a ``delta`` part, so each double sum is a combination of
-the products ``T_i*T_j`` of two single alternating sums
+    P(X_n = m - l) = |Xi(l, m) phi|^2 = |p A + r C|^2 + |q C + s A|^2,
 
-    T_i = sum_(g=1..kk) (-|b|^2/|a|^2)^g C(kk-1, g-1) C(n-kk-1, g-1) / g^i.
+and the unit phase common to ``p, q, r, s`` drops out.  The mirror positions
+``+-(n - 2kk)`` share ``kk = min(l, m)``, hence one evaluation of the two
+alternating sums, which come from the package's one float Jacobi kernel; the
+extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.
 
-These are Jacobi values (:func:`qwalk1d.special.jacobi_sum_identity`):
-
-    |a|^(2(n-1)) T_i T_j = (|b|^4/|a|^2) u_i u_j / kk^(i+j),
-    u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1),
-
-and ``u_i`` is evaluated in float by the three-term recurrence in degree
-(:func:`_scaled_jacobi`).  That is the only evaluation route: the alternating
-sums, which cancel about ``(n-2)*log10(1/|a|)`` digits when summed term by
-term, are never summed.  For ``|a|^2`` from 0.01 to 0.99, the ``u_i`` are
-within 2e-14 (absolute) of a high-precision reference up to ``n = 2000``,
-and the position probabilities are within 5e-14 of the engine at every
-position up to ``n = 1000``.
+For a coin with all entries nonzero, the law at time ``n`` is built once and
+cached (:func:`_probabilities`); the position probabilities are its entries,
+and the characteristic function and the moments are the finite sums
+``sum_k P(X_n = k) exp(i xi k)`` and ``sum_k k^m P(X_n = k)`` over it.  The
+walk engine is the independent oracle: for ``|a|^2`` from 0.01 to 0.99 the law
+is within 5e-14 of it at every position up to ``n = 1000``.
 """
 
 from __future__ import annotations
@@ -36,8 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
 
-from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, BRANCH_GENERIC, Coin, Qubit
-from .errors import DegenerateCoinError, NumericalHealthError, ParityViolationError, PreconditionError
+from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
+from .errors import NumericalHealthError, ParityViolationError, PreconditionError
+from .paths import _mixed_coordinates, _require_generic, _tau
 
 __all__ = [
     "WalkParams",
@@ -46,11 +38,6 @@ __all__ = [
     "moment",
     "reduced_mean",
 ]
-
-# The recurrence values are divided by this whenever they exceed it, with the
-# factor moved into the log-scale, so nothing overflows for small |a|.
-_RESCALE = 1e150
-_LOG_RESCALE = math.log(_RESCALE)
 
 
 @dataclass(frozen=True)
@@ -84,84 +71,26 @@ class WalkParams:
         return gap_coin * self.weight_gap + 2.0 * self.cross
 
 
-def _scaled_jacobi(degree: int, alpha: int, beta: int, a2: float) -> float:
-    """``|a|^beta * P_degree^(alpha, beta)(2|a|^2 - 1)`` for ``|a|^2 = a2``.
-
-    Three-term recurrence in the degree (DLMF 18.9.2).  The factor
-    ``|a|^beta``, which underflows for small ``|a|`` at large ``beta``, is
-    carried as a log-scale and applied once at the end.
-    """
-    log_scale = 0.5 * beta * math.log(a2)
-    if degree == 0:
-        return math.exp(log_scale)
-    x = 2.0 * a2 - 1.0
-    prev, cur = 1.0, (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0
-    for m in range(1, degree):
-        s = 2 * m + alpha + beta
-        nxt = (
-            (s + 1) * ((s + 2) * s * x + alpha * alpha - beta * beta) * cur
-            - 2 * (m + alpha) * (m + beta) * (s + 2) * prev
-        ) / (2 * (m + 1) * (m + alpha + beta + 1) * s)
-        prev, cur = cur, nxt
-        if abs(cur) > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            log_scale += _LOG_RESCALE
-    if cur == 0.0:
-        return 0.0
-    return math.copysign(math.exp(math.log(abs(cur)) + log_scale), cur)
-
-
-def _t_products(coin: Coin, n: int, kk: int) -> tuple[float, float, float]:
-    """``|a|^(2(n-1))`` times ``(T0*T0, T0*T1, T1*T1)``, from the Jacobi values."""
-    a2, b2 = coin.abs_a_sq, coin.abs_b_sq
-    u0 = _scaled_jacobi(kk - 1, 0, n - 2 * kk, a2)
-    u1 = _scaled_jacobi(kk - 1, 1, n - 2 * kk, a2) / kk
-    c = b2 * b2 / a2
-    return c * u0 * u0, c * u0 * u1, c * u1 * u1
-
-
-def _require_generic(coin: Coin) -> None:
-    if coin.branch != BRANCH_GENERIC:
-        raise DegenerateCoinError(
-            f"closed form needs abcd != 0, coin branch is {coin.branch!r}"
-        )
-
-
-def _mirror_pair(params: WalkParams, n: int, kk: int) -> tuple[float, float]:
-    """``(P(X_n = n-2kk), P(X_n = 2kk-n))``: one Jacobi bracket serves both.
-
-    ``kk = 0`` gives the extreme positions, which have single-term closed forms.
-    """
-    coin, qubit = params.coin, params.qubit
-    a2, b2 = coin.abs_a_sq, coin.abs_b_sq
-    wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
-    cross = params.cross
-    if kk == 0:
-        scale = a2 ** (n - 1)
-        return scale * (b2 * wa + a2 * wb - cross), scale * (a2 * wa + b2 * wb + cross)
-    t00, t01, t11 = _t_products(coin, n, kk)
-    a_big = (kk**2 * a2 + (n - kk) ** 2 * b2) * t11 - 2 * (n - kk) * t01
-    a_small = (kk**2 * b2 + (n - kk) ** 2 * a2) * t11 - 2 * kk * t01
-    odd_part = (n - 2 * kk) * (t01 - n * b2 * t11) * cross
-    return (
-        a_big * wa + a_small * wb + (odd_part + t00) / b2,
-        a_small * wa + a_big * wb + (-odd_part + t00) / b2,
-    )
-
-
 @lru_cache(maxsize=512)
 def _probabilities(params: WalkParams, n: int) -> tuple[float, ...]:
-    """The closed-form law at time ``n`` over ``k = -n, -n+2, ..., n``.
+    """The closed-form law ``|Xi(l, m) phi|^2`` at time ``n`` over ``k = -n, -n+2, ..., n``.
 
     Raises
     ------
     NumericalHealthError
         If a value leaves ``[0, 1]`` (values are never clamped).
     """
+    coin, qubit = params.coin, params.qubit
+    amp_a = coin.a * qubit.alpha + coin.b * qubit.beta
+    amp_c = coin.c * qubit.alpha + coin.d * qubit.beta
     probs = [0.0] * (n + 1)
-    for kk in range(n // 2 + 1):
-        probs[n - kk], probs[kk] = _mirror_pair(params, n, kk)
+    probs[0] = coin.abs_a_sq ** (n - 1) * abs(amp_a) ** 2
+    probs[n] = coin.abs_a_sq ** (n - 1) * abs(amp_c) ** 2
+    for kk in range(1, n // 2 + 1):
+        tau = _tau(coin, n, kk)
+        for l, m in ((kk, n - kk), (n - kk, kk)):
+            p, q, r, s = _mixed_coordinates(coin, l, m, tau)
+            probs[m] = abs(p * amp_a + r * amp_c) ** 2 + abs(q * amp_c + s * amp_a) ** 2
     for j, value in enumerate(probs):
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise NumericalHealthError(
@@ -237,7 +166,5 @@ def reduced_mean(params: WalkParams, n: int) -> float:
     if n < 3:
         raise ValueError(f"reduced mean needs n >= 3, got {n}")
     coin = params.coin
-    body = fsum(
-        (n - 2 * kk) ** 2 * _t_products(coin, n, kk)[1] for kk in range(1, (n - 1) // 2 + 1)
-    )
+    body = fsum((n - 2 * kk) ** 2 * math.prod(_tau(coin, n, kk)) for kk in range(1, (n - 1) // 2 + 1))
     return -(params.weight_gap / coin.abs_b_sq) * body

@@ -46,6 +46,11 @@ class CliInputError(Exception):
     pass
 
 
+def _worst(diffs) -> float:
+    """The largest difference, NaN if any is NaN (so a NaN fails its gate)."""
+    return float(np.max(diffs, initial=0.0))
+
+
 def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -120,17 +125,15 @@ def _emit(args, command: str, columns, rows, extra: dict) -> None:
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
     dist = engine.distribution(coin, qubit, args.steps)
     rows = []
-    worst = 0.0
     closed_available = not coin.is_degenerate and args.steps >= 1
     params = WalkParams(coin=coin, qubit=qubit)
     for k, p_eng in zip(dist.positions, dist.probs):
         if closed_available:
             p_closed = position_probability(params, args.steps, int(k))
-            diff = abs(float(p_eng) - p_closed)
-            worst = max(worst, diff)
-            rows.append([int(k), float(p_eng), p_closed, diff])
+            rows.append([int(k), float(p_eng), p_closed, abs(float(p_eng) - p_closed)])
         else:
             rows.append([int(k), float(p_eng), None, None])
+    worst = _worst([row[3] for row in rows] if closed_available else [])
     columns = ["k", "p_engine", "p_closed", "abs_diff"]
     ok = worst <= DIST_TOL
     _emit(args, "dist", columns, rows, {
@@ -145,7 +148,10 @@ def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
 
 def _xi_grid(args) -> list[float]:
     if args.xi is not None:
-        return [float(part) for part in args.xi.split(",")]
+        xis = [float(part) for part in args.xi.split(",")]
+        if not all(math.isfinite(xi) for xi in xis):
+            raise CliInputError(f"--xi: expected finite reals, got {args.xi!r}")
+        return xis
     count = args.xi_points
     return [-math.pi + 2.0 * math.pi * j / count for j in range(count)]
 
@@ -156,13 +162,11 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
     ks = dist.positions.astype(float)
     probs = np.asarray(dist.probs)
     rows = []
-    worst = 0.0
     for xi in _xi_grid(args):
         closed = characteristic_function(params, args.steps, xi)
         direct = complex(np.sum(np.exp(1j * xi * ks) * probs))
-        diff = abs(closed - direct)
-        worst = max(worst, diff)
-        rows.append([xi, closed.real, closed.imag, direct.real, direct.imag, diff])
+        rows.append([xi, closed.real, closed.imag, direct.real, direct.imag, abs(closed - direct)])
+    worst = _worst([row[5] for row in rows])
     ok = worst <= CHARFN_TOL
     _emit(args, "charfn", ["xi", "re_closed", "im_closed", "re_direct", "im_direct", "abs_diff"],
           rows, {"n": args.steps, "max_abs_diff": worst, "tolerance": CHARFN_TOL, "ok": ok})
@@ -173,14 +177,12 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
     params = WalkParams(coin=coin, qubit=qubit)
     dist = engine.distribution(coin, qubit, args.steps)
     rows = []
-    worst = 0.0
     for m in range(1, args.max_order + 1):
         closed = moment(params, args.steps, m)
         direct = dist.moment(m)
         scale = max(1.0, float(args.steps) ** m)
-        diff = abs(closed - direct) / scale
-        worst = max(worst, diff)
-        rows.append([m, closed, direct, diff])
+        rows.append([m, closed, direct, abs(closed - direct) / scale])
+    worst = _worst([row[3] for row in rows])
     ok = worst <= MOMENT_TOL
     _emit(args, "moments", ["m", "closed", "direct", "rel_diff"], rows,
           {"n": args.steps, "max_rel_diff": worst, "tolerance": MOMENT_TOL, "ok": ok})
@@ -238,7 +240,7 @@ def _cmd_converge(args, coin: Coin, qubit: Qubit) -> int:
     n_list = [int(part) for part in args.n_list.split(",")]
     report = limit.ks_convergence(coin, qubit, n_list)
     rows = [[n, ks, total] for (n, ks), total in zip(report.entries, report.totals)]
-    worst_drift = max(abs(total - 1.0) for total in report.totals)
+    worst_drift = _worst([abs(total - 1.0) for total in report.totals])
     ok = worst_drift <= 1e-9
     _emit(args, "converge", ["n", "ks_distance", "total_probability"], rows,
           {"max_probability_drift": worst_drift, "ok": ok})
@@ -247,7 +249,6 @@ def _cmd_converge(args, coin: Coin, qubit: Qubit) -> int:
 
 def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
     rows = []
-    worst = 0.0
     for n in range(1, args.n_cap + 1):
         for l in range(0, n + 1):
             m = n - l
@@ -257,10 +258,9 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
             exhaustive = path_sum_exhaustive(coin, sc)
             closed = path_sum(coin, sc)
             coeffs = path_sum_coefficients(coin, sc).materialize()
-            d1 = float(np.max(np.abs(exhaustive - closed)))
-            d2 = float(np.max(np.abs(coeffs - closed)))
-            worst = max(worst, d1, d2)
-            rows.append([l, m, d1, d2])
+            rows.append([l, m, float(np.max(np.abs(exhaustive - closed))),
+                         float(np.max(np.abs(coeffs - closed)))])
+    worst = _worst([d for row in rows for d in row[2:]])
     ok = worst <= ORACLE_TOL
     _emit(args, "oracle", ["l", "m", "enum_vs_closed", "coeff_vs_closed"], rows,
           {"n_cap": args.n_cap, "max_abs_diff": worst, "tolerance": ORACLE_TOL, "ok": ok})
@@ -325,6 +325,8 @@ def main(argv=None) -> int:
             raise CliInputError("-n must be non-negative")
         if args.command in ("charfn", "moments") and steps < 1:
             raise CliInputError(f"{args.command} needs -n >= 1")
+        if args.command == "moments" and args.max_order * math.log(max(steps, 1)) > 700.0:
+            raise CliInputError(f"moments needs n^m within the float range, got n={steps}, m={args.max_order}")
         coin = _coin_from_args(args)
         qubit = _qubit_from_args(args)
         return _HANDLERS[args.command](args, coin, qubit)

@@ -121,13 +121,14 @@ def validate_coin(matrix, tol: float = DEFAULT_TOL) -> Coin:
     Raises
     ------
     NotUnitaryError
-        If any invariant is violated beyond ``tol`` or an entry is not finite.
+        If any invariant is violated beyond ``tol``, or an entry is not finite
+        or has a real or imaginary part outside ``[-1-tol, 1+tol]``.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise NotUnitaryError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise NotUnitaryError("coin entries must be finite")
+    if not np.all(np.abs(m.view(np.float64)) <= 1.0 + tol):  # false for NaN too
+        raise NotUnitaryError("coin entries must be finite with parts in [-1, 1]")
     a, b = complex(m[0, 0]), complex(m[0, 1])
     c, d = complex(m[1, 0]), complex(m[1, 1])
     delta = a * d - b * c
@@ -204,10 +205,11 @@ def random_unitary_coin(rng: np.random.Generator, corner_margin: float = 0.1) ->
 
 def make_qubit(alpha: complex, beta: complex) -> Qubit:
     """Normalize ``(alpha, beta)`` and return a :class:`Qubit`."""
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    alpha, beta = complex(alpha), complex(beta)
+    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)  # cannot overflow
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("qubit amplitudes must have a finite nonzero norm")
-    return Qubit(alpha=complex(alpha) / norm, beta=complex(beta) / norm)
+    return Qubit(alpha=alpha / norm, beta=beta / norm)
 
 
 def random_qubit(rng: np.random.Generator) -> Qubit:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .analytic import WalkParams
 from .coin import BRANCH_GENERIC, Coin, Qubit
 from .errors import CapExceededError, DegenerateCoinError, OutOfWindowError
-from .special import rho_value
+from .special import _scaled_jacobi
 
 __all__ = [
     "LimitDensity",
@@ -66,10 +67,8 @@ class LimitDensity:
     @property
     def slope(self) -> float:
         """The state-dependence parameter: ``|alpha|^2 - |beta|^2 + cross/|a|^2``."""
-        alpha, beta = self.qubit.alpha, self.qubit.beta
-        z = self.coin.a * alpha * (self.coin.b * beta).conjugate()
-        cross = 2.0 * z.real
-        return abs(alpha) ** 2 - abs(beta) ** 2 + cross / self.coin.abs_a_sq
+        params = WalkParams(coin=self.coin, qubit=self.qubit)
+        return params.weight_gap + params.cross / self.coin.abs_a_sq
 
     @property
     def support(self) -> tuple[float, float]:
@@ -149,22 +148,29 @@ def limit_cdf(ld: LimitDensity, x) -> float | np.ndarray:
 
 
 def limit_moment(ld: LimitDensity, m: int) -> float:
-    """``E(Z^m)`` by an O(m) recurrence, with no quadrature.
+    """``E(Z^m)`` by a short sum, with no quadrature.
 
-    With ``c = sqrt(1 - |a|^2)``, ``I_0 = 1`` and
-    ``I_{j+1} = I_j - c |a|^(2j) C(2j, j) / 4^j`` (the arcsine-law moments),
-    ``E(Z^(2j)) = I_j`` and ``E(Z^(2j+1)) = -lambda I_(j+1)``.  The absolute
-    error is a few ulp; at high order for small ``|a|`` the moment itself is
-    tiny, so its relative error grows.
+    With ``c = sqrt(1 - |a|^2)`` and ``t_i = |a|^(2i) C(2i, i) / 4^i``,
+    ``E(Z^(2j)) = I_j`` and ``E(Z^(2j+1)) = -lambda I_(j+1)``, where
+    ``I_j = 1 - c sum_(i<j) t_i = c sum_(i>=j) t_i``.  The head cancels about
+    ``log10(1/|a|^2)`` digits per term, so for ``|a|^2 <= 1/2`` the positive
+    tail (under 60 terms) is summed instead.
     """
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
     a_sq = ld.a_abs**2
     c = math.sqrt(1.0 - a_sq)
-    total, term = 1.0, 1.0  # I_j and a^(2j) C(2j, j) / 4^j
+    total, term = 1.0, 1.0  # I_j and t_j
     for j in range((m + 1) // 2):
         total -= c * term
         term *= a_sq * (2 * j + 1) / (2 * j + 2)
+    if a_sq <= 0.5:
+        total, j = 0.0, (m + 1) // 2
+        while term > 1e-17 * total:
+            total += term
+            term *= a_sq * (2 * j + 1) / (2 * j + 2)
+            j += 1
+        total *= c
     return total if m % 2 == 0 else -ld.slope * total
 
 
@@ -241,12 +247,15 @@ def _window(coin: Coin) -> tuple[float, float]:
 
 def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
-    interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate)."""
+    interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
+    The scaled Jacobi value comes from the float kernel in O(k)."""
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:
         raise OutOfWindowError(f"x = k/n = {x} outside the oscillatory window ({lo}, {hi})")
-    return abs(rho_value(n, k, i, coin.abs_a_sq)) * abs(coin.a) ** (n - 2 * k) * math.sqrt(n)
+    if i not in (0, 1) or not 1 <= k <= n // 2:
+        raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
+    return abs(_scaled_jacobi(k - 1, i, n - 2 * k, coin.abs_a_sq)) * math.sqrt(n)
 
 
 def oscillation_scales(coin: Coin, x: float) -> OscillationScales:

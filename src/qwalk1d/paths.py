@@ -1,10 +1,18 @@
 """Path sums over interleaved left/right step words.
 
-The amplitude operator after ``l`` left steps and ``m`` right steps is the sum
-of all ``C(l+m, l)`` ordered products of P's and Q's (leftmost letter acts
-last).  This module computes that operator three ways: brute-force enumeration
-(the oracle), the explicit coefficient sums in the letter basis, and the
-single-sum closed form over the cluster count ``gamma``.
+The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
+products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
+amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
+compute ``Xi`` by enumeration and by the explicit binomial sums; the production
+route is the closed form over the cluster count, where each letter coordinate
+is a unit phase times a combination of
+
+    T_i = sum_(g=1..kk) (-|b|^2/|a|^2)^g C(l-1, g-1) C(m-1, g-1) / g^i,
+
+``kk = min(l, m)``.  These are Jacobi values,
+``|a|^(n-1) T_i = -(|b|^2/|a|) u_i / kk^i`` with
+``u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)`` from the one float kernel
+:func:`qwalk1d.special._scaled_jacobi`; they are never summed term by term.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 
 from .coin import BRANCH_GENERIC, Coin, Letter, letter_matrix
 from .errors import CapExceededError, DegenerateCoinError, ParityViolationError
+from .special import _scaled_jacobi
 
 __all__ = [
     "StepCount",
@@ -179,45 +188,52 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     )
 
 
-def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
-    """Letter-basis coordinates via the single sum over the cluster count.
+def _tau(coin: Coin, n: int, kk: int) -> tuple[float, float]:
+    """``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)`` for ``Xi(l, m)``, ``l+m = n``, ``kk = min(l, m)``."""
+    a2 = coin.abs_a_sq
+    factor = -coin.abs_b_sq / math.sqrt(a2)
+    return (
+        factor * _scaled_jacobi(kk - 1, 0, n - 2 * kk, a2),
+        factor * _scaled_jacobi(kk - 1, 1, n - 2 * kk, a2) / kk,
+    )
 
-    For mixed words the coordinates are ``a^l conj(a)^m det^m`` times an
-    alternating sum in ``(-|b|^2/|a|^2)^gamma``; the real alternating parts are
-    accumulated with exact binomials and compensated summation.
+
+def _mixed_coordinates(
+    coin: Coin, l: int, m: int, tau: tuple[float, float]
+) -> tuple[complex, complex, complex, complex]:
+    """Letter coordinates ``(p, q, r, s)`` of ``Xi(l, m)``, ``l, m >= 1``, divided by
+    the unit phase ``(a/|a|)^l (conj(a)/|a|)^m det^m``; ``tau`` is :func:`_tau`."""
+    t0, t1 = tau
+    a, b, det = coin.a, coin.b, coin.delta
+    abs_a = abs(a)
+    return (
+        abs_a * (l * t1 - t0) / a,
+        abs_a * (m * t1 - t0) / (det * a.conjugate()),
+        -abs_a * t0 / (det * b.conjugate()),
+        abs_a * t0 / b,
+    )
+
+
+def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
+    """Letter-basis coordinates via the closed form over the cluster count.
+
+    Pure-left words give ``p = a^(l-1)`` only, pure-right words give
+    ``q = (det conj(a))^(m-1)`` only; mixed words need all coin entries nonzero
+    and take their alternating sums from the Jacobi kernel (:func:`_tau`).
     """
     l, m = sc.l, sc.m
     if sc.n < 1:
         raise ValueError("path sums are defined for l + m >= 1")
-    a, b = coin.a, coin.b
-    det = coin.delta
+    a, det = coin.a, coin.delta
     zero = complex(0.0)
     if m == 0:
         return PqrsMatrix(p=a ** (l - 1), q=zero, r=zero, s=zero, coin=coin)
     if l == 0:
         return PqrsMatrix(p=zero, q=(det * a.conjugate()) ** (m - 1), r=zero, s=zero, coin=coin)
     _require_generic(coin)
-
-    ratio = -(abs(b) ** 2) / (abs(a) ** 2)
-    weights = []
-    p_parts = []
-    q_parts = []
-    term = 1.0
-    for g in range(1, min(l, m) + 1):
-        term *= ratio
-        w = term * math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1)
-        weights.append(w)
-        p_parts.append(w * (l - g) / g)
-        q_parts.append(w * (m - g) / g)
-    w_total = math.fsum(weights)
-    prefactor = a**l * a.conjugate() ** m * det**m
-    return PqrsMatrix(
-        p=prefactor * math.fsum(p_parts) / a,
-        q=prefactor * math.fsum(q_parts) / (det * a.conjugate()),
-        r=prefactor * w_total * (-1.0 / (det * b.conjugate())),
-        s=prefactor * w_total / b,
-        coin=coin,
-    )
+    phase = (a / abs(a)) ** (l - m) * det**m
+    p, q, r, s = (phase * x for x in _mixed_coordinates(coin, l, m, _tau(coin, sc.n, min(l, m))))
+    return PqrsMatrix(p=p, q=q, r=r, s=s, coin=coin)
 
 
 def path_sum(coin: Coin, sc: StepCount) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Gauss hypergeometric series, Jacobi polynomials, and the sum identities.
 
-The alternating binomial sums that appear in the walk's closed forms are
-values of a terminating 2F1, hence of Jacobi polynomials.  This module
-evaluates 2F1 directly from its series (terminating series are summed exactly
-in rational arithmetic; inputs are floats and floats are rationals), provides
-the Pfaff transformation as a residual diagnostic, and exposes the
-combinatorial-sum/Jacobi-value identities for verification.
+The alternating binomial sums of the path-sum closed form are Jacobi values.
+Every closed form takes them from one float kernel, :func:`_scaled_jacobi`.
+The public functions are its exact references: 2F1 summed from its series
+(terminating series exactly in rational arithmetic; floats are rationals),
+Jacobi values through it, the Pfaff transformation as a residual diagnostic,
+and the combinatorial-sum/Jacobi-value identities.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ __all__ = [
 
 _SERIES_CAP = 10**6
 _SERIES_RTOL = 1e-16
+
+# The recurrence values are divided by this whenever they exceed it, with the
+# factor moved into the log-scale, so nothing overflows for small |a|.
+_RESCALE = 1e150
+_LOG_RESCALE = math.log(_RESCALE)
 
 
 def gamma_value(x: float) -> float:
@@ -159,3 +164,31 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     if i == 1:
         rhs /= k
     return lhs, rhs
+
+
+def _scaled_jacobi(degree: int, alpha: int, beta: int, a2: float) -> float:
+    """``|a|^beta * P_degree^(alpha, beta)(2|a|^2 - 1)`` for ``|a|^2 = a2``.
+
+    Three-term recurrence in the degree (DLMF 18.9.2).  The factor
+    ``|a|^beta``, which underflows for small ``|a|`` at large ``beta``, is
+    carried as a log-scale and applied once at the end.
+    """
+    log_scale = 0.5 * beta * math.log(a2)
+    if degree == 0:
+        return math.exp(log_scale)
+    x = 2.0 * a2 - 1.0
+    prev, cur = 1.0, (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0
+    for m in range(1, degree):
+        s = 2 * m + alpha + beta
+        nxt = (
+            (s + 1) * ((s + 2) * s * x + alpha * alpha - beta * beta) * cur
+            - 2 * (m + alpha) * (m + beta) * (s + 2) * prev
+        ) / (2 * (m + 1) * (m + alpha + beta + 1) * s)
+        prev, cur = cur, nxt
+        if abs(cur) > _RESCALE:
+            prev /= _RESCALE
+            cur /= _RESCALE
+            log_scale += _LOG_RESCALE
+    if cur == 0.0:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(cur)) + log_scale), cur)

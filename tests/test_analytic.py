@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import qwalk1d.analytic as analytic
+import qwalk1d.special as special
 from qwalk1d.analytic import (
     WalkParams,
     characteristic_function,
@@ -219,7 +219,7 @@ class TestJacobiKernel:
                 for kk in range(1, n // 2 + 1):
                     for i in (0, 1):
                         expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
-                        got = analytic._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
+                        got = special._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
                         assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_small_amplitude_coin_against_engine(self, rng):

@@ -9,6 +9,7 @@ import qwalk1d.analytic as analytic
 import qwalk1d.cli as cli
 import qwalk1d.engine as engine
 import qwalk1d.limit as limit
+import qwalk1d.paths as paths
 from qwalk1d.analytic import WalkParams, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit
 
@@ -143,13 +144,13 @@ def test_converge_evolves_each_time_once(capsys, monkeypatch):
 
 def test_closed_forms_share_one_law_per_time(capsys, monkeypatch):
     calls = []
-    true_products = analytic._t_products
+    true_tau = analytic._tau
 
     def counting(coin, n, kk):
         calls.append((n, kk))
-        return true_products(coin, n, kk)
+        return true_tau(coin, n, kk)
 
-    monkeypatch.setattr(analytic, "_t_products", counting)
+    monkeypatch.setattr(analytic, "_tau", counting)
     analytic._probabilities.cache_clear()
     coin = "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0"
     for command in ("dist", "charfn", "moments"):
@@ -195,13 +196,48 @@ def test_closed_forms_pass_at_large_n(capsys, command):
 
 
 def test_numerical_health_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(analytic, "_scaled_jacobi", lambda *args: 1e3)
+    monkeypatch.setattr(paths, "_scaled_jacobi", lambda *args: 1e3)
     analytic._probabilities.cache_clear()
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
     assert code == 3
     assert out == ""
     assert "escapes [0, 1]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf", "0,-inf", "1e400"])
+def test_non_finite_xi_exits_2(capsys, xi):
+    code, out, err = run_cli(capsys, ["charfn", "-n", "4", "--xi", xi])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, nan_value",
+    [
+        ("dist", "position_probability", math.nan),
+        ("charfn", "characteristic_function", complex(math.nan, 0.0)),
+        ("moments", "moment", math.nan),
+        ("oracle", "path_sum", np.full((2, 2), math.nan)),
+    ],
+)
+def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_value):
+    # max(worst, nan) keeps worst, so a NaN must fail the gate explicitly
+    monkeypatch.setattr(cli, name, lambda *args: nan_value)
+    argv = [command, "--n-cap", "2"] if command == "oracle" else [command, "-n", "4"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 3
+    assert '"ok":false' in out
+    assert "Traceback" not in err
+
+
+def test_moment_order_beyond_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["moments", "-n", "64", "-m", "200"])
+    assert code == 2
+    assert out == ""
+    assert "float range" in err
 
 
 def test_json_round_trip_bit_exact(capsys):

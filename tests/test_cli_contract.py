@@ -1,0 +1,104 @@
+"""Property test of the CLI exit-code contract over drawn argument vectors.
+
+Whatever the input, ``qwalk1d`` exits 0 (all checks pass), 2 (bad input) or 3
+(a self-check failed), never with a traceback, and a 0 exit never prints NaN.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qwalk1d.cli as cli
+from qwalk1d.coin import coin_from_angles
+
+# Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
+# st.floats() adds NaN and infinities).
+BAD_TOKENS = ["1e400", "-1e400", "-nan", "x", "", "1,", "0x1p3"]
+
+
+def _coin_text(coin) -> str:
+    return ",".join(repr(part) for z in (coin.a, coin.b, coin.c, coin.d) for part in (z.real, z.imag))
+
+
+COIN_TEXTS = [
+    "0.70710678118654757,0,0.70710678118654757,0,0.70710678118654757,0,-0.70710678118654757,0",
+    "1,0,0,0,0,0,1,0",  # b = 0
+    "0,0,1,0,1,0,0,0",  # a = 0
+    "0,0,0,1,0,1,0,0",  # a = 0, complex
+    "1,1,1,1,1,1,1,1",  # not unitary
+    _coin_text(coin_from_angles(0.7, 0.3, 1.9, 4.0)),
+    _coin_text(coin_from_angles(1.4706, 2.0, 0.1, 0.5)),  # |a|^2 ~ 0.01
+    _coin_text(coin_from_angles(0.1002, 5.0, 3.0, 1.0)),  # |a|^2 ~ 0.99
+    _coin_text(coin_from_angles(1.5607, 0.0, 0.0, 0.0)),  # |a| ~ 0.01
+]
+
+token = st.sampled_from(BAD_TOKENS)
+
+
+def sometimes_bad(good):
+    """``good`` four times in five, a malformed or non-finite token otherwise."""
+    return st.integers(0, 4).flatmap(lambda pick: token if pick == 0 else good)
+
+
+real = sometimes_bad(st.one_of(st.floats(-4.0, 4.0), st.floats()).map(repr))
+xi = st.one_of(st.floats(-4.0, 4.0).map(repr), st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+
+
+def integer(lo: int, hi: int):
+    return sometimes_bad(st.integers(lo, hi).map(str))
+
+
+def real_list(min_size: int, max_size: int):
+    return st.lists(real, min_size=min_size, max_size=max_size).map(",".join)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    argv = [command]
+    if command in ("dist", "charfn", "moments"):
+        argv.append("--steps=" + draw(integer(-2, 64)))
+    if command == "charfn":
+        if draw(st.booleans()):
+            argv.append("--xi=" + draw(st.lists(xi, min_size=1, max_size=3).map(",".join)))
+        else:
+            argv.append("--xi-points=" + draw(integer(-1, 64)))
+    elif command == "moments":
+        argv.append("--max-order=" + draw(integer(-1, 300)))
+    elif command == "symmetry":
+        argv.append("--n-max=" + draw(integer(-1, 64)))
+    elif command == "limit":
+        argv.append("--grid-points=" + draw(integer(-1, 200)))
+    elif command == "converge":
+        argv.append("--n-list=" + draw(st.lists(integer(-1, 64), min_size=1, max_size=3).map(",".join)))
+    elif command == "oracle":
+        argv.append("--n-cap=" + draw(integer(-1, 9)))
+    if draw(st.booleans()):
+        argv.append("--coin=" + draw(st.one_of(st.sampled_from(COIN_TEXTS), real_list(7, 9))))
+    if draw(st.booleans()):
+        argv.append("--qubit=" + draw(st.one_of(st.sampled_from(["1,0,0,0", "0.6,0,0,0.8"]), real_list(3, 5))))
+    argv.append("--format=" + draw(st.sampled_from(["csv", "json"])))
+    return argv
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects malformed options with exit 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_exit_code_contract(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out, argv
+

@@ -51,6 +51,21 @@ def test_validate_rejects_non_finite():
         validate_coin([[math.inf, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entry", [math.nan, 1e200, complex(0.0, -1e200)])
+def test_validate_rejects_out_of_range_entries(entry):
+    # squaring 1e200 overflows a float; the range check comes first
+    with pytest.raises(NotUnitaryError):
+        validate_coin([[entry, 0], [0, 1]])
+
+
+def test_make_qubit_huge_and_non_finite_amplitudes():
+    q = make_qubit(1e308, 1e308j)
+    assert (q.alpha, q.beta) == pytest.approx((1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)))
+    for alpha in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError):
+            make_qubit(alpha, 1.0)
+
+
 def test_qubit_normalization_enforced():
     with pytest.raises(ValueError):
         Qubit(alpha=1.0, beta=1.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qwalk1d.limit import (
     parity_smoothed_ks,
     two_point_limit,
 )
+from qwalk1d.special import rho_value
 from qwalk1d.symmetry import is_symmetric_state
 
 # Calibrated once from the first run of this implementation and frozen as
@@ -203,6 +205,21 @@ class TestMoments:
                     reference = float(mpmath.quad(lambda t: t**m * f(t), [-a, 0, a]))
                     assert limit_moment(ld, m) == pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("a_sq", [1e-4, 0.01, 0.3, 0.5, 0.7, 0.99])
+    def test_relative_accuracy_against_40_digits(self, a_sq):
+        # E(Z^m) = (-lambda)^(m odd) c sum_(i>=j) t_i, j = ceil(m/2), as a 40-digit 2F1
+        mpmath = pytest.importorskip("mpmath")
+        coin = coin_from_angles(math.acos(math.sqrt(a_sq)), 0.4, 1.3, 0.7)
+        ld = LimitDensity(coin=coin, qubit=make_qubit(0.8, 0.1 + 0.6j))
+        with mpmath.workdps(40):
+            a2 = mpmath.mpf(ld.a_abs) ** 2
+            for m in range(1, 13):
+                j = (m + 1) // 2
+                t_j = a2**j * mpmath.binomial(2 * j, j) / mpmath.mpf(4) ** j
+                tail = mpmath.sqrt(1 - a2) * t_j * mpmath.hyp2f1(1, j + mpmath.mpf(1) / 2, j + 1, a2)
+                reference = float(tail if m % 2 == 0 else -mpmath.mpf(ld.slope) * tail)
+                assert limit_moment(ld, m) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
     def test_moment_bound(self, rng):
         for _ in range(10):
             ld = LimitDensity(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
@@ -304,6 +321,21 @@ class TestEnvelope:
     def test_window_guard(self, hadamard):
         with pytest.raises(OutOfWindowError):
             asymptotics_envelope(hadamard, 40, 2, 0)
+
+    def test_matches_exact_jacobi_value(self, hadamard):
+        # rho_value sums the terminating 2F1 exactly in rational arithmetic.
+        n = 1000
+        for coin in (hadamard, real_coin(0.3)):
+            for k in (450, 499):
+                for i in (0, 1):
+                    exact = abs(rho_value(n, k, i, coin.abs_a_sq)) * abs(coin.a) ** (n - 2 * k) * math.sqrt(n)
+                    assert asymptotics_envelope(coin, n, k, i) == pytest.approx(exact, rel=1e-12)
+
+    def test_large_n_small_amplitude(self):
+        start = time.perf_counter()
+        value = asymptotics_envelope(real_coin(0.3), 6000, 2700, 0)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(value) and value > 0.0
 
     def test_hadamard_bounded(self, hadamard):
         for i in (0, 1):

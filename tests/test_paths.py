@@ -4,7 +4,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qwalk1d.coin import Letter, hadamard_coin, letter_matrix, random_qubit, random_unitary_coin, validate_coin
+from qwalk1d.coin import (
+    Letter,
+    coin_from_angles,
+    hadamard_coin,
+    letter_matrix,
+    random_qubit,
+    random_unitary_coin,
+    validate_coin,
+)
+from qwalk1d.engine import evolve
 from qwalk1d.errors import CapExceededError, DegenerateCoinError, ParityViolationError
 from qwalk1d.paths import (
     StepCount,
@@ -175,3 +184,31 @@ class TestClosedForm:
                     for l in range(n + 1)
                 )
                 assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def worst_amplitude_gap(coin, qubit, n, positions=None):
+    """Largest ``|Xi(l, m) phi - psi_n(m - l)|`` against the engine's amplitudes."""
+    field = evolve(coin, qubit, n)
+    return max(
+        float(np.max(np.abs(path_sum(coin, StepCount.from_time_position(n, int(k))) @ qubit.vector
+                            - field.amplitude(int(k)))))
+        for k in (field.positions if positions is None else positions)
+    )
+
+
+class TestClosedFormAgainstEngine:
+    @pytest.mark.parametrize("n", [100, 200, 1000])
+    def test_hadamard(self, rng, n):
+        assert worst_amplitude_gap(hadamard_coin(), random_qubit(rng), n) <= 1e-12
+
+    # theta = 1.4706 gives |a|^2 ~ 0.01, theta = 0.1002 gives |a|^2 ~ 0.99
+    @pytest.mark.parametrize("theta", [1.4706, 0.1002])
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_extreme_coins(self, rng, theta, n):
+        coin = coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3))
+        assert worst_amplitude_gap(coin, random_qubit(rng), n) <= 1e-12
+
+    def test_no_overflow_at_n_2000(self, rng):
+        coin = coin_from_angles(1.4706, *rng.uniform(0.0, 2.0 * math.pi, 3))
+        positions = [-2000, -1998, -1000, -2, 0, 2, 1000, 1998, 2000]
+        assert worst_amplitude_gap(coin, random_qubit(rng), 2000, positions) <= 1e-12
