@@ -190,18 +190,21 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
 
 
 def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> int:
-    report = symmetry_evidence(coin, qubit, args.n_max)
+    # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
+    window = max(args.n_max, 3)
+    report = symmetry_evidence(coin, qubit, window)
     params = WalkParams(coin=coin, qubit=qubit)
     rows = [
         [n, gap, moment(params, n, 1)]
         for (n, gap) in report.evidence
+        if n <= args.n_max
     ]
     if coin.is_degenerate:
         member = None
         agrees = True
     else:
         member = is_symmetric_state(coin, qubit)
-        zero_mean = mean_zero_check(coin, qubit, max(args.n_max, 3))
+        zero_mean = mean_zero_check(coin, qubit, window)
         agrees = member == report.symmetric == zero_mean
     _emit(args, "symmetry", ["n", "max_asymmetry", "mean"], rows, {
         "n_max": args.n_max,

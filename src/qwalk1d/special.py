@@ -2,20 +2,24 @@
 
 The alternating binomial sums of the path-sum closed form are Jacobi values.
 Every closed form takes them from one float kernel, :func:`_scaled_jacobi`.
-The public functions are its exact references: 2F1 summed from its series
-(terminating series exactly in rational arithmetic; floats are rationals),
+The public functions are its exact references: 2F1 summed from its series,
 Jacobi values through it, the Pfaff transformation as a residual diagnostic,
 and the combinatorial-sum/Jacobi-value identities.
+
+The exact references take floats as the rationals they are.  A terminating
+series or binomial sum is carried as one integer numerator over one integer
+denominator, never reduced, and rounded once by the correctly rounded integer
+true division; the result is the float nearest the exact sum.  A terminating
+2F1 is limited to 10,000 terms.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import comb
 
-from .coin import Coin
-from .errors import NonConvergentError, PoleAtCError
+from .coin import BRANCH_A_ZERO, Coin
+from .errors import CapExceededError, DegenerateCoinError, NonConvergentError, PoleAtCError
 
 __all__ = [
     "gamma_value",
@@ -27,6 +31,9 @@ __all__ = [
 ]
 
 _SERIES_CAP = 10**6
+# Longest terminating series summed exactly: the integers grow by about a
+# float's width each term, so the cost grows with the square of the length.
+_TERMINATING_CAP = 10_000
 _SERIES_RTOL = 1e-16
 
 # The recurrence values are divided by this whenever they exceed it, with the
@@ -64,8 +71,11 @@ def _check_pole(c: float, stop: int | None) -> None:
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric series ``2F1(a, b; c; z)`` by partial sums.
 
-    Terminating series (``a`` or ``b`` a non-positive integer) are summed
-    exactly term by term in rational arithmetic.  Otherwise requires
+    Terminating series (``a`` or ``b`` a non-positive integer) are exact:
+    with the arguments as integer ratios, the nested (Horner) form
+    ``1 + r_0 (1 + r_1 (1 + ...))`` of the term ratios ``r_j`` is summed as
+    one integer fraction and rounded once, so the result is the float nearest
+    the exact polynomial value; at most 10,000 terms.  Otherwise requires
     ``|z| < 1``; summation stops once a term drops below 1e-16 of the partial
     sum, with a 1e6-term cap.
 
@@ -73,6 +83,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     ------
     PoleAtCError
         If ``c`` is a non-positive integer reached before termination.
+    CapExceededError
+        If a terminating series has more than 10,000 terms.
     NonConvergentError
         If ``|z| >= 1`` (non-terminating) or the term cap is hit.
     """
@@ -80,14 +92,19 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     stop = _termination_index(a, b)
     _check_pole(c, stop)
     if stop is not None:
-        af, bf, cf, zf = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
-        term = Fraction(1)
-        total = Fraction(1)
-        for j in range(stop):
-            term *= (af + j) * (bf + j) * zf
-            term /= (cf + j) * (j + 1)
-            total += term
-        return float(total)
+        if stop >= _TERMINATING_CAP:
+            raise CapExceededError(
+                f"terminating series of {stop + 1} terms exceeds the cap of {_TERMINATING_CAP}"
+            )
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        (cn, cd), (zn, zd) = c.as_integer_ratio(), z.as_integer_ratio()
+        # r_j = (a+j)(b+j)z / ((c+j)(j+1)) = N_j / D_j, innermost term first.
+        num = den = 1
+        for j in range(stop - 1, -1, -1):
+            step_den = (cn + j * cd) * (j + 1) * ad * bd * zd
+            step_num = (an + j * ad) * (bn + j * bd) * zn * cd
+            num, den = den * step_den + step_num * num, den * step_den
+        return num / den
     if abs(z) >= 1.0:
         raise NonConvergentError(f"series does not converge for |z| = {abs(z)} >= 1")
     term = 1.0
@@ -141,25 +158,35 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     """Both sides of the binomial-sum/Jacobi-value identity.
 
     lhs: ``sum_(g=1..k) (-|b|^2/|a|^2)^(g-1) C(k-1,g-1) C(n-k-1,g-1) / g^i``
-    (the ``1/g`` weight present only for ``i = 1``), summed exactly in rational
-    arithmetic.
+    (the ``1/g`` weight present only for ``i = 1``), summed exactly: with the
+    ratio as integers ``rn/rd`` and ``L = lcm(1..k)`` carrying the weight, the
+    sum is one integer over ``rd^(k-1) L``, rounded once.
 
     rhs: ``|a|^(-2(k-1)) * rho(n,k,i) / k^i`` with the Jacobi value evaluated
     through :func:`jacobi_p`.
+
+    Raises
+    ------
+    DegenerateCoinError
+        If ``a = 0`` (the ratio is undefined); ``b = 0`` is fine.
     """
     if i not in (0, 1):
         raise ValueError(f"i must be 0 or 1, got {i}")
     if not 1 <= k <= n // 2:
         raise ValueError(f"need 1 <= k <= n//2, got k={k}, n={n}")
+    if coin.branch == BRANCH_A_ZERO:
+        raise DegenerateCoinError("the binomial-sum identity needs a != 0")
     abs_a_sq = coin.abs_a_sq
-    ratio = -Fraction(coin.abs_b_sq) / Fraction(abs_a_sq)
-    total = Fraction(0)
-    power = Fraction(1)
-    for g in range(1, k + 1):
-        w = power * comb(k - 1, g - 1) * comb(n - k - 1, g - 1)
-        total += w / g if i == 1 else w
-        power *= ratio
-    lhs = float(total)
+    (bn, bd), (an, ad) = coin.abs_b_sq.as_integer_ratio(), abs_a_sq.as_integer_ratio()
+    rn, rd = -bn * ad, bd * an
+    # Horner in rn/rd from g = k inward, num/den being the sum over g..k
+    # times the weight; weight / g^i is an integer.
+    weight = math.lcm(*range(1, k + 1)) ** i
+    num, den = comb(n - k - 1, k - 1) * weight // k**i, 1
+    for g in range(k - 1, 0, -1):
+        den *= rd
+        num = rn * num + comb(k - 1, g - 1) * comb(n - k - 1, g - 1) * weight // g**i * den
+    lhs = num / (den * weight)
     rhs = abs_a_sq ** (-(k - 1)) * rho_value(n, k, i, abs_a_sq)
     if i == 1:
         rhs /= k

@@ -212,7 +212,7 @@ class TestMoments:
 
 class TestJacobiKernel:
     def test_kernel_matches_exact_jacobi_values(self, rng):
-        # rho_value sums the terminating 2F1 exactly in rational arithmetic.
+        # rho_value sums the terminating 2F1 exactly.
         a2_values = [0.01, 0.5, 0.99] + [random_unitary_coin(rng).abs_a_sq for _ in range(2)]
         for a2 in a2_values:
             for n in range(2, 61):
@@ -221,6 +221,18 @@ class TestJacobiKernel:
                         expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
                         got = special._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
                         assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1000, 2000, 2001])
+    def test_kernel_matches_exact_jacobi_values_at_large_n(self, n):
+        # |a|^2 = 0.01 is left out: there rho_value itself leaves the float
+        # range (OverflowError) at these n.
+        kks = sorted({1, 2, 17, n // 8, n // 4, n // 3, n // 2 - 1, n // 2})
+        for a2 in (0.3, 0.5, 0.7, 0.99):
+            for kk in kks:
+                for i in (0, 1):
+                    expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
+                    got = special._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
+                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_small_amplitude_coin_against_engine(self, rng):
         # |a| ~ 0.12: summed term by term, the alternating sums would cancel

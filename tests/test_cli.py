@@ -90,6 +90,19 @@ def test_symmetry_verdicts(capsys):
     assert doc["empirically_symmetric"] is True
 
 
+@pytest.mark.parametrize("n_max", ["1", "2"])
+def test_symmetry_verdict_looks_past_short_windows(capsys, n_max):
+    # Every law at n <= 2 is mirror-symmetric; the verdicts still look to n = 3.
+    code, out, _ = run_cli(
+        capsys, ["symmetry", "--n-max", n_max, "--qubit=0.6,0,0,0.8", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algebraic_member"] is False
+    assert doc["empirically_symmetric"] is False
+    assert [row[0] for row in doc["rows"]] == list(range(1, int(n_max) + 1))
+
+
 def test_limit_center_density(capsys):
     code, out, _ = run_cli(capsys, ["limit", "--grid-points", "5", "--format", "json"])
     assert code == 0

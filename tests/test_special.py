@@ -1,10 +1,12 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qwalk1d.coin import hadamard_coin, real_coin
-from qwalk1d.errors import NonConvergentError, PoleAtCError
+from qwalk1d.coin import hadamard_coin, random_unitary_coin, real_coin, validate_coin
+from qwalk1d.errors import CapExceededError, DegenerateCoinError, NonConvergentError, PoleAtCError
 from qwalk1d.special import (
     gamma_value,
     hyp2f1,
@@ -31,6 +33,30 @@ PFAFF_CONVERGENT = [
     for c in (1.75, 3.5)
     for z in (-0.4, 0.15, 0.45)
 ]
+
+
+def fraction_hyp2f1(a, b, c, z, stop):
+    """Terminating 2F1 summed term by term in ``Fraction`` arithmetic."""
+    af, bf, cf, zf = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
+    term = Fraction(1)
+    total = Fraction(1)
+    for j in range(stop):
+        term *= (af + j) * (bf + j) * zf
+        term /= (cf + j) * (j + 1)
+        total += term
+    return float(total)
+
+
+def fraction_sum_lhs(coin, n, k, i):
+    """The binomial sum of ``jacobi_sum_identity`` in ``Fraction`` arithmetic."""
+    ratio = -Fraction(coin.abs_b_sq) / Fraction(coin.abs_a_sq)
+    total = Fraction(0)
+    power = Fraction(1)
+    for g in range(1, k + 1):
+        w = power * math.comb(k - 1, g - 1) * math.comb(n - k - 1, g - 1)
+        total += w / g if i == 1 else w
+        power *= ratio
+    return float(total)
 
 
 class TestGamma:
@@ -64,8 +90,9 @@ class TestHyp2f1:
         assert hyp2f1(-2.0, 1.0, 1.0, 3.0) == pytest.approx((1.0 - 3.0) ** 2, abs=1e-12)
 
     def test_divergent_argument_rejected(self):
-        with pytest.raises(NonConvergentError):
-            hyp2f1(0.5, 1.0, 2.0, 1.5)
+        for z in (1.5, -1.0):
+            with pytest.raises(NonConvergentError):
+                hyp2f1(0.5, 1.0, 2.0, z)
 
     def test_pole_at_c(self):
         with pytest.raises(PoleAtCError):
@@ -78,6 +105,39 @@ class TestHyp2f1:
         value = hyp2f1(-2.0, 1.0, -5.0, 0.4)
         expected = 1.0 + (-2.0) * 1.0 / (-5.0) * 0.4 + ((-2.0) * (-1.0) * 1.0 * 2.0) / ((-5.0) * (-4.0) * 2.0) * 0.16
         assert value == pytest.approx(expected, abs=1e-14)
+
+
+class TestExactSeries:
+    """The integer-fraction sums equal the ``Fraction`` sums bit for bit."""
+
+    def test_terminating_hyp2f1_matches_fraction_sum(self, rng):
+        for _ in range(60):
+            stop = int(rng.integers(0, 81))
+            b = float(rng.uniform(-6.0, 40.0))
+            c = float(rng.uniform(0.1, 12.0))
+            z = float(rng.uniform(-3.0, 0.99))
+            for zz in (z, z / (z - 1.0)):
+                for args in ((-float(stop), b, c, zz), (b, -float(stop), c, zz)):
+                    assert hyp2f1(*args) == fraction_hyp2f1(*args, stop)
+
+    def test_sum_identity_lhs_matches_fraction_sum(self, rng):
+        coins = [hadamard_coin(), validate_coin([[1, 0], [0, 1]])]
+        coins += [random_unitary_coin(rng) for _ in range(3)]
+        for coin in coins:
+            for n in (20, 40, 60, 61):
+                for k in range(1, n // 2 + 1):
+                    for i in (0, 1):
+                        lhs, _ = jacobi_sum_identity(coin, n, k, i)
+                        assert lhs == fraction_sum_lhs(coin, n, k, i)
+
+    def test_terminating_series_capped_at_ten_thousand_terms(self):
+        assert hyp2f1(-9999.0, 1.0, 1.0, 0.0) == 1.0
+        with pytest.raises(CapExceededError):
+            hyp2f1(1.0, -10000.0, 1.0, 0.0)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            hyp2f1(-10**6, 1.0, 1.0, 0.5)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPfaff:
@@ -130,6 +190,17 @@ class TestSumIdentity:
         lhs, rhs = jacobi_sum_identity(hadamard_coin(), 2, 1, 1)
         assert lhs == 1.0
         assert rhs == pytest.approx(1.0, abs=1e-14)
+
+    def test_a_zero_coin_rejected(self):
+        with pytest.raises(DegenerateCoinError):
+            jacobi_sum_identity(validate_coin([[0, 1], [1, 0]]), 8, 3, 1)
+
+    def test_b_zero_coin(self):
+        # ratio 0: only the g = 1 term, and rho = P^(i, n-2k)_(k-1)(1) = C(k-1+i, i)
+        for i in (0, 1):
+            lhs, rhs = jacobi_sum_identity(validate_coin([[1, 0], [0, 1]]), 10, 4, i)
+            assert lhs == 1.0
+            assert rhs == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("abs_a_sq", [0.3, 0.6, 0.9])
     def test_parameter_sweep(self, abs_a_sq):
