@@ -16,9 +16,9 @@ from qwalk1d import (
     characteristic_function,
     distribution,
     hadamard_coin,
+    law,
     make_qubit,
     moment,
-    position_probability,
     random_qubit,
     random_unitary_coin,
 )
@@ -29,21 +29,22 @@ qubit = random_qubit(rng)
 params = WalkParams(coin=coin, qubit=qubit)
 print(f"random coin: |a| = {abs(coin.a):.4f}, drift parameter mu = {params.mu:+.4f}")
 
+# Both routes hand out the same law type: law(params, n) from the closed form,
+# distribution(coin, qubit, n) from evolution.
 n = 9
 dist = distribution(coin, qubit, n)
+closed_law = law(params, n)
 print(f"\nclosed form vs engine at n = {n}:")
 print("   k   closed         engine         |diff|")
-for k in dist.positions:
-    closed = position_probability(params, n, int(k))
-    eng = dist.probability(int(k))
+for k, closed, eng in zip(dist.positions, closed_law.probs, dist.probs):
     print(f"  {int(k):+3d}  {closed:.11f}  {eng:.11f}  {abs(closed - eng):.1e}")
 
 # The characteristic function packages the whole distribution; spot-check it
-# against the direct Fourier sum of the engine probabilities.
+# against the same Fourier sum over the engine's law.
 print(f"\ncharacteristic function at n = {n}:")
 for xi in (0.0, 0.5, 1.5, 3.0):
     closed = characteristic_function(params, n, xi)
-    direct = complex(np.sum(np.exp(1j * xi * dist.positions) * np.asarray(dist.probs)))
+    direct = dist.characteristic_function(xi)
     print(f"  xi = {xi:3.1f}: {closed:.8f}  |diff| = {abs(closed - direct):.1e}")
 
 # Odd moments remember the initial state; even moments do not.

@@ -9,7 +9,7 @@ sums over step words (:mod:`qwalk1d.paths`), the exact evolution engine
 (:mod:`qwalk1d.limit`), and a command-line surface (:mod:`qwalk1d.cli`).
 """
 
-from .analytic import WalkParams, characteristic_function, moment, position_probability, reduced_mean
+from .analytic import WalkParams, characteristic_function, law, moment, position_probability, reduced_mean
 from .coin import (
     Coin,
     Letter,
@@ -33,6 +33,7 @@ from .engine import (
     distribution,
     evolve,
     initial_field,
+    laws,
     step,
 )
 from .errors import (

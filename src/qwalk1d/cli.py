@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import engine, limit
-from .analytic import WalkParams, characteristic_function, moment, position_probability
+from .analytic import WalkParams, characteristic_function, law, moment
 from .coin import Coin, Qubit, hadamard_coin, make_qubit, validate_coin
 from .errors import NumericalHealthError, QWalkError
 from .paths import StepCount, path_sum, path_sum_coefficients, path_sum_exhaustive
@@ -124,16 +124,13 @@ def _emit(args, command: str, columns, rows, extra: dict) -> None:
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
     dist = engine.distribution(coin, qubit, args.steps)
-    rows = []
     closed_available = not coin.is_degenerate and args.steps >= 1
-    params = WalkParams(coin=coin, qubit=qubit)
-    for k, p_eng in zip(dist.positions, dist.probs):
-        if closed_available:
-            p_closed = position_probability(params, args.steps, int(k))
-            rows.append([int(k), float(p_eng), p_closed, abs(float(p_eng) - p_closed)])
-        else:
-            rows.append([int(k), float(p_eng), None, None])
-    worst = _worst([row[3] for row in rows] if closed_available else [])
+    closed = diffs = np.full(dist.probs.shape, None)
+    if closed_available:
+        closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
+        diffs = np.abs(dist.probs - closed)
+    rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
+    worst = _worst(diffs if closed_available else [])
     columns = ["k", "p_engine", "p_closed", "abs_diff"]
     ok = worst <= DIST_TOL
     _emit(args, "dist", columns, rows, {
@@ -159,12 +156,10 @@ def _xi_grid(args) -> list[float]:
 def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
     params = WalkParams(coin=coin, qubit=qubit)
     dist = engine.distribution(coin, qubit, args.steps)
-    ks = dist.positions.astype(float)
-    probs = np.asarray(dist.probs)
     rows = []
     for xi in _xi_grid(args):
         closed = characteristic_function(params, args.steps, xi)
-        direct = complex(np.sum(np.exp(1j * xi * ks) * probs))
+        direct = dist.characteristic_function(xi)
         rows.append([xi, closed.real, closed.imag, direct.real, direct.imag, abs(closed - direct)])
     worst = _worst([row[5] for row in rows])
     ok = worst <= CHARFN_TOL

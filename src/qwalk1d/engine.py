@@ -1,15 +1,20 @@
-"""Exact time evolution of the amplitude field.
+"""Exact time evolution of the amplitude field, and the law type of the package.
 
 The field at time ``n`` lives on positions ``k in {-n, -n+2, ..., n}`` (only
 the parity class reachable in ``n`` steps is stored) and evolves by the banded
 recurrence ``psi_k' = Q psi_{k-1} + P psi_{k+1}``.  No renormalization is ever
 applied: the drift of the total probability from 1 is the primary numerical
 health signal and is reported, not corrected.
+
+Both routes hand out the law as a :class:`Distribution` (here, and from
+``analytic.law(params, n)``); its methods are the package's only sums over a law.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from math import fsum
 
 import numpy as np
 
@@ -24,6 +29,7 @@ __all__ = [
     "step",
     "evolve",
     "distribution",
+    "laws",
     "dense_step_matrix",
     "dense_unitary_check",
 ]
@@ -78,14 +84,17 @@ class Distribution:
     def total(self) -> float:
         return float(np.sum(self.probs))
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(p) for k, p in zip(self.positions, self.probs)}
-
     def mean(self) -> float:
-        return float(np.dot(self.positions, self.probs))
+        return self.moment(1)
 
     def moment(self, m: int) -> float:
-        return float(np.dot(np.asarray(self.positions, dtype=float) ** m, self.probs))
+        """``E(X_n^m) = sum_k k^m P(X_n = k)``, summed exactly rounded."""
+        return fsum((self.positions.astype(float) ** m * self.probs).tolist())
+
+    def characteristic_function(self, xi: float) -> complex:
+        """``E(exp(i xi X_n))``, real and imaginary parts each summed exactly rounded."""
+        phase = self.positions * xi
+        return complex(fsum((self.probs * np.cos(phase)).tolist()), fsum((self.probs * np.sin(phase)).tolist()))
 
 
 def initial_field(qubit: Qubit) -> AmplitudeField:
@@ -117,6 +126,18 @@ def evolve(coin: Coin, qubit: Qubit, n: int) -> AmplitudeField:
 def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """Exact position distribution at time ``n`` (squared amplitude norms)."""
     return evolve(coin, qubit, n).to_distribution()
+
+
+def laws(coin: Coin, qubit: Qubit, times) -> Iterator[Distribution]:
+    """The law at each distinct time in ``times``, in increasing order, from one
+    evolution holding one field at a time; each is bit-equal to :func:`distribution`."""
+    field = initial_field(qubit)
+    for n in sorted(set(times)):
+        if n < 0:
+            raise ValueError(f"time must be non-negative, got {n}")
+        while field.n < n:
+            field = step(coin, field)
+        yield field.to_distribution()
 
 
 def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:

@@ -203,9 +203,8 @@ def ks_convergence(
 ) -> ConvergenceReport:
     """KS distance of the exact law of ``X_n/n`` from the limit, per time.
 
-    One field is stepped up to the largest time and the law is kept at each
-    requested time, so every time is evolved once; the entries follow
-    ``n_list``, repeats included.
+    The laws come from one evolution (:func:`engine.laws`), so every time is
+    evolved once; the entries follow ``n_list``, repeats included.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]
@@ -214,13 +213,7 @@ def ks_convergence(
             raise ValueError(f"convergence times must be >= 1, got {n}")
         if n > cap:
             raise CapExceededError(f"time {n} exceeds the cap {cap}")
-    wanted = set(times)
-    laws = {}
-    field = engine.initial_field(qubit)
-    for _ in range(max(times, default=0)):
-        field = engine.step(coin, field)
-        if field.n in wanted:
-            laws[field.n] = field.to_distribution()
+    laws = {dist.n: dist for dist in engine.laws(coin, qubit, times)}
     return ConvergenceReport(
         entries=tuple((n, ks_distance(ld, laws[n])) for n in times),
         totals=tuple(laws[n].total() for n in times),

@@ -10,7 +10,8 @@ The exact references take floats as the rationals they are.  A terminating
 series or binomial sum is carried as one integer numerator over one integer
 denominator, never reduced, and rounded once by the correctly rounded integer
 true division; the result is the float nearest the exact sum.  A terminating
-2F1 is limited to 10,000 terms.
+2F1 is limited to 10,000 terms and to integers of the size 10,000 terms reach
+at ``z = 0.3``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ _SERIES_CAP = 10**6
 # Longest terminating series summed exactly: the integers grow by about a
 # float's width each term, so the cost grows with the square of the length.
 _TERMINATING_CAP = 10_000
+# The sum ends near terms x bits of the largest step denominator, and the cost
+# grows with the square of that size; a tiny z adds about 1,000 bits a term.
+# Capped at what 10,000 terms reach at z = 0.3 with half-integer b and c.
+_TERMINATING_BITS_CAP = 830_000
 _SERIES_RTOL = 1e-16
 
 # The recurrence values are divided by this whenever they exceed it, with the
@@ -75,7 +80,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     with the arguments as integer ratios, the nested (Horner) form
     ``1 + r_0 (1 + r_1 (1 + ...))`` of the term ratios ``r_j`` is summed as
     one integer fraction and rounded once, so the result is the float nearest
-    the exact polynomial value; at most 10,000 terms.  Otherwise requires
+    the exact polynomial value; at most 10,000 terms, and at most 830,000 for
+    terms x bits of the largest step denominator.  Otherwise requires
     ``|z| < 1``; summation stops once a term drops below 1e-16 of the partial
     sum, with a 1e6-term cap.
 
@@ -84,7 +90,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     PoleAtCError
         If ``c`` is a non-positive integer reached before termination.
     CapExceededError
-        If a terminating series has more than 10,000 terms.
+        If a terminating series has more than 10,000 terms, or would carry
+        integers beyond what 10,000 terms reach at ``z = 0.3``.
     NonConvergentError
         If ``|z| >= 1`` (non-terminating) or the term cap is hit.
     """
@@ -98,6 +105,13 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
             )
         (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
         (cn, cd), (zn, zd) = c.as_integer_ratio(), z.as_integer_ratio()
+        # bounds every step denominator (c_n + j c_d)(j+1) a_d b_d z_d, j < stop
+        size = (stop + 1) * ((abs(cn) + stop * cd) * stop * ad * bd * zd).bit_length()
+        if size > _TERMINATING_BITS_CAP:
+            raise CapExceededError(
+                f"terminating series of {stop + 1} terms would carry {size} bits, "
+                f"over the cap of {_TERMINATING_BITS_CAP}"
+            )
         # r_j = (a+j)(b+j)z / ((c+j)(j+1)) = N_j / D_j, innermost term first.
         num = den = 1
         for j in range(stop - 1, -1, -1):
@@ -132,16 +146,17 @@ def jacobi_p(degree: int, nu: float, mu: float, x: float) -> float:
     """Jacobi polynomial ``P_degree^(nu, mu)(x)`` via its terminating 2F1 form.
 
     ``P_n^(nu,mu)(x) = Gamma(n+nu+1) / (Gamma(n+1) Gamma(nu+1))
-    * 2F1(-n, n+nu+mu+1; nu+1; (1-x)/2)``.
+    * 2F1(-n, n+nu+mu+1; nu+1; (1-x)/2)`` for ``nu > -1``.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if float(nu).is_integer() and nu >= 0:
+    if nu <= -1.0:
+        raise ValueError(f"nu must be > -1, got {nu}")
+    if float(nu).is_integer():
         prefactor = float(comb(degree + int(nu), degree))
     else:
-        prefactor = gamma_value(degree + nu + 1.0) / (
-            gamma_value(degree + 1.0) * gamma_value(nu + 1.0)
-        )
+        # Gamma(n+nu+1) / (Gamma(n+1) Gamma(nu+1)) without the overflowing gammas
+        prefactor = math.prod((nu + j) / j for j in range(1, degree + 1))
     return prefactor * hyp2f1(-degree, degree + nu + mu + 1.0, nu + 1.0, (1.0 - x) / 2.0)
 
 

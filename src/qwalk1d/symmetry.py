@@ -61,13 +61,10 @@ def symmetry_evidence(
     """Evolve the walk to each ``n <= n_max`` and record the worst mirror gap."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    evidence = []
-    field = engine.initial_field(qubit)
-    for n in range(1, n_max + 1):
-        field = engine.step(coin, field)
-        probs = field.to_distribution().probs
-        gap = float(np.max(np.abs(probs - probs[::-1])))
-        evidence.append((n, gap))
+    evidence = [
+        (dist.n, float(np.max(np.abs(dist.probs - dist.probs[::-1]))))
+        for dist in engine.laws(coin, qubit, range(1, n_max + 1))
+    ]
     symmetric = all(gap < tol for _, gap in evidence)
     return SymmetryReport(symmetric=symmetric, evidence=tuple(evidence))
 

@@ -7,6 +7,7 @@ import qwalk1d.special as special
 from qwalk1d.analytic import (
     WalkParams,
     characteristic_function,
+    law,
     moment,
     position_probability,
     reduced_mean,
@@ -92,6 +93,22 @@ class TestPositionProbability:
         coin = validate_coin([[1, 0], [0, 1]])
         with pytest.raises(DegenerateCoinError):
             position_probability(WalkParams(coin=coin, qubit=symmetric_qubit), 4, 2)
+
+
+class TestLaw:
+    def test_probs_are_read_only(self, hadamard, symmetric_qubit):
+        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
+        dist = law(params, 6)
+        assert dist.n == 6
+        with pytest.raises(ValueError):
+            dist.probs[0] = 0.5
+        assert dist.probability(-6) == position_probability(params, 6, -6)
+
+    def test_refusals(self, hadamard, symmetric_qubit):
+        with pytest.raises(ValueError):
+            law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 0)
+        with pytest.raises(DegenerateCoinError):
+            law(WalkParams(coin=validate_coin([[1, 0], [0, 1]]), qubit=symmetric_qubit), 4)
 
 
 class TestCharacteristicFunction:

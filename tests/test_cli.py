@@ -164,11 +164,32 @@ def test_closed_forms_share_one_law_per_time(capsys, monkeypatch):
         return true_tau(coin, n, kk)
 
     monkeypatch.setattr(analytic, "_tau", counting)
-    analytic._probabilities.cache_clear()
+    analytic.law.cache_clear()
     coin = "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0"
     for command in ("dist", "charfn", "moments"):
         code, _, _ = run_cli(capsys, [command, "-n", "40", coin])
         assert code == 0
+    assert sorted(calls) == [(40, kk) for kk in range(1, 21)]
+
+
+def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch):
+    calls = []
+    true_tau = analytic._tau
+
+    def counting(coin, n, kk):
+        calls.append((n, kk))
+        return true_tau(coin, n, kk)
+
+    def no_position_probability(*args):
+        raise AssertionError("dist must read the whole law, not one position at a time")
+
+    monkeypatch.setattr(analytic, "_tau", counting)
+    monkeypatch.setattr(analytic, "position_probability", no_position_probability)
+    monkeypatch.setattr(cli, "position_probability", no_position_probability, raising=False)
+    analytic.law.cache_clear()
+    code, out, _ = run_cli(capsys, ["dist", "-n", "40", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
     assert sorted(calls) == [(40, kk) for kk in range(1, 21)]
 
 
@@ -210,7 +231,7 @@ def test_closed_forms_pass_at_large_n(capsys, command):
 
 def test_numerical_health_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(paths, "_scaled_jacobi", lambda *args: 1e3)
-    analytic._probabilities.cache_clear()
+    analytic.law.cache_clear()
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
     assert code == 3
     assert out == ""
@@ -230,7 +251,7 @@ def test_non_finite_xi_exits_2(capsys, xi):
 @pytest.mark.parametrize(
     "command, name, nan_value",
     [
-        ("dist", "position_probability", math.nan),
+        ("dist", "law", engine.Distribution(n=4, probs=np.full(5, math.nan))),
         ("charfn", "characteristic_function", complex(math.nan, 0.0)),
         ("moments", "moment", math.nan),
         ("oracle", "path_sum", np.full((2, 2), math.nan)),

@@ -10,6 +10,7 @@ from qwalk1d.engine import (
     distribution,
     evolve,
     initial_field,
+    laws,
     step,
 )
 from qwalk1d.errors import CapExceededError
@@ -89,6 +90,26 @@ def test_matches_path_sums(rng):
                 sc = StepCount.from_time_position(n, int(k))
                 amp = path_sum(coin, sc) @ qubit.vector
                 assert abs(dist.probability(int(k)) - np.linalg.norm(amp) ** 2) < 1e-10
+
+
+def test_laws_yield_each_distinct_time_once_in_order(rng):
+    coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+    out = list(laws(coin, qubit, [5, 2, 5]))
+    assert [dist.n for dist in out] == [2, 5]
+    for dist in out:
+        assert np.array_equal(dist.probs, distribution(coin, qubit, dist.n).probs)
+    assert list(laws(coin, qubit, [])) == []
+
+
+def test_distribution_sums_match_direct_numpy_sums(rng):
+    dist = distribution(random_unitary_coin(rng), random_qubit(rng), 30)
+    ks = dist.positions.astype(float)
+    for xi in (-2.5, 0.0, 0.7, math.pi):
+        direct = complex(np.sum(np.exp(1j * xi * ks) * dist.probs))
+        assert abs(dist.characteristic_function(xi) - direct) < 1e-14
+    for m in (1, 2, 3, 6):
+        assert dist.moment(m) == pytest.approx(float(np.dot(ks**m, dist.probs)), rel=1e-13, abs=1e-13)
+    assert dist.mean() == dist.moment(1)
 
 
 def test_dense_matrix_is_unitary(rng):

@@ -140,6 +140,14 @@ class TestExactSeries:
         assert time.perf_counter() - start < 0.1
 
 
+    @pytest.mark.parametrize("z", [1e-300, 5e-324])
+    def test_terminating_series_capped_by_integer_size(self, z):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            hyp2f1(-2000.0, 2.5, 1.5, z)
+        assert time.perf_counter() - start < 0.1
+
+
 class TestPfaff:
     @pytest.mark.parametrize("args", PFAFF_TERMINATING + PFAFF_CONVERGENT)
     def test_residual_grid(self, args):
@@ -172,6 +180,19 @@ class TestJacobi:
         legendre = np.polynomial.legendre.Legendre.basis(5)
         for x in (-0.8, -0.1, 0.4, 0.95):
             assert jacobi_p(5, 0.0, 0.0, x) == pytest.approx(float(legendre(x)), abs=1e-12)
+
+    @pytest.mark.parametrize("degree", [171, 500])
+    @pytest.mark.parametrize("x", [0.3, 0.5])
+    def test_non_integer_nu_past_the_gamma_range(self, degree, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(mpmath.jacobi(degree, mpmath.mpf(0.5), mpmath.mpf(1.0), mpmath.mpf(x)))
+        assert jacobi_p(degree, 0.5, 1.0, x) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [-1.0, -1.5, -3.0])
+    def test_nu_domain(self, nu):
+        with pytest.raises(ValueError):
+            jacobi_p(3, nu, 0.5, 0.2)
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
