@@ -35,6 +35,15 @@ MOMENT_TOL = 1e-8
 ORACLE_TOL = 1e-9
 NORM_TOL = 1e-8
 
+#: Options that count something; each must be at least 1.
+COUNT_OPTIONS = {
+    "xi_points": "--xi-points",
+    "max_order": "--max-order",
+    "n_max": "--n-max",
+    "grid_points": "--grid-points",
+    "n_cap": "--n-cap",
+}
+
 QUBIT_PRESETS = {
     "symmetric": (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
     "left": (1.0, 0.0),
@@ -321,6 +330,10 @@ def main(argv=None) -> int:
         steps = getattr(args, "steps", None)
         if steps is not None and steps < 0:
             raise CliInputError("-n must be non-negative")
+        for dest, flag in COUNT_OPTIONS.items():
+            count = getattr(args, dest, None)
+            if count is not None and count < 1:
+                raise CliInputError(f"{flag} must be >= 1, got {count}")
         if args.command in ("charfn", "moments") and steps < 1:
             raise CliInputError(f"{args.command} needs -n >= 1")
         if args.command == "moments" and args.max_order * math.log(max(steps, 1)) > 700.0:

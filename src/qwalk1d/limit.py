@@ -42,7 +42,7 @@ __all__ = [
     "oscillation_scales",
 ]
 
-#: Largest time accepted by the convergence diagnostics (O(n^2) evolution).
+#: Largest time accepted by the convergence diagnostics.
 KS_TIME_CAP = 2000
 
 
@@ -90,7 +90,7 @@ class TwoPointLimit:
 class ConvergenceReport:
     """Kolmogorov-Smirnov distances ``(n, sup_x |F_n(x) - F_limit(x)|)``.
 
-    ``totals[i]`` is the total probability of the evolved law at the time of
+    ``totals[i]`` is the total probability of the engine's law at the time of
     ``entries[i]`` (1 up to the engine's rounding drift).
     """
 
@@ -203,8 +203,8 @@ def ks_convergence(
 ) -> ConvergenceReport:
     """KS distance of the exact law of ``X_n/n`` from the limit, per time.
 
-    The laws come from one evolution (:func:`engine.laws`), so every time is
-    evolved once; the entries follow ``n_list``, repeats included.
+    The laws come from :func:`engine.laws`, which jumps straight to each
+    distinct time once; the entries follow ``n_list``, repeats included.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]

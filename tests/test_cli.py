@@ -136,23 +136,25 @@ def test_limit_rejects_non_monotone_cdf(capsys, monkeypatch):
 
 
 def test_converge_evolves_each_time_once(capsys, monkeypatch):
-    steps = []
-    true_step = engine.step
+    # converge jumps to each distinct time by one engine.distribution call and
+    # steps no banded recurrence
+    computed = []
+    true_distribution = engine.distribution
 
-    def counting_step(coin, field):
-        steps.append(field.n)
-        return true_step(coin, field)
+    def counting_distribution(coin, qubit, n):
+        computed.append(n)
+        return true_distribution(coin, qubit, n)
 
-    def no_distribution(*args):
-        raise AssertionError("converge must not evolve from scratch per time")
+    def no_step(coin, field):
+        raise AssertionError("converge must not step the banded recurrence")
 
-    monkeypatch.setattr(engine, "step", counting_step)
-    monkeypatch.setattr(engine, "distribution", no_distribution)
-    code, out, _ = run_cli(capsys, ["converge", "--n-list", "10,40"])
+    monkeypatch.setattr(engine, "distribution", counting_distribution)
+    monkeypatch.setattr(engine, "step", no_step)
+    code, out, _ = run_cli(capsys, ["converge", "--n-list", "40,10,40"])
     assert code == 0
-    assert steps == list(range(40))
+    assert computed == [10, 40]
     totals = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
-    assert totals == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert totals == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
 def test_closed_forms_share_one_law_per_time(capsys, monkeypatch):
@@ -311,6 +313,26 @@ def test_parse_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["symmetry", "--n-max", "-3"], "--n-max"),
+        (["symmetry", "--n-max", "0"], "--n-max"),
+        (["charfn", "-n", "4", "--xi-points", "0"], "--xi-points"),
+        (["moments", "-n", "4", "-m", "0"], "--max-order"),
+        (["oracle", "--n-cap", "-2"], "--n-cap"),
+        (["limit", "--grid-points", "0"], "--grid-points"),
+    ],
+)
+def test_non_positive_counts_exit_2(capsys, argv, flag):
+    # an empty table would check nothing, so it must not report success
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2():

@@ -2,6 +2,8 @@
 
 Whatever the input, ``qwalk1d`` exits 0 (all checks pass), 2 (bad input) or 3
 (a self-check failed), never with a traceback, and a 0 exit never prints NaN.
+A non-positive count (``--xi-points``, ``--max-order``, ``--n-max``,
+``--grid-points``, ``--n-cap``) is bad input: it never exits 0.
 """
 
 import io
@@ -83,6 +85,19 @@ def argvs(draw):
     return argv
 
 
+COUNT_FLAGS = ("--xi-points=", "--max-order=", "--n-max=", "--grid-points=", "--n-cap=")
+
+
+def non_positive_count(argv) -> bool:
+    for arg in argv:
+        if arg.startswith(COUNT_FLAGS):
+            try:
+                return int(arg.split("=", 1)[1]) < 1
+            except ValueError:  # a malformed token; argparse refuses it
+                return False
+    return False
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -99,6 +114,8 @@ def test_exit_code_contract(argv):
     code, out, err = run_main(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
+    if non_positive_count(argv):
+        assert code != 0, argv
     if code == 0:
         assert "nan" not in out, argv
 

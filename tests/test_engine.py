@@ -1,9 +1,23 @@
+import cmath
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qwalk1d.coin import Coin, Letter, hadamard_coin, letter_matrix, make_qubit, random_qubit, random_unitary_coin, validate_coin
+from qwalk1d import engine
+from qwalk1d.coin import (
+    Coin,
+    Letter,
+    coin_from_angles,
+    hadamard_coin,
+    letter_matrix,
+    make_qubit,
+    random_qubit,
+    random_unitary_coin,
+    validate_coin,
+)
 from qwalk1d.engine import (
     dense_step_matrix,
     dense_unitary_check,
@@ -110,6 +124,123 @@ def test_distribution_sums_match_direct_numpy_sums(rng):
     for m in (1, 2, 3, 6):
         assert dist.moment(m) == pytest.approx(float(np.dot(ks**m, dist.probs)), rel=1e-13, abs=1e-13)
     assert dist.mean() == dist.moment(1)
+
+
+FOURIER_TIMES = (0, 1, 2, 7, 40, 161, 800, 2000)
+
+
+def fourier_case(name: str, rng) -> Coin:
+    """Hadamard, coins with random phases at |a|^2 ~ 0.01 / 0.5 / 0.99, and the
+    degenerate b = 0 and a = 0 coins (random unit entries)."""
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    if name == "hadamard":
+        return hadamard_coin()
+    if name == "b_zero":
+        return validate_coin([[cmath.exp(1j * phases[0]), 0], [0, cmath.exp(1j * phases[1])]])
+    if name == "a_zero":
+        return validate_coin([[0, cmath.exp(1j * phases[0])], [cmath.exp(1j * phases[1]), 0]])
+    a_sq = float(name.removeprefix("a_sq_"))
+    return coin_from_angles(math.acos(math.sqrt(a_sq)), *phases)
+
+
+FOURIER_CASES = ("hadamard", "a_sq_0.01", "a_sq_0.5", "a_sq_0.99", "b_zero", "a_zero")
+
+
+class TestFourierRoute:
+    """``distribution`` (Fourier route) against the banded recurrence."""
+
+    @pytest.mark.parametrize("case", FOURIER_CASES)
+    def test_matches_banded_evolution_at_every_position(self, case, rng):
+        coin, qubit = fourier_case(case, rng), random_qubit(rng)
+        field = initial_field(qubit)
+        for n in FOURIER_TIMES:
+            while field.n < n:
+                field = step(coin, field)
+            banded = field.to_distribution()
+            dist = distribution(coin, qubit, n)
+            assert dist.n == n
+            assert np.max(np.abs(dist.probs - banded.probs)) <= 1e-13, n
+            # both routes raise the same rounded coin to the n-th power, so they
+            # drift from total probability 1 by the same amount
+            assert abs(dist.total() - banded.total()) <= 1e-13, n
+            assert abs(dist.total() - 1.0) <= 1e-10, n
+
+    @pytest.mark.parametrize("case", FOURIER_CASES)
+    def test_laws_over_sparse_and_repeated_times(self, case, rng, monkeypatch):
+        coin, qubit = fourier_case(case, rng), random_qubit(rng)
+        times = [800, 7, 161, 7, 0, 800, 2]
+        computed = []
+        true_distribution = engine.distribution
+
+        def counting(coin, qubit, n):
+            computed.append(n)
+            return true_distribution(coin, qubit, n)
+
+        monkeypatch.setattr(engine, "distribution", counting)
+        out = laws(coin, qubit, times)
+        assert computed == [0, 2, 7, 161, 800]
+        assert [dist.n for dist in out] == computed
+        field = initial_field(qubit)
+        for dist in out:
+            assert np.array_equal(dist.probs, true_distribution(coin, qubit, dist.n).probs)
+            while field.n < dist.n:
+                field = step(coin, field)
+            assert np.max(np.abs(dist.probs - field.to_distribution().probs)) <= 1e-13
+
+    def test_b_zero_atoms_match_exact_powers(self, rng):
+        # A b = 0 coin carries the two atoms |a|^(2n)|alpha|^2 and |d|^(2n)|beta|^2,
+        # exactly computable for the float entries.  Repeated squaring carries
+        # the rounding of the early squares up to n/2-fold into the n-th power:
+        # in double precision these atoms drift up to ~1e-13 at n = 2000.
+        n = 2000
+        for _ in range(10):
+            phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            a, d = cmath.exp(1j * phases[0]), cmath.exp(1j * phases[1])
+            coin, qubit = validate_coin([[a, 0], [0, d]]), random_qubit(rng)
+            dist = distribution(coin, qubit, n)
+            for k, entry, weight in ((-n, a, qubit.alpha), (n, d, qubit.beta)):
+                exact = float(
+                    (Fraction(entry.real) ** 2 + Fraction(entry.imag) ** 2) ** n
+                    * (Fraction(weight.real) ** 2 + Fraction(weight.imag) ** 2)
+                )
+                assert abs(dist.probability(k) - exact) <= 1e-14
+
+    def test_laws_check_every_time_before_computing(self, rng, monkeypatch):
+        computed = []
+        monkeypatch.setattr(engine, "distribution", lambda coin, qubit, n: computed.append(n))
+        with pytest.raises(ValueError):
+            laws(random_unitary_coin(rng), random_qubit(rng), [400, 3, -1])
+        assert computed == []
+
+    def test_negative_time_rejected(self, hadamard, symmetric_qubit):
+        with pytest.raises(ValueError):
+            distribution(hadamard, symmetric_qubit, -1)
+
+    def test_n_12800_within_half_a_second(self, hadamard, symmetric_qubit):
+        distribution(hadamard, symmetric_qubit, 8)  # warm imports before timing
+        start = time.perf_counter()
+        dist = distribution(hadamard, symmetric_qubit, 12800)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+        assert len(dist.probs) == 12801
+        assert abs(dist.total() - 1.0) <= 1e-10
+        assert abs(dist.mean()) <= 1e-9  # the symmetric state stays mirror-symmetric
+
+
+def test_step_builds_the_letters_once_per_coin(rng, monkeypatch):
+    coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+    built = []
+    true_letter_matrix = engine.letter_matrix
+
+    def counting(coin, letter):
+        built.append(letter)
+        return true_letter_matrix(coin, letter)
+
+    monkeypatch.setattr(engine, "letter_matrix", counting)
+    engine._transposed_letters.cache_clear()
+    evolve(coin, qubit, 20)
+    evolve(coin, qubit, 5)
+    assert sorted(built, key=lambda letter: letter.value) == [Letter.P, Letter.Q]
 
 
 def test_dense_matrix_is_unitary(rng):

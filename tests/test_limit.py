@@ -72,17 +72,23 @@ def envelope_peak(coin, n, x, i, spread=2):
     return max(values)
 
 
-def count_steps(monkeypatch):
-    """Record the time of every ``engine.step`` call from now on."""
-    steps = []
-    true_step = engine.step
+def count_engine_calls(monkeypatch):
+    """Record, from now on, the time of every ``engine.distribution`` call and
+    the time of the field passed to every banded ``engine.step``."""
+    computed, steps = [], []
+    true_distribution, true_step = engine.distribution, engine.step
 
-    def counting(coin, field):
+    def distribution(coin, qubit, n):
+        computed.append(n)
+        return true_distribution(coin, qubit, n)
+
+    def step(coin, field):
         steps.append(field.n)
         return true_step(coin, field)
 
-    monkeypatch.setattr(engine, "step", counting)
-    return steps
+    monkeypatch.setattr(engine, "distribution", distribution)
+    monkeypatch.setattr(engine, "step", step)
+    return computed, steps
 
 
 class TestDensity:
@@ -287,11 +293,12 @@ class TestConvergence:
             ks_convergence(hadamard, symmetric_qubit, [2001])
 
     def test_times_checked_before_evolving(self, hadamard, symmetric_qubit, monkeypatch):
-        steps = count_steps(monkeypatch)
+        computed, steps = count_engine_calls(monkeypatch)
         with pytest.raises(CapExceededError):
             ks_convergence(hadamard, symmetric_qubit, [400, 2001])
         with pytest.raises(ValueError):
             ks_convergence(hadamard, symmetric_qubit, [400, 0])
+        assert computed == []
         assert steps == []
 
     def test_repeated_unordered_times_match_single_reports(self, rng):
@@ -302,9 +309,10 @@ class TestConvergence:
         assert report.totals == tuple(s.totals[0] for s in singles)
 
     def test_parity_smoothed_evolves_once(self, hadamard, symmetric_qubit, monkeypatch):
-        steps = count_steps(monkeypatch)
+        computed, steps = count_engine_calls(monkeypatch)
         parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100])
-        assert len(steps) == 101
+        assert computed == [50, 51, 100, 101]
+        assert steps == []
 
     def test_parity_smoothed_monotone(self, hadamard, symmetric_qubit):
         smoothed = parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100, 200, 400])
