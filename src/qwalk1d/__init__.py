@@ -33,7 +33,6 @@ from .engine import (
     distribution,
     evolve,
     initial_field,
-    laws,
     step,
 )
 from .errors import (

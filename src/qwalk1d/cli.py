@@ -23,7 +23,7 @@ from .analytic import WalkParams, characteristic_function, law, moment
 from .coin import Coin, Qubit, hadamard_coin, make_qubit, validate_coin
 from .errors import NumericalHealthError, QWalkError
 from .paths import StepCount, path_sum, path_sum_coefficients, path_sum_exhaustive
-from .symmetry import is_symmetric_state, mean_zero_check, symmetry_evidence
+from .symmetry import is_symmetric_state, symmetry_evidence
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -195,21 +195,14 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
 
 def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> int:
     # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
-    window = max(args.n_max, 3)
-    report = symmetry_evidence(coin, qubit, window)
-    params = WalkParams(coin=coin, qubit=qubit)
-    rows = [
-        [n, gap, moment(params, n, 1)]
-        for (n, gap) in report.evidence
-        if n <= args.n_max
-    ]
+    report = symmetry_evidence(coin, qubit, max(args.n_max, 3))
+    rows = [[n, gap, mean] for (n, gap), mean in zip(report.evidence[: args.n_max], report.means)]
     if coin.is_degenerate:
         member = None
         agrees = True
     else:
         member = is_symmetric_state(coin, qubit)
-        zero_mean = mean_zero_check(coin, qubit, window)
-        agrees = member == report.symmetric == zero_mean
+        agrees = member == report.symmetric == report.zero_mean
     _emit(args, "symmetry", ["n", "max_asymmetry", "mean"], rows, {
         "n_max": args.n_max,
         "algebraic_member": member,
@@ -277,7 +270,6 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--coin", help="8 reals: re,im per entry, row-major")
-    shared.add_argument("--preset-coin", choices=["hadamard"], default="hadamard")
     shared.add_argument("--qubit", help="4 reals: re,im of alpha then beta")
     shared.add_argument("--preset-qubit", choices=sorted(QUBIT_PRESETS), default="symmetric")
     shared.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -102,15 +102,14 @@ class Letter(enum.Enum):
     S = "S"  # top row in the right-move slot:     [[0, 0], [a, b]]
 
 
-def validate_coin(matrix, tol: float = DEFAULT_TOL) -> Coin:
+def validate_coin(matrix) -> Coin:
     """Check all unitarity invariants of a 2x2 matrix and build a :class:`Coin`.
 
     Parameters
     ----------
     matrix:
-        Anything ``np.asarray`` turns into a 2x2 complex array.
-    tol:
-        Largest allowed deviation for each algebraic invariant.
+        Anything ``np.asarray`` turns into a 2x2 complex array.  Each
+        algebraic invariant may deviate by at most ``DEFAULT_TOL``.
 
     Returns
     -------
@@ -121,13 +120,13 @@ def validate_coin(matrix, tol: float = DEFAULT_TOL) -> Coin:
     Raises
     ------
     NotUnitaryError
-        If any invariant is violated beyond ``tol``, or an entry is not finite
-        or has a real or imaginary part outside ``[-1-tol, 1+tol]``.
+        If any invariant is violated beyond ``DEFAULT_TOL``, or an entry is not
+        finite or has a real or imaginary part outside ``[-1, 1]`` by more.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise NotUnitaryError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.abs(m.view(np.float64)) <= 1.0 + tol):  # false for NaN too
+    if not np.all(np.abs(m.view(np.float64)) <= 1.0 + DEFAULT_TOL):  # false for NaN too
         raise NotUnitaryError("coin entries must be finite with parts in [-1, 1]")
     a, b = complex(m[0, 0]), complex(m[0, 1])
     c, d = complex(m[1, 0]), complex(m[1, 1])
@@ -142,12 +141,12 @@ def validate_coin(matrix, tol: float = DEFAULT_TOL) -> Coin:
         "d = det*conj(a)": abs(d - delta * a.conjugate()),
     }
     for label, err in checks.items():
-        if err > tol:
+        if err > DEFAULT_TOL:
             raise NotUnitaryError(f"unitarity violated: {label} off by {err:.3e}")
 
-    if abs(b) <= tol:
+    if abs(b) <= DEFAULT_TOL:
         branch = BRANCH_B_ZERO
-    elif abs(a) <= tol:
+    elif abs(a) <= DEFAULT_TOL:
         branch = BRANCH_A_ZERO
     else:
         branch = BRANCH_GENERIC

@@ -4,8 +4,8 @@ The field at time ``n`` lives on positions ``k in {-n, -n+2, ..., n}`` (only
 the parity class reachable in ``n`` steps is stored) and evolves by the banded
 recurrence ``psi_k' = Q psi_{k-1} + P psi_{k+1}`` (:func:`step`, :func:`evolve`).
 
-The laws at a given time (:func:`distribution`, :func:`laws`) take the Fourier
-route instead: the walk is translation invariant, so in momentum space the
+The law at a given time (:func:`distribution`) takes the Fourier route
+instead: the walk is translation invariant, so in momentum space the
 field at time ``n`` is ``U(t)^n psi_0`` with the symbol
 ``U(t) = e^{-it} P + e^{it} Q``, and one transform of ``n + 1`` samples jumps
 straight to time ``n`` in O(n log n) (Ambainis, Bach, Nayak, Vishwanath &
@@ -39,7 +39,6 @@ __all__ = [
     "step",
     "evolve",
     "distribution",
-    "laws",
     "dense_step_matrix",
     "dense_unitary_check",
 ]
@@ -184,20 +183,6 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
             p, q, r, s = p * p + qr, q * trace, r * trace, s * s + qr
     amps = np.fft.fft(np.stack([u, v], axis=1).astype(np.complex128), axis=0, norm="forward")
     return AmplitudeField(n=n, amps=amps).to_distribution()
-
-
-def laws(coin: Coin, qubit: Qubit, times) -> list[Distribution]:
-    """The law at each distinct time in ``times``, in increasing order.
-
-    Each time is jumped to by its own :func:`distribution` call (O(n log n)),
-    once however often it repeats, so each law is bit-equal to
-    :func:`distribution`.  Every time is checked before any law is computed.
-    """
-    distinct = sorted(set(times))
-    for n in distinct:
-        if n < 0:
-            raise ValueError(f"time must be non-negative, got {n}")
-    return [distribution(coin, qubit, n) for n in distinct]
 
 
 def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:

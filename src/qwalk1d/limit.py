@@ -198,22 +198,21 @@ def ks_distance(ld: LimitDensity, dist: engine.Distribution) -> float:
     return float(max(at_atoms.max(), before_atoms.max()))
 
 
-def ks_convergence(
-    coin: Coin, qubit: Qubit, n_list, cap: int = KS_TIME_CAP
-) -> ConvergenceReport:
+def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> ConvergenceReport:
     """KS distance of the exact law of ``X_n/n`` from the limit, per time.
 
-    The laws come from :func:`engine.laws`, which jumps straight to each
-    distinct time once; the entries follow ``n_list``, repeats included.
+    Every time is checked before any law is computed.  Each distinct time is
+    then jumped to once, in increasing order, by one :func:`engine.distribution`
+    call; the entries follow ``n_list``, repeats included.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]
     for n in times:
         if n < 1:
             raise ValueError(f"convergence times must be >= 1, got {n}")
-        if n > cap:
-            raise CapExceededError(f"time {n} exceeds the cap {cap}")
-    laws = {dist.n: dist for dist in engine.laws(coin, qubit, times)}
+        if n > KS_TIME_CAP:
+            raise CapExceededError(f"time {n} exceeds the cap {KS_TIME_CAP}")
+    laws = {n: engine.distribution(coin, qubit, n) for n in sorted(set(times))}
     return ConvergenceReport(
         entries=tuple((n, ks_distance(ld, laws[n])) for n in times),
         totals=tuple(laws[n].total() for n in times),

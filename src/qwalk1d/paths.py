@@ -110,13 +110,13 @@ def _mat2_mul(x, y):
     )
 
 
-def path_sum_exhaustive(coin: Coin, sc: StepCount, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
-    Exponential in ``l + m``; refuses beyond ``cap``.
+    Exponential in ``l + m``; refuses beyond :data:`ENUMERATION_CAP`.
     """
-    if sc.n > cap:
-        raise CapExceededError(f"enumeration capped at l+m = {cap}, got {sc.n}")
+    if sc.n > ENUMERATION_CAP:
+        raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")
     p = tuple(map(tuple, letter_matrix(coin, Letter.P)))
     q = tuple(map(tuple, letter_matrix(coin, Letter.Q)))
     zero = complex(0.0)

@@ -3,8 +3,10 @@
 For coins with all entries nonzero, three descriptions of the same set of
 initial states coincide: balanced amplitudes with vanishing interference term
 (the algebraic test), mirror-symmetric distributions at every time, and zero
-mean at every time.  The algebraic test is cheap; the other two are empirical
-checks against the engine and the closed-form mean.
+mean at every time.  The algebraic test is cheap.  Both empirical verdicts
+read the engine's law at each time, from one sweep of the banded recurrence
+(:func:`symmetry_evidence`); the closed-form :func:`mean_zero_check` is the
+independent reference for the zero-mean verdict.
 """
 
 from __future__ import annotations
@@ -21,61 +23,79 @@ from .errors import DegenerateCoinError
 
 __all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
 
-DEFAULT_MEMBERSHIP_TOL = 1e-9
+#: Largest deviation of each quantity in the algebraic membership test.
+MEMBERSHIP_TOL = 1e-9
+#: Largest mirror gap ``max_k |P(X_n=k) - P(X_n=-k)|`` of a symmetric law.
+GAP_TOL = 1e-10
+#: Largest ``|E(X_n)| / n`` of a zero-mean law.  The mean is a sum of ``k``
+#: times probabilities with ``|k| <= n``, so its rounding error grows with ``n``.
+MEAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Outcome of the empirical mirror-symmetry check.
+    """Outcome of the empirical checks, both read from the engine's laws.
 
     ``evidence`` holds ``(n, max_k |P(X_n=k) - P(X_n=-k)|)`` for each checked
-    time; ``symmetric`` is True when every recorded asymmetry stays below the
-    threshold used for the check.
+    time and ``means[i]`` is ``E(X_n)`` at the time of ``evidence[i]``.
+    ``symmetric`` is True when every mirror gap is below :data:`GAP_TOL`, and
+    ``zero_mean`` when every ``|E(X_n)|`` is below ``MEAN_TOL * n``.
     """
 
     symmetric: bool
+    zero_mean: bool
     evidence: tuple[tuple[int, float], ...]
+    means: tuple[float, ...]
 
 
-def is_symmetric_state(coin: Coin, qubit: Qubit, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+def _mean_vanishes(n: int, mean: float) -> bool:
+    return abs(mean) < MEAN_TOL * n
+
+
+def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
     """Algebraic membership test for the symmetric class.
 
     True iff ``|alpha| = |beta| = 1/sqrt(2)`` and the interference term
     ``a*alpha*conj(b*beta) + conj(a*alpha)*b*beta`` vanishes, all within
-    ``tol``.  Only defined for coins with all entries nonzero.
+    :data:`MEMBERSHIP_TOL`.  Only defined for coins with all entries nonzero.
     """
     if coin.branch != BRANCH_GENERIC:
         raise DegenerateCoinError("the classification assumes abcd != 0")
     half = 1.0 / math.sqrt(2.0)
     cross = WalkParams(coin=coin, qubit=qubit).cross
     return (
-        abs(abs(qubit.alpha) - half) < tol
-        and abs(abs(qubit.beta) - half) < tol
-        and abs(cross) < tol
+        abs(abs(qubit.alpha) - half) < MEMBERSHIP_TOL
+        and abs(abs(qubit.beta) - half) < MEMBERSHIP_TOL
+        and abs(cross) < MEMBERSHIP_TOL
     )
 
 
-def symmetry_evidence(
-    coin: Coin, qubit: Qubit, n_max: int, tol: float = 1e-10
-) -> SymmetryReport:
+def symmetry_evidence(coin: Coin, qubit: Qubit, n_max: int) -> SymmetryReport:
     """Step the banded recurrence to each ``n <= n_max`` and record the worst
-    mirror gap.  A sweep over every time costs one step per time, less than one
-    transform per time on the Fourier route of :func:`engine.distribution`."""
+    mirror gap and the mean of the law at that time.  A sweep over every time
+    costs one step per time, less than one transform per time on the Fourier
+    route of :func:`engine.distribution`."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     field = engine.initial_field(qubit)
-    evidence = []
+    evidence, means = [], []
     for _ in range(n_max):
         field = engine.step(coin, field)
-        probs = field.to_distribution().probs
-        evidence.append((field.n, float(np.max(np.abs(probs - probs[::-1])))))
-    symmetric = all(gap < tol for _, gap in evidence)
-    return SymmetryReport(symmetric=symmetric, evidence=tuple(evidence))
+        dist = field.to_distribution()
+        evidence.append((field.n, float(np.max(np.abs(dist.probs - dist.probs[::-1])))))
+        means.append(dist.mean())
+    return SymmetryReport(
+        symmetric=all(gap < GAP_TOL for _, gap in evidence),
+        zero_mean=all(_mean_vanishes(n, mean) for (n, _), mean in zip(evidence, means)),
+        evidence=tuple(evidence),
+        means=tuple(means),
+    )
 
 
-def mean_zero_check(coin: Coin, qubit: Qubit, n_max: int, tol: float = 1e-10) -> bool:
-    """True iff the closed-form mean vanishes (within ``tol``) for all n <= n_max."""
+def mean_zero_check(coin: Coin, qubit: Qubit, n_max: int) -> bool:
+    """True iff the closed-form mean is below ``MEAN_TOL * n`` in absolute
+    value for all n <= n_max: the reference for ``SymmetryReport.zero_mean``."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
     params = WalkParams(coin=coin, qubit=qubit)
-    return all(abs(moment(params, n, 1)) < tol for n in range(1, n_max + 1))
+    return all(_mean_vanishes(n, moment(params, n, 1)) for n in range(1, n_max + 1))

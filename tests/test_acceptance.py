@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report lines.
 """
 
+import cmath
 import itertools
 import math
 import time
@@ -154,19 +155,26 @@ def test_criterion_3_degenerate_branch_tables():
 
 
 def test_criterion_4_three_way_symmetry_agreement():
+    # per coin: an algebraic member (balanced, arg(beta) = arg(a conj(b)) +- pi/2),
+    # a near-member 1e-3 off that phase, and a random state
     rng = np.random.default_rng(SWEEP_SEED + 2)
-    mismatches = 0
+    mismatches = members = 0
     for _ in range(50):
         coin = random_unitary_coin(rng)
-        qubit = random_qubit(rng)
-        algebraic = is_symmetric_state(coin, qubit)
-        empirical = symmetry_evidence(coin, qubit, 10).symmetric
-        zero_mean = mean_zero_check(coin, qubit, 10)
-        if not (algebraic == empirical == zero_mean):
-            mismatches += 1
-    ok = mismatches == 0
-    report(4, ok, f"{mismatches} mismatches over 50 random (coin, qubit) pairs")
+        phase = cmath.phase(coin.a * coin.b.conjugate()) + rng.choice([-1.0, 1.0]) * math.pi / 2
+        for qubit in (make_qubit(1.0, cmath.exp(1j * phase)),
+                      make_qubit(1.0, cmath.exp(1j * (phase + 1e-3))),
+                      random_qubit(rng)):
+            algebraic = is_symmetric_state(coin, qubit)
+            evidence = symmetry_evidence(coin, qubit, 10)
+            zero_mean = mean_zero_check(coin, qubit, 10)
+            members += algebraic
+            if not (algebraic == evidence.symmetric == evidence.zero_mean == zero_mean):
+                mismatches += 1
+    ok = mismatches == 0 and members == 50
+    report(4, ok, f"{mismatches} mismatches over 150 (coin, qubit) pairs, {members} members")
     assert mismatches == 0
+    assert members == 50
 
 
 def test_criterion_5_limit_law_constants():

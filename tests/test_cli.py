@@ -10,8 +10,8 @@ import qwalk1d.cli as cli
 import qwalk1d.engine as engine
 import qwalk1d.limit as limit
 import qwalk1d.paths as paths
-from qwalk1d.analytic import WalkParams, position_probability
-from qwalk1d.coin import hadamard_coin, make_qubit
+from qwalk1d.analytic import WalkParams, moment, position_probability
+from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin
 
 
 def run_cli(capsys, argv):
@@ -21,7 +21,7 @@ def run_cli(capsys, argv):
 
 
 def test_dist_hadamard_symmetric_n4(capsys):
-    code, out, _ = run_cli(capsys, ["dist", "--preset-coin", "hadamard", "--preset-qubit", "symmetric", "-n", "4"])
+    code, out, _ = run_cli(capsys, ["dist", "--preset-qubit", "symmetric", "-n", "4"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "k,p_engine,p_closed,abs_diff"
@@ -101,6 +101,52 @@ def test_symmetry_verdict_looks_past_short_windows(capsys, n_max):
     assert doc["algebraic_member"] is False
     assert doc["empirically_symmetric"] is False
     assert [row[0] for row in doc["rows"]] == list(range(1, int(n_max) + 1))
+
+
+def reals(*values):
+    """The CLI's comma-separated re,im form of complex numbers."""
+    return ",".join(repr(part) for z in values for part in (z.real, z.imag))
+
+
+def test_symmetry_builds_no_closed_form_law(capsys, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("symmetry must read the engine's laws only")
+
+    monkeypatch.setattr(paths, "_scaled_jacobi", no_kernel)
+    analytic.law.cache_clear()
+    code, out, err = run_cli(
+        capsys, ["symmetry", "--n-max", "40", "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0", "--format", "json"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
+
+
+def test_symmetry_mean_column_matches_closed_form(capsys, rng):
+    for coin in (hadamard_coin(), random_unitary_coin(rng), random_unitary_coin(rng)):
+        qubit = random_qubit(rng)
+        code, out, _ = run_cli(capsys, [
+            "symmetry", "--n-max", "40", "--coin=" + reals(coin.a, coin.b, coin.c, coin.d),
+            "--qubit=" + reals(qubit.alpha, qubit.beta), "--format", "json",
+        ])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        params = WalkParams(coin=coin, qubit=qubit)
+        assert [row[0] for row in rows] == list(range(1, 41))
+        for n, _, mean in rows:
+            assert abs(mean - moment(params, n, 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps, n_max, verdict", [(3e-12, "200", True), (1e-3, "40", False)])
+def test_symmetry_verdicts_near_a_member(capsys, eps, n_max, verdict):
+    # 3e-12 off the balancing phase, the mean grows past a fixed 1e-10 by
+    # n = 200, but stays within the zero-mean tolerance 1e-10 * n
+    qubit_arg = f"--qubit=1,0,{math.sin(eps)!r},{math.cos(eps)!r}"
+    code, out, _ = run_cli(capsys, ["symmetry", "--n-max", n_max, qubit_arg, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algebraic_member"] is verdict
+    assert doc["empirically_symmetric"] is verdict
+    assert doc["ok"] is True  # so the zero-mean verdict agrees too
 
 
 def test_limit_center_density(capsys):

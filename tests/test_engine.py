@@ -24,10 +24,10 @@ from qwalk1d.engine import (
     distribution,
     evolve,
     initial_field,
-    laws,
     step,
 )
-from qwalk1d.errors import CapExceededError
+from qwalk1d.errors import CapExceededError, DegenerateCoinError
+from qwalk1d.limit import LimitDensity, ks_convergence, ks_distance
 from qwalk1d.paths import StepCount, path_sum
 
 
@@ -106,15 +106,6 @@ def test_matches_path_sums(rng):
                 assert abs(dist.probability(int(k)) - np.linalg.norm(amp) ** 2) < 1e-10
 
 
-def test_laws_yield_each_distinct_time_once_in_order(rng):
-    coin, qubit = random_unitary_coin(rng), random_qubit(rng)
-    out = list(laws(coin, qubit, [5, 2, 5]))
-    assert [dist.n for dist in out] == [2, 5]
-    for dist in out:
-        assert np.array_equal(dist.probs, distribution(coin, qubit, dist.n).probs)
-    assert list(laws(coin, qubit, [])) == []
-
-
 def test_distribution_sums_match_direct_numpy_sums(rng):
     dist = distribution(random_unitary_coin(rng), random_qubit(rng), 30)
     ks = dist.positions.astype(float)
@@ -167,25 +158,33 @@ class TestFourierRoute:
 
     @pytest.mark.parametrize("case", FOURIER_CASES)
     def test_laws_over_sparse_and_repeated_times(self, case, rng, monkeypatch):
+        # ks_convergence jumps to each distinct time once, in increasing order,
+        # and refuses a coin without a continuous limit before computing a law
         coin, qubit = fourier_case(case, rng), random_qubit(rng)
-        times = [800, 7, 161, 7, 0, 800, 2]
+        times = [800, 7, 161, 7, 1, 800, 2]
         computed = []
         true_distribution = engine.distribution
 
         def counting(coin, qubit, n):
-            computed.append(n)
-            return true_distribution(coin, qubit, n)
+            computed.append(true_distribution(coin, qubit, n))
+            return computed[-1]
 
         monkeypatch.setattr(engine, "distribution", counting)
-        out = laws(coin, qubit, times)
-        assert computed == [0, 2, 7, 161, 800]
-        assert [dist.n for dist in out] == computed
+        if coin.is_degenerate:
+            with pytest.raises(DegenerateCoinError):
+                ks_convergence(coin, qubit, times)
+            assert computed == []
+            return
+        report = ks_convergence(coin, qubit, times)
+        assert [dist.n for dist in computed] == [1, 2, 7, 161, 800]
         field = initial_field(qubit)
-        for dist in out:
-            assert np.array_equal(dist.probs, true_distribution(coin, qubit, dist.n).probs)
+        for dist in computed:
             while field.n < dist.n:
                 field = step(coin, field)
             assert np.max(np.abs(dist.probs - field.to_distribution().probs)) <= 1e-13
+        ld = LimitDensity(coin=coin, qubit=qubit)
+        by_time = {dist.n: dist for dist in computed}
+        assert report.entries == tuple((n, ks_distance(ld, by_time[n])) for n in times)
 
     def test_b_zero_atoms_match_exact_powers(self, rng):
         # A b = 0 coin carries the two atoms |a|^(2n)|alpha|^2 and |d|^(2n)|beta|^2,
@@ -204,13 +203,6 @@ class TestFourierRoute:
                     * (Fraction(weight.real) ** 2 + Fraction(weight.imag) ** 2)
                 )
                 assert abs(dist.probability(k) - exact) <= 1e-14
-
-    def test_laws_check_every_time_before_computing(self, rng, monkeypatch):
-        computed = []
-        monkeypatch.setattr(engine, "distribution", lambda coin, qubit, n: computed.append(n))
-        with pytest.raises(ValueError):
-            laws(random_unitary_coin(rng), random_qubit(rng), [400, 3, -1])
-        assert computed == []
 
     def test_negative_time_rejected(self, hadamard, symmetric_qubit):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -76,14 +77,33 @@ def test_mean_zero_rejects_balanced_drift_free_but_unequal_weights(hadamard):
     assert not mean_zero_check(hadamard, qubit, 10)
 
 
+def member_qubit(coin, rng, offset=0.0):
+    """A balanced state with ``arg(beta) = arg(a conj(b)) +- pi/2 + offset``:
+    an algebraic member at offset 0, a near-member otherwise."""
+    phase = cmath.phase(coin.a * coin.b.conjugate()) + rng.choice([-1.0, 1.0]) * math.pi / 2
+    return make_qubit(1.0, cmath.exp(1j * (phase + offset)))
+
+
 def test_three_way_agreement(rng):
-    agree = 0
-    for _ in range(50):
+    # members, near-members and random states, so each verdict is seen both ways
+    for _ in range(40):
         coin = random_unitary_coin(rng)
-        qubit = random_qubit(rng)
-        algebraic = is_symmetric_state(coin, qubit)
-        empirical = symmetry_evidence(coin, qubit, 10).symmetric
-        zero_mean = mean_zero_check(coin, qubit, 10)
-        assert algebraic == empirical == zero_mean
-        agree += 1
-    assert agree == 50
+        cases = [(member_qubit(coin, rng), True), (member_qubit(coin, rng, 1e-3), False),
+                 (random_qubit(rng), False)]
+        for qubit, expected in cases:
+            report = symmetry_evidence(coin, qubit, 10)
+            verdicts = (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean,
+                        mean_zero_check(coin, qubit, 10))
+            assert verdicts == (expected,) * 4
+
+
+def test_zero_mean_tolerance_scales_with_time(hadamard):
+    # a rounding error away from a member: the mean grows like n * 1e-12, past
+    # a fixed 1e-10 by n = 200, yet stays far below 1e-10 * n
+    eps = 3e-12
+    qubit = make_qubit(1.0, complex(math.sin(eps), math.cos(eps)))
+    report = symmetry_evidence(hadamard, qubit, 200)
+    assert max(abs(mean) for mean in report.means) > 1e-10
+    assert is_symmetric_state(hadamard, qubit)
+    assert report.symmetric and report.zero_mean
+    assert mean_zero_check(hadamard, qubit, 200)
