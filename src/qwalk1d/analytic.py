@@ -12,12 +12,19 @@ and the unit phase common to ``p, q, r, s`` drops out.  The mirror positions
 alternating sums, which come from the package's one float Jacobi kernel; the
 extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.
 
-For a coin with all entries nonzero, ``law(params, n)`` builds the law at
-time ``n`` once, caches it and returns it as an ``engine.Distribution``, the
-type the evolution route returns too; the position probabilities are its
+For every coin and every time ``n >= 0``, ``law(params, n)`` builds the law
+at time ``n`` once, caches it and returns it as an ``engine.Distribution``,
+the type the evolution route returns too; the position probabilities are its
 entries, and the characteristic function and the moments are its sums.  The
-walk engine is the independent oracle: for ``|a|^2`` from 0.01 to 0.99 the law
-is within 5e-14 of it at every position up to ``n = 1000``.
+sum above is the law of a coin with all entries nonzero.  A coin with
+``a = 0`` or ``b = 0`` never mixes the two directions, so its law is atoms
+(Konno, QIP 2002): for ``b = 0`` the walk keeps its direction,
+``P(X_n = -n) = |alpha|^2`` and ``P(X_n = n) = |beta|^2``; for ``a = 0`` it
+turns at every step, ``P(X_n = -1) = |beta|^2`` and ``P(X_n = 1) = |alpha|^2``
+at odd ``n`` and ``P(X_n = 0) = 1`` at even ``n``.  At ``n = 0`` the law is
+the atom at 0.  The walk engine is the independent oracle: for ``|a|^2`` from
+0.01 to 0.99 the law is within 5e-14 of it at every position up to
+``n = 1000``, and within 2e-13 on the degenerate coins up to ``n = 2001``.
 """
 
 from __future__ import annotations
@@ -77,27 +84,36 @@ class WalkParams:
 
 @lru_cache(maxsize=512)
 def law(params: WalkParams, n: int) -> Distribution:
-    """The closed-form law ``|Xi(l, m) phi|^2`` at time ``n >= 1``, cached and read-only.
+    """The closed-form law at time ``n >= 0``, for every coin, cached and read-only.
 
     Raises
     ------
+    ValueError
+        If ``n < 0``.
     NumericalHealthError
         If a value leaves ``[0, 1]`` (values are never clamped).
     """
-    _require_generic(params.coin)
-    if n < 1:
-        raise ValueError(f"time must be >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"time must be >= 0, got {n}")
     coin, qubit = params.coin, params.qubit
-    amp_a = coin.a * qubit.alpha + coin.b * qubit.beta
-    amp_c = coin.c * qubit.alpha + coin.d * qubit.beta
-    probs = np.empty(n + 1)
-    probs[0] = coin.abs_a_sq ** (n - 1) * abs(amp_a) ** 2
-    probs[n] = coin.abs_a_sq ** (n - 1) * abs(amp_c) ** 2
-    for kk in range(1, n // 2 + 1):
-        tau = _tau(coin, n, kk)
-        for l, m in ((kk, n - kk), (n - kk, kk)):
-            p, q, r, s = _mixed_coordinates(coin, l, m, tau)
-            probs[m] = abs(p * amp_a + r * amp_c) ** 2 + abs(q * amp_c + s * amp_a) ** 2
+    alpha_sq, beta_sq = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
+    probs = np.zeros(n + 1)
+    if n == 0 or (coin.branch == BRANCH_A_ZERO and n % 2 == 0):
+        probs[n // 2] = 1.0  # the atom at 0
+    elif coin.branch == BRANCH_B_ZERO:  # every step keeps the direction
+        probs[0], probs[n] = alpha_sq, beta_sq
+    elif coin.branch == BRANCH_A_ZERO:  # every step turns: atoms at -1 and +1
+        probs[n // 2], probs[n // 2 + 1] = beta_sq, alpha_sq
+    else:
+        amp_a = coin.a * qubit.alpha + coin.b * qubit.beta
+        amp_c = coin.c * qubit.alpha + coin.d * qubit.beta
+        probs[0] = coin.abs_a_sq ** (n - 1) * abs(amp_a) ** 2
+        probs[n] = coin.abs_a_sq ** (n - 1) * abs(amp_c) ** 2
+        for kk in range(1, n // 2 + 1):
+            tau = _tau(coin, n, kk)
+            for l, m in ((kk, n - kk), (n - kk, kk)):
+                p, q, r, s = _mixed_coordinates(coin, l, m, tau)
+                probs[m] = abs(p * amp_a + r * amp_c) ** 2 + abs(q * amp_c + s * amp_a) ** 2
     for j, value in enumerate(probs.tolist()):
         if not -1e-9 <= value <= 1.0 + 1e-9:
             raise NumericalHealthError(
@@ -108,7 +124,7 @@ def law(params: WalkParams, n: int) -> Distribution:
 
 
 def position_probability(params: WalkParams, n: int, k: int) -> float:
-    """Closed-form ``P(X_n = k)`` for a coin with all entries nonzero.
+    """Closed-form ``P(X_n = k)`` for every coin and every ``n >= 0``.
 
     A read of :func:`law`, which builds the law at time ``n`` once (O(n^2)).
 
@@ -123,34 +139,14 @@ def position_probability(params: WalkParams, n: int, k: int) -> float:
 
 
 def characteristic_function(params: WalkParams, n: int, xi: float) -> complex:
-    """``E(exp(i xi X_n))`` via the closed form; total over all coin branches."""
-    if n < 1:
-        raise ValueError(f"time must be >= 1, got {n}")
-    coin = params.coin
-    wa = abs(params.qubit.alpha) ** 2
-    wb = abs(params.qubit.beta) ** 2
-    if coin.branch == BRANCH_B_ZERO:
-        return complex(math.cos(n * xi), (wb - wa) * math.sin(n * xi))
-    if coin.branch == BRANCH_A_ZERO:
-        if n % 2 == 1:
-            return complex(math.cos(xi), (wa - wb) * math.sin(xi))
-        return complex(1.0, 0.0)
+    """``E(exp(i xi X_n))``, the sum over the closed-form :func:`law`."""
     return law(params, n).characteristic_function(xi)
 
 
 def moment(params: WalkParams, n: int, m: int) -> float:
-    """``E((X_n)^m)`` via the closed forms (no differentiation anywhere)."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    coin = params.coin
-    wa = abs(params.qubit.alpha) ** 2
-    wb = abs(params.qubit.beta) ** 2
-    if coin.branch == BRANCH_B_ZERO:
-        return float(n**m) * ((wb - wa) if m % 2 == 1 else 1.0)
-    if coin.branch == BRANCH_A_ZERO:
-        if n % 2 == 0:
-            return 0.0
-        return (wa - wb) if m % 2 == 1 else 1.0
+    """``E((X_n)^m)`` for ``m >= 1``, the sum over the closed-form :func:`law`."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     return law(params, n).moment(m)
 
 

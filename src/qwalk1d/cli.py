@@ -67,8 +67,6 @@ def _format_float(x: float) -> str:
 def _dump_json(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -120,35 +118,19 @@ def _emit(args, command: str, columns, rows, extra: dict) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(
-            ""
-            if cell is None
-            else cell
-            if isinstance(cell, (str, int))
-            else _format_float(cell)
-            for cell in row
-        )
+        writer.writerow(cell if isinstance(cell, (str, int)) else _format_float(cell) for cell in row)
     sys.stdout.write(buffer.getvalue())
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
     dist = engine.distribution(coin, qubit, args.steps)
-    closed_available = not coin.is_degenerate and args.steps >= 1
-    closed = diffs = np.full(dist.probs.shape, None)
-    if closed_available:
-        closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
-        diffs = np.abs(dist.probs - closed)
+    closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
+    diffs = np.abs(dist.probs - closed)
     rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
-    worst = _worst(diffs if closed_available else [])
-    columns = ["k", "p_engine", "p_closed", "abs_diff"]
+    worst = _worst(diffs)
     ok = worst <= DIST_TOL
-    _emit(args, "dist", columns, rows, {
-        "n": args.steps,
-        "closed_form": closed_available,
-        "max_abs_diff": worst if closed_available else None,
-        "tolerance": DIST_TOL,
-        "ok": ok,
-    })
+    _emit(args, "dist", ["k", "p_engine", "p_closed", "abs_diff"], rows,
+          {"n": args.steps, "max_abs_diff": worst, "tolerance": DIST_TOL, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
 
@@ -197,16 +179,13 @@ def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> int:
     # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
     report = symmetry_evidence(coin, qubit, max(args.n_max, 3))
     rows = [[n, gap, mean] for (n, gap), mean in zip(report.evidence[: args.n_max], report.means)]
-    if coin.is_degenerate:
-        member = None
-        agrees = True
-    else:
-        member = is_symmetric_state(coin, qubit)
-        agrees = member == report.symmetric == report.zero_mean
+    member = is_symmetric_state(coin, qubit)
+    agrees = member == report.symmetric == report.zero_mean
     _emit(args, "symmetry", ["n", "max_asymmetry", "mean"], rows, {
         "n_max": args.n_max,
         "algebraic_member": member,
         "empirically_symmetric": report.symmetric,
+        "zero_mean": report.zero_mean,
         "ok": agrees,
     })
     return EXIT_OK if agrees else EXIT_SELF_CHECK

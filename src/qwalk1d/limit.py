@@ -21,7 +21,7 @@ import numpy as np
 
 from . import engine
 from .analytic import WalkParams
-from .coin import BRANCH_GENERIC, Coin, Qubit
+from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .errors import CapExceededError, DegenerateCoinError, OutOfWindowError
 from .special import _scaled_jacobi
 
@@ -54,10 +54,15 @@ class LimitDensity:
     qubit: Qubit
 
     def __post_init__(self) -> None:
-        if self.coin.branch != BRANCH_GENERIC:
+        if self.coin.branch == BRANCH_B_ZERO:
             raise DegenerateCoinError(
                 "the continuous limit law needs abcd != 0; use two_point_limit "
                 "for coins with |a| = 1"
+            )
+        if self.coin.branch == BRANCH_A_ZERO:
+            raise DegenerateCoinError(
+                "the continuous limit law needs abcd != 0; for coins with a = 0 "
+                "the rescaled position X_n/n converges to 0"
             )
 
     @property

@@ -1,10 +1,14 @@
 """Classification of initial states by distribution symmetry.
 
-For coins with all entries nonzero, three descriptions of the same set of
-initial states coincide: balanced amplitudes with vanishing interference term
-(the algebraic test), mirror-symmetric distributions at every time, and zero
-mean at every time.  The algebraic test is cheap.  Both empirical verdicts
-read the engine's law at each time, from one sweep of the banded recurrence
+For every coin, three descriptions of the same set of initial states
+coincide: balanced amplitudes with vanishing interference term (the algebraic
+test), mirror-symmetric distributions at every time, and zero mean at every
+time.  For a coin with ``a = 0`` or ``b = 0`` the interference term vanishes
+and the law at each time ``n >= 1`` is atoms ``|alpha|^2`` and ``|beta|^2`` at
+mirror positions, so each description reads ``|alpha| = |beta|``.
+
+The algebraic test is cheap.  Both empirical verdicts read the engine's law
+at each time, from one sweep of the banded recurrence
 (:func:`symmetry_evidence`); the closed-form :func:`mean_zero_check` is the
 independent reference for the zero-mean verdict.
 """
@@ -18,8 +22,7 @@ import numpy as np
 
 from . import engine
 from .analytic import WalkParams, moment
-from .coin import BRANCH_GENERIC, Coin, Qubit
-from .errors import DegenerateCoinError
+from .coin import Coin, Qubit
 
 __all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
 
@@ -57,10 +60,8 @@ def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
 
     True iff ``|alpha| = |beta| = 1/sqrt(2)`` and the interference term
     ``a*alpha*conj(b*beta) + conj(a*alpha)*b*beta`` vanishes, all within
-    :data:`MEMBERSHIP_TOL`.  Only defined for coins with all entries nonzero.
+    :data:`MEMBERSHIP_TOL`.
     """
-    if coin.branch != BRANCH_GENERIC:
-        raise DegenerateCoinError("the classification assumes abcd != 0")
     half = 1.0 / math.sqrt(2.0)
     cross = WalkParams(coin=coin, qubit=qubit).cross
     return (

@@ -144,7 +144,7 @@ def test_criterion_3_degenerate_branch_tables():
                     table_a0 = (wa - wb) if m % 2 == 1 else 1.0
                 worst = max(
                     worst,
-                    abs(moment(pb, n, m) - table_b0),
+                    abs(moment(pb, n, m) - table_b0) / max(1.0, float(n**m)),
                     abs(moment(pa, n, m) - table_a0),
                     abs(dist_b0.moment(m) - table_b0) / max(1.0, float(n**m)),
                     abs(dist_a0.moment(m) - table_a0),

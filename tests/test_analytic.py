@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from qwalk1d.analytic import (
 )
 from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import distribution
-from qwalk1d.errors import DegenerateCoinError, ParityViolationError, PreconditionError
+from qwalk1d.errors import ParityViolationError, PreconditionError
 from qwalk1d.special import rho_value
 
 
@@ -89,10 +90,15 @@ class TestPositionProbability:
         with pytest.raises(ParityViolationError):
             position_probability(params, 4, 3)
 
-    def test_degenerate_coin_rejected(self, symmetric_qubit):
-        coin = validate_coin([[1, 0], [0, 1]])
-        with pytest.raises(DegenerateCoinError):
-            position_probability(WalkParams(coin=coin, qubit=symmetric_qubit), 4, 2)
+    def test_degenerate_coin_atoms(self):
+        qubit = make_qubit(0.6, 0.8j)
+        b_zero = WalkParams(coin=validate_coin([[1, 0], [0, 1]]), qubit=qubit)
+        a_zero = WalkParams(coin=validate_coin([[0, 1], [1, 0]]), qubit=qubit)
+        wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
+        assert [position_probability(b_zero, 4, k) for k in (-4, -2, 0, 2, 4)] == [wa, 0.0, 0.0, 0.0, wb]
+        assert [position_probability(a_zero, 5, k) for k in (-3, -1, 1, 3)] == [0.0, wb, wa, 0.0]
+        assert [position_probability(a_zero, 4, k) for k in (-2, 0, 2)] == [0.0, 1.0, 0.0]
+        assert position_probability(b_zero, 0, 0) == position_probability(a_zero, 0, 0) == 1.0
 
 
 class TestLaw:
@@ -105,10 +111,26 @@ class TestLaw:
         assert dist.probability(-6) == position_probability(params, 6, -6)
 
     def test_refusals(self, hadamard, symmetric_qubit):
-        with pytest.raises(ValueError):
-            law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 0)
-        with pytest.raises(DegenerateCoinError):
-            law(WalkParams(coin=validate_coin([[1, 0], [0, 1]]), qubit=symmetric_qubit), 4)
+        for coin in (hadamard, validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])):
+            params = WalkParams(coin=coin, qubit=symmetric_qubit)
+            with pytest.raises(ValueError):
+                law(params, -1)
+            assert law(params, 0).probs.tolist() == [1.0]
+
+    def test_degenerate_coins_match_engine(self, rng):
+        coins = [
+            validate_coin([[1, 0], [0, 1]]),
+            validate_coin([[0, 1], [1, 0]]),
+            validate_coin([[0, 1j], [1j, 0]]),
+            validate_coin([[cmath.exp(0.4j), 0], [0, cmath.exp(-1.7j)]]),
+            validate_coin([[0, cmath.exp(0.9j)], [cmath.exp(2.2j), 0]]),
+        ]
+        for coin in coins:
+            qubit = random_qubit(rng)
+            params = WalkParams(coin=coin, qubit=qubit)
+            for n in [*range(65), 1000, 2001]:
+                gap = np.max(np.abs(law(params, n).probs - distribution(coin, qubit, n).probs))
+                assert gap <= 1e-12, (coin.branch, n, gap)
 
 
 class TestCharacteristicFunction:
@@ -187,10 +209,11 @@ class TestMoments:
         qubit = random_qubit(rng)
         gap = abs(qubit.beta) ** 2 - abs(qubit.alpha) ** 2
         params = WalkParams(coin=coin, qubit=qubit)
+        # relative to n^m: the atoms' masses add to 1 only to rounding
         for n, m in [(3, 2), (5, 4), (7, 6)]:
-            assert moment(params, n, m) == pytest.approx(float(n**m), abs=1e-12)
+            assert abs(moment(params, n, m) - n**m) / max(1, n**m) <= 1e-15
         for n, m in [(3, 1), (5, 3)]:
-            assert moment(params, n, m) == pytest.approx(n**m * gap, abs=1e-12)
+            assert abs(moment(params, n, m) - n**m * gap) / max(1, n**m) <= 1e-15
 
     def test_a_zero_branch_parity_table(self, rng):
         coin = validate_coin([[0, 1], [1, 0]])
@@ -200,9 +223,10 @@ class TestMoments:
         for n in (2, 4, 6):
             for m in (1, 2, 3):
                 assert moment(params, n, m) == 0.0
+        # relative to max(1, n^m): the atoms' masses add to 1 only to rounding
         for n in (3, 5):
-            assert moment(params, n, 1) == pytest.approx(gap, abs=1e-14)
-            assert moment(params, n, 2) == 1.0
+            assert abs(moment(params, n, 1) - gap) / n <= 1e-15
+            assert abs(moment(params, n, 2) - 1.0) / n**2 <= 1e-15
 
     def test_matches_direct_sums(self, rng):
         worst = 0.0

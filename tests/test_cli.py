@@ -37,22 +37,38 @@ def test_dist_time_zero_row(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     k, p_engine, p_closed, diff = lines[1].split(",")
-    assert (k, p_closed, diff) == ("0", "", "")
+    assert (k, float(p_closed)) == ("0", 1.0)
     assert float(p_engine) == pytest.approx(1.0, abs=1e-14)
+    assert float(diff) == abs(float(p_engine) - 1.0)
 
 
 def test_dist_ballistic_coin(capsys):
-    code, out, _ = run_cli(
-        capsys, ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", "5"]
-    )
+    argv = ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", "5"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     rows = {}
     for line in out.strip().split("\n")[1:]:
-        k, p_engine, p_closed, _ = line.split(",")
-        rows[int(k)] = (float(p_engine), p_closed)
-    assert rows[-5][0] == pytest.approx(0.36, abs=1e-12)
-    assert rows[5][0] == pytest.approx(0.64, abs=1e-12)
-    assert all(closed == "" for _, closed in rows.values())
+        k, p_engine, p_closed, diff = line.split(",")
+        rows[int(k)] = (float(p_engine), float(p_closed), float(diff))
+    assert rows[-5][:2] == pytest.approx((0.36, 0.36), abs=1e-12)
+    assert rows[5][:2] == pytest.approx((0.64, 0.64), abs=1e-12)
+    assert all(closed == 0.0 for k, (_, closed, _) in rows.items() if abs(k) != 5)
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (0, True)
+    assert doc["max_abs_diff"] == max(diff for _, _, diff in rows.values()) <= 1e-12
+
+
+def test_dist_gates_the_closed_form_on_a_ballistic_coin(capsys, monkeypatch):
+    # the mirrored law is wrong by 0.28 at n = +-5
+    mirrored = lambda params, n: engine.Distribution(n=n, probs=analytic.law(params, n).probs[::-1])
+    monkeypatch.setattr(cli, "law", mirrored)
+    code, out, err = run_cli(
+        capsys, ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", "5", "--format", "json"]
+    )
+    assert code == 3
+    assert json.loads(out)["max_abs_diff"] == pytest.approx(0.28, abs=1e-12)
+    assert "Traceback" not in err
 
 
 def test_charfn_values(capsys):
@@ -147,6 +163,37 @@ def test_symmetry_verdicts_near_a_member(capsys, eps, n_max, verdict):
     assert doc["algebraic_member"] is verdict
     assert doc["empirically_symmetric"] is verdict
     assert doc["ok"] is True  # so the zero-mean verdict agrees too
+
+
+def test_symmetry_names_the_zero_mean_verdict(capsys, monkeypatch):
+    # an exit 3 caused by the mean alone must say so in the record
+    true_evidence = cli.symmetry_evidence
+    monkeypatch.setattr(
+        cli, "symmetry_evidence", lambda *args: replace(true_evidence(*args), zero_mean=False)
+    )
+    code, out, err = run_cli(capsys, ["symmetry", "--preset-qubit", "symmetric", "--format", "json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["algebraic_member"] is True
+    assert doc["empirically_symmetric"] is True
+    assert (doc["zero_mean"], doc["ok"]) == (False, False)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "coin_text, hint",
+    [
+        ("1,0,0,0,0,0,1,0", "use two_point_limit for coins with |a| = 1"),
+        ("0,0,1,0,1,0,0,0", "for coins with a = 0 the rescaled position X_n/n converges to 0"),
+    ],
+    ids=["b_zero", "a_zero"],
+)
+@pytest.mark.parametrize("command", [["limit"], ["converge", "--n-list", "10"]], ids=["limit", "converge"])
+def test_limit_refusal_names_the_degenerate_case(capsys, command, coin_text, hint):
+    code, out, err = run_cli(capsys, command + ["--coin", coin_text])
+    assert code == 2
+    assert out == ""
+    assert hint in err
 
 
 def test_limit_center_density(capsys):

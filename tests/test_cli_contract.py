@@ -7,6 +7,7 @@ A non-positive count (``--xi-points``, ``--max-order``, ``--n-max``,
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
@@ -119,3 +120,25 @@ def test_exit_code_contract(argv):
     if code == 0:
         assert "nan" not in out, argv
 
+
+
+DEGENERATE_COIN_TEXTS = COIN_TEXTS[1:4] + [
+    "5e-13,0,1,0,1,0,-5e-13,0",  # within 5e-13 of a = 0
+]
+
+
+def test_degenerate_coins_gate_every_column():
+    # every subcommand with a closed form compares it to the engine, whatever the coin
+    qubits = ["--qubit=0.6,0,0,0.8", "--preset-qubit=symmetric"]
+    for coin_text in DEGENERATE_COIN_TEXTS:
+        for n in (0, 1, 2, 3, 64, 1000):
+            argvs = [["dist", f"--steps={n}", qubits[0]]]
+            if n:
+                argvs += [["charfn", f"--steps={n}", qubits[0]], ["moments", f"--steps={n}", qubits[0]]]
+                argvs += [["symmetry", f"--n-max={n}", qubit] for qubit in qubits]
+            for argv in argvs:
+                code, out, err = run_main(argv + ["--coin=" + coin_text, "--format=json"])
+                assert code == 0, (argv, coin_text, err)
+                doc = json.loads(out)
+                assert None not in doc.values(), (argv, coin_text)
+                assert all(len(row) == len(doc["columns"]) and None not in row for row in doc["rows"])

@@ -2,11 +2,9 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import distribution
-from qwalk1d.errors import DegenerateCoinError
 from qwalk1d.symmetry import is_symmetric_state, mean_zero_check, symmetry_evidence
 
 
@@ -29,9 +27,18 @@ def test_balanced_but_interfering_state_rejected(hadamard):
     assert abs(distribution(hadamard, qubit, 1).mean()) > 0.1
 
 
-def test_classification_needs_generic_coin(symmetric_qubit):
-    with pytest.raises(DegenerateCoinError):
-        is_symmetric_state(validate_coin([[1, 0], [0, 1]]), symmetric_qubit)
+def test_classification_on_degenerate_coins(rng):
+    # a = 0 or b = 0: the cross term vanishes and each law is atoms |alpha|^2
+    # and |beta|^2 at mirror positions, so every verdict reads |alpha| = |beta|
+    coins = [validate_coin(m) for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [1j, 0]])]
+    cases = [(make_qubit(1.0, cmath.exp(0.0j)), True), (make_qubit(1.0, cmath.exp(1.3j)), True),
+             (make_qubit(0.6, 0.8j), False), (random_qubit(rng), False)]
+    for coin in coins:
+        for qubit, expected in cases:
+            report = symmetry_evidence(coin, qubit, 10)
+            verdicts = (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean,
+                        mean_zero_check(coin, qubit, 10))
+            assert verdicts == (expected,) * 4
 
 
 def test_global_phase_invariance(hadamard, rng):
