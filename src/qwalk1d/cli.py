@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -246,7 +247,9 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so it is built once."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--coin", help="8 reals: re,im per entry, row-major")
     shared.add_argument("--qubit", help="4 reals: re,im of alpha then beta")
@@ -305,8 +308,6 @@ def main(argv=None) -> int:
             count = getattr(args, dest, None)
             if count is not None and count < 1:
                 raise CliInputError(f"{flag} must be >= 1, got {count}")
-        if args.command in ("charfn", "moments") and steps < 1:
-            raise CliInputError(f"{args.command} needs -n >= 1")
         if args.command == "moments" and args.max_order * math.log(max(steps, 1)) > 700.0:
             raise CliInputError(f"moments needs n^m within the float range, got n={steps}, m={args.max_order}")
         coin = _coin_from_args(args)

@@ -3,7 +3,9 @@
 The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
 amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
-compute ``Xi`` by enumeration and by the explicit binomial sums; the production
+compute ``Xi`` by enumeration and by the explicit binomial sums.  The
+enumeration forms each time's ``2^n`` words once per coin and caches their
+sums, one per ``l``, each entry correctly rounded.  The production
 route is the closed form over the cluster count, where each letter coordinate
 is a unit phase times a combination of
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,43 +103,38 @@ def cluster_count(gamma: int, l: int, m: int) -> int:
     return math.comb(l - 1, gamma) * math.comb(m - 1, gamma - 1)
 
 
-def _mat2_mul(x, y):
-    # 2x2 product on nested tuples; far cheaper than numpy at this size.
-    (x00, x01), (x10, x11) = x
-    (y00, y01), (y10, y11) = y
-    return (
-        (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
-        (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11),
-    )
+@lru_cache(maxsize=256)
+def _word_sums(coin: Coin, n: int) -> np.ndarray:
+    """Slot ``l`` is the sum of the products of all length-``n`` words with ``l``
+    P's, each entry correctly rounded (``math.fsum``); cached and read-only."""
+    letters = (letter_matrix(coin, Letter.P), letter_matrix(coin, Letter.Q))
+    words = np.eye(2, dtype=np.complex128)[:, :, None]  # axis 2 runs over words
+    lefts = np.zeros(1, dtype=np.int64)
+    for _ in range(n):  # append one letter on the right of every word
+        words = np.concatenate(
+            [words[:, :1] * x[0, :, None] + words[:, 1:] * x[1, :, None] for x in letters], axis=2
+        )
+        lefts = np.concatenate([lefts + 1, lefts])
+    sums = np.array([
+        [complex(math.fsum(e.real.tolist()), math.fsum(e.imag.tolist()))
+         for e in words[:, :, lefts == l].reshape(4, -1)]
+        for l in range(n + 1)
+    ]).reshape(n + 1, 2, 2)
+    sums.flags.writeable = False
+    return sums
 
 
 def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
-    Exponential in ``l + m``; refuses beyond :data:`ENUMERATION_CAP`.
+    Forms every word's product on its own, one letter at a time; all ``2^n``
+    words of time ``n = l + m`` are enumerated once per coin and cached, and
+    each entry of the sum is correctly rounded.  Exponential in ``n``; refuses
+    beyond :data:`ENUMERATION_CAP`.  Returns a fresh, writeable array.
     """
     if sc.n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")
-    p = tuple(map(tuple, letter_matrix(coin, Letter.P)))
-    q = tuple(map(tuple, letter_matrix(coin, Letter.Q)))
-    zero = complex(0.0)
-    total = [[zero, zero], [zero, zero]]
-    identity = ((complex(1.0), zero), (zero, complex(1.0)))
-
-    def walk(prefix, l_rem: int, m_rem: int) -> None:
-        if l_rem == 0 and m_rem == 0:
-            total[0][0] += prefix[0][0]
-            total[0][1] += prefix[0][1]
-            total[1][0] += prefix[1][0]
-            total[1][1] += prefix[1][1]
-            return
-        if l_rem:
-            walk(_mat2_mul(prefix, p), l_rem - 1, m_rem)
-        if m_rem:
-            walk(_mat2_mul(prefix, q), l_rem, m_rem - 1)
-
-    walk(identity, sc.l, sc.m)
-    return np.array(total, dtype=np.complex128)
+    return _word_sums(coin, sc.n)[sc.l].copy()
 
 
 def _require_generic(coin: Coin) -> None:

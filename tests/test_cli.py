@@ -311,6 +311,16 @@ def test_oracle_checks_binomial_sums(capsys, monkeypatch):
     assert doc["max_abs_diff"] > cli.ORACLE_TOL
 
 
+def test_oracle_checks_enumeration(capsys, monkeypatch):
+    true_exhaustive = cli.path_sum_exhaustive
+    monkeypatch.setattr(cli, "path_sum_exhaustive", lambda coin, sc: true_exhaustive(coin, sc) + 1e-6)
+    code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["max_abs_diff"] > cli.ORACLE_TOL
+
+
 def test_self_check_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DIST_TOL", -1.0)
     code, _, _ = run_cli(capsys, ["dist", "-n", "4"])
@@ -398,7 +408,6 @@ def test_byte_identical_reruns(capsys):
         ["dist", "--coin", "1,1,1,1,1,1,1,1", "-n", "2"],  # not unitary
         ["dist", "--coin", "1,0,0", "-n", "2"],  # wrong arity
         ["dist", "--qubit", "0,0,0,0", "-n", "2"],  # zero state
-        ["charfn", "-n", "0"],  # needs n >= 1
         ["dist", "-n", "-3"],
     ],
 )
@@ -426,6 +435,33 @@ def test_non_positive_counts_exit_2(capsys, argv, flag):
     assert out == ""
     assert flag in err
     assert "Traceback" not in err
+
+
+def test_time_zero_charfn_and_moments(capsys):
+    # at n = 0 the law is the atom at 0: E[e^(i xi X)] = 1 and every moment is 0
+    code, out, err = run_cli(capsys, ["charfn", "-n", "0", "--format", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 20
+    for _, re_closed, im_closed, re_direct, im_direct, _ in doc["rows"]:
+        assert (re_closed, im_closed) == (1, 0)
+        assert (re_direct, im_direct) == pytest.approx((1.0, 0.0), abs=1e-15)
+    code, out, err = run_cli(capsys, ["moments", "-n", "0", "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["rows"] == [[m, 0, 0, 0] for m in range(1, 5)]
+
+
+def test_parser_is_reused_after_a_rejected_argv(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["charfn", "-n", "5", "--xi-points", "4", "--format", "json"]
+    code, fresh, _ = run_cli(capsys, argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dist", "-n", "x"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, ["dist", "-n", "-3"])[0] == 2
+    assert run_cli(capsys, argv) == (0, fresh, "")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_unknown_command_exits_2():

@@ -132,10 +132,9 @@ def test_degenerate_coins_gate_every_column():
     qubits = ["--qubit=0.6,0,0,0.8", "--preset-qubit=symmetric"]
     for coin_text in DEGENERATE_COIN_TEXTS:
         for n in (0, 1, 2, 3, 64, 1000):
-            argvs = [["dist", f"--steps={n}", qubits[0]]]
-            if n:
-                argvs += [["charfn", f"--steps={n}", qubits[0]], ["moments", f"--steps={n}", qubits[0]]]
-                argvs += [["symmetry", f"--n-max={n}", qubit] for qubit in qubits]
+            argvs = [[command, f"--steps={n}", qubits[0]] for command in ("dist", "charfn", "moments")]
+            # --n-max counts times, so it starts at 1
+            argvs += [["symmetry", f"--n-max={n}", qubit] for qubit in qubits if n]
             for argv in argvs:
                 code, out, err = run_main(argv + ["--coin=" + coin_text, "--format=json"])
                 assert code == 0, (argv, coin_text, err)

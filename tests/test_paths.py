@@ -1,9 +1,11 @@
+import cmath
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import qwalk1d.paths as paths
 from qwalk1d.coin import (
     Letter,
     coin_from_angles,
@@ -85,10 +87,18 @@ class TestClusterCount:
 
 class TestExhaustive:
     def test_matches_independent_enumeration(self, rng):
-        coin = random_unitary_coin(rng)
-        for l, m in [(3, 1), (2, 2), (1, 3), (4, 2)]:
-            got = path_sum_exhaustive(coin, StepCount(l=l, m=m))
-            np.testing.assert_allclose(got, brute_force_sum(coin, l, m), atol=1e-13)
+        coins = [
+            random_unitary_coin(rng),
+            random_unitary_coin(rng),
+            hadamard_coin(),
+            validate_coin([[0, 1], [1, 0]]),
+            validate_coin([[1j, 0], [0, cmath.exp(0.3j)]]),
+        ]
+        for coin in coins:
+            for n in range(11):
+                for l in range(n + 1):
+                    got = path_sum_exhaustive(coin, StepCount(l=l, m=n - l))
+                    np.testing.assert_allclose(got, brute_force_sum(coin, l, n - l), rtol=0, atol=1e-14)
 
     def test_pure_left_word(self, rng):
         coin = random_unitary_coin(rng)
@@ -100,9 +110,21 @@ class TestExhaustive:
         got = path_sum_exhaustive(coin, StepCount(l=0, m=1))
         np.testing.assert_allclose(got, letter_matrix(coin, Letter.Q), atol=1e-15)
 
-    def test_cap(self):
+    def test_returns_a_fresh_array(self):
+        sc = StepCount(l=3, m=2)
+        first = path_sum_exhaustive(hadamard_coin(), sc)
+        expected = first.copy()
+        first[:] = 7.0
+        np.testing.assert_array_equal(path_sum_exhaustive(hadamard_coin(), sc), expected)
+
+    def test_cap(self, monkeypatch):
+        paths._word_sums.cache_clear()
+        letters = []
+        monkeypatch.setattr(paths, "letter_matrix", lambda *args: letters.append(args))
         with pytest.raises(CapExceededError):
             path_sum_exhaustive(hadamard_coin(), StepCount(l=8, m=8))
+        assert letters == []
+        assert paths._word_sums.cache_info().misses == 0
 
 
 class TestCoefficients:
