@@ -2,9 +2,13 @@
 
 Exit codes: 0 = success and all self-checks pass, 2 = input/parse error,
 3 = a numerical self-check failed.  Output is CSV (header row, RFC-4180
-quoting) or JSON (one object per invocation); floats are printed with 17
-significant digits so identical invocations are byte-identical and JSON
-round-trips bit-exactly.
+quoting) or JSON (one object per invocation).  Each command declares its
+columns' formats next to their names, ``INT`` or ``REAL`` (17 significant
+digits), and each table's rows are rendered by one ``%`` template applied to
+all their cells at once, so identical invocations are byte-identical and JSON
+round-trips bit-exactly (``-0.0`` reads back as ``0``).  Non-finite JSON
+values are spelled ``NaN``, ``Infinity`` and ``-Infinity``, as ``json.loads``
+reads them; CSV spells them ``nan``, ``inf`` and ``-inf``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -61,8 +66,17 @@ def _worst(diffs) -> float:
     return float(np.max(diffs, initial=0.0))
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+#: Column formats.  Each table declares one per column rather than reading it
+#: off a cell, since ``"%d" % 2.5`` prints ``2``.
+INT = "%d"
+REAL = "%.17g"
+
+
+def _json_numbers(text: str) -> str:
+    """``%``-formatted numbers with ``nan``/``inf`` spelled as JSON reads them."""
+    if "n" not in text:  # no finite number holds the letter n
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _dump_json(value) -> str:
@@ -71,7 +85,7 @@ def _dump_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_float(value)
+        return _json_numbers(REAL % value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -110,17 +124,17 @@ def _qubit_from_args(args) -> Qubit:
     return make_qubit(alpha, beta)
 
 
-def _emit(args, command: str, columns, rows, extra: dict) -> None:
+def _emit(args, command: str, columns: dict[str, str], rows, extra: dict) -> None:
+    """Write one table; ``columns`` maps each column's name to its format."""
+    cells = tuple(itertools.chain.from_iterable(rows))
     if args.format == "json":
-        doc = {"command": command, **extra, "columns": list(columns), "rows": [list(r) for r in rows]}
-        sys.stdout.write(_dump_json(doc) + "\n")
+        table = ",".join(["[" + ",".join(columns.values()) + "]"] * len(rows)) % cells
+        head = _dump_json({"command": command, **extra, "columns": list(columns)})
+        sys.stdout.write(head[:-1] + ',"rows":[' + _json_numbers(table) + "]}\n")  # head without its "}"
         return
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(cell if isinstance(cell, (str, int)) else _format_float(cell) for cell in row)
-    sys.stdout.write(buffer.getvalue())
+    csv.writer(buffer, lineterminator="\n").writerow(columns)
+    sys.stdout.write(buffer.getvalue() + (",".join(columns.values()) + "\n") * len(rows) % cells)
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
@@ -130,7 +144,7 @@ def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
     rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
     worst = _worst(diffs)
     ok = worst <= DIST_TOL
-    _emit(args, "dist", ["k", "p_engine", "p_closed", "abs_diff"], rows,
+    _emit(args, "dist", {"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL}, rows,
           {"n": args.steps, "max_abs_diff": worst, "tolerance": DIST_TOL, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
@@ -155,8 +169,9 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
         rows.append([xi, closed.real, closed.imag, direct.real, direct.imag, abs(closed - direct)])
     worst = _worst([row[5] for row in rows])
     ok = worst <= CHARFN_TOL
-    _emit(args, "charfn", ["xi", "re_closed", "im_closed", "re_direct", "im_direct", "abs_diff"],
-          rows, {"n": args.steps, "max_abs_diff": worst, "tolerance": CHARFN_TOL, "ok": ok})
+    _emit(args, "charfn", {"xi": REAL, "re_closed": REAL, "im_closed": REAL, "re_direct": REAL,
+                           "im_direct": REAL, "abs_diff": REAL}, rows,
+          {"n": args.steps, "max_abs_diff": worst, "tolerance": CHARFN_TOL, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
 
@@ -171,7 +186,7 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
         rows.append([m, closed, direct, abs(closed - direct) / scale])
     worst = _worst([row[3] for row in rows])
     ok = worst <= MOMENT_TOL
-    _emit(args, "moments", ["m", "closed", "direct", "rel_diff"], rows,
+    _emit(args, "moments", {"m": INT, "closed": REAL, "direct": REAL, "rel_diff": REAL}, rows,
           {"n": args.steps, "max_rel_diff": worst, "tolerance": MOMENT_TOL, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
@@ -182,7 +197,7 @@ def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> int:
     rows = [[n, gap, mean] for (n, gap), mean in zip(report.evidence[: args.n_max], report.means)]
     member = is_symmetric_state(coin, qubit)
     agrees = member == report.symmetric == report.zero_mean
-    _emit(args, "symmetry", ["n", "max_asymmetry", "mean"], rows, {
+    _emit(args, "symmetry", {"n": INT, "max_asymmetry": REAL, "mean": REAL}, rows, {
         "n_max": args.n_max,
         "algebraic_member": member,
         "empirically_symmetric": report.symmetric,
@@ -205,7 +220,7 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> int:
     # (NaN fails the range test)
     cdf_valid = np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
     ok = abs(norm - 1.0) <= NORM_TOL and bool(cdf_valid)
-    _emit(args, "limit", ["x", "density", "cdf"], rows, {
+    _emit(args, "limit", {"x": REAL, "density": REAL, "cdf": REAL}, rows, {
         "slope": ld.slope,
         "support": [-a, a],
         "mean": m1,
@@ -222,7 +237,7 @@ def _cmd_converge(args, coin: Coin, qubit: Qubit) -> int:
     rows = [[n, ks, total] for (n, ks), total in zip(report.entries, report.totals)]
     worst_drift = _worst([abs(total - 1.0) for total in report.totals])
     ok = worst_drift <= 1e-9
-    _emit(args, "converge", ["n", "ks_distance", "total_probability"], rows,
+    _emit(args, "converge", {"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,
           {"max_probability_drift": worst_drift, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 
@@ -242,7 +257,7 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
                          float(np.max(np.abs(coeffs - closed)))])
     worst = _worst([d for row in rows for d in row[2:]])
     ok = worst <= ORACLE_TOL
-    _emit(args, "oracle", ["l", "m", "enum_vs_closed", "coeff_vs_closed"], rows,
+    _emit(args, "oracle", {"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, rows,
           {"n_cap": args.n_cap, "max_abs_diff": worst, "tolerance": ORACLE_TOL, "ok": ok})
     return EXIT_OK if ok else EXIT_SELF_CHECK
 

@@ -165,6 +165,17 @@ def test_symmetry_verdicts_near_a_member(capsys, eps, n_max, verdict):
     assert doc["ok"] is True  # so the zero-mean verdict agrees too
 
 
+@pytest.mark.parametrize("coin_args", [[], ["--coin", "1,0,0,0,0,0,1,0"]])
+def test_symmetry_near_balanced_weights_are_no_member(capsys, coin_args):
+    # |alpha| and |beta| are 1.4e-10 off 1/sqrt(2), so |alpha|^2 - |beta|^2 is
+    # 4e-10: the mirror gaps and the mean show it, and so must the algebraic test
+    qubit_arg = "--qubit=0.7071067810451261,0,0,0.7071067813279689"
+    code, out, _ = run_cli(capsys, ["symmetry", "--n-max", "10", qubit_arg, *coin_args, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["algebraic_member"], doc["empirically_symmetric"], doc["zero_mean"]) == (False, False, False)
+
+
 def test_symmetry_names_the_zero_mean_verdict(capsys, monkeypatch):
     # an exit 3 caused by the mean alone must say so in the record
     true_evidence = cli.symmetry_evidence
@@ -212,6 +223,12 @@ def test_converge_reports_distances(capsys):
     distances = [float(line.split(",")[1]) for line in lines]
     assert len(distances) == 2
     assert 0.0 < distances[1] < distances[0] < 1.0
+
+
+def test_converge_at_time_20000(capsys):
+    code, out, _ = run_cli(capsys, ["converge", "--n-list", "20000", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][0][0] == 20000
 
 
 def test_limit_rejects_non_monotone_cdf(capsys, monkeypatch):
@@ -370,6 +387,9 @@ def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_v
     assert code == 3
     assert '"ok":false' in out
     assert "Traceback" not in err
+    doc = json.loads(out)  # NaN is spelled as JSON reads it
+    assert doc["ok"] is False
+    assert math.isnan(doc["rows"][0][-1])
 
 
 def test_moment_order_beyond_float_range_exits_2(capsys):

@@ -2,10 +2,19 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
-from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
+from qwalk1d.analytic import WalkParams
+from qwalk1d.coin import (
+    coin_from_angles,
+    hadamard_coin,
+    make_qubit,
+    random_qubit,
+    random_unitary_coin,
+    validate_coin,
+)
 from qwalk1d.engine import distribution
-from qwalk1d.symmetry import is_symmetric_state, mean_zero_check, symmetry_evidence
+from qwalk1d.symmetry import MEMBERSHIP_TOL, is_symmetric_state, mean_zero_check, symmetry_evidence
 
 
 def test_symmetric_state_accepted(hadamard, symmetric_qubit):
@@ -114,3 +123,30 @@ def test_zero_mean_tolerance_scales_with_time(hadamard):
     assert is_symmetric_state(hadamard, qubit)
     assert report.symmetric and report.zero_mean
     assert mean_zero_check(hadamard, qubit, 200)
+
+
+def qubit_with(coin, weight_gap, cross):
+    """The state with ``|alpha|^2 - |beta|^2 = weight_gap`` and the given interference term."""
+    alpha, beta = math.sqrt((1.0 + weight_gap) / 2.0), math.sqrt((1.0 - weight_gap) / 2.0)
+    z = coin.a * coin.b.conjugate()
+    # cross = 2 alpha beta Re(z e^{-i phase})
+    phase = cmath.phase(z) - math.acos(cross / (2.0 * alpha * beta * abs(z)))
+    return make_qubit(alpha, beta * cmath.exp(1j * phase))
+
+
+def test_members_at_the_tolerance_pass_both_verdicts(rng):
+    # the algebraic test must accept no state that an empirical verdict rejects,
+    # down to coins with small |a|, where the gaps are most sensitive to the cross term
+    coins = [hadamard_coin()] + [coin_from_angles(theta, *rng.uniform(-3.0, 3.0, 3))
+                                 for theta in (0.05, 0.6, 1.2, 1.5, 1.565)]
+    for coin in coins:
+        for w_sign, c_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            weight_gap = 0.99 * w_sign * MEMBERSHIP_TOL
+            cross = 0.99 * c_sign * abs(coin.a) * MEMBERSHIP_TOL / 2.0
+            qubit = qubit_with(coin, weight_gap, cross)
+            params = WalkParams(coin=coin, qubit=qubit)
+            assert params.weight_gap == pytest.approx(weight_gap, rel=1e-4)
+            assert params.cross == pytest.approx(cross, rel=1e-4)
+            assert is_symmetric_state(coin, qubit)
+            report = symmetry_evidence(coin, qubit, 300)
+            assert report.symmetric and report.zero_mean
