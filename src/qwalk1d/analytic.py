@@ -8,9 +8,13 @@ the path-sum closed form (:mod:`qwalk1d.paths`) applied to the initial state
     P(X_n = m - l) = |Xi(l, m) phi|^2 = |p A + r C|^2 + |q C + s A|^2,
 
 and the unit phase common to ``p, q, r, s`` drops out.  The mirror positions
-``+-(n - 2kk)`` share ``kk = min(l, m)``, hence one evaluation of the two
-alternating sums, which come from the package's one float Jacobi kernel; the
-extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.
+``+-(n - 2kk)`` share ``kk = min(l, m)``, hence one pair of alternating sums.
+One call of the package's Jacobi kernel gives the sums of every kk at time
+``n`` as arrays, and the law is assembled from them by array expressions over
+kk; the extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.  A law
+costs O(n^2) float operations in O(n) numpy steps, about 20 ms at
+``n = 2000`` and 1.1 s at ``n = 20000`` on a 2-vCPU VM; :data:`LAW_TIME_CAP`
+bounds ``n``.
 
 For every coin and every time ``n >= 0``, ``law(params, n)`` builds the law
 at time ``n`` once, caches it and returns it as an ``engine.Distribution``,
@@ -24,12 +28,11 @@ turns at every step, ``P(X_n = -1) = |beta|^2`` and ``P(X_n = 1) = |alpha|^2``
 at odd ``n`` and ``P(X_n = 0) = 1`` at even ``n``.  At ``n = 0`` the law is
 the atom at 0.  The walk engine is the independent oracle: for ``|a|^2`` from
 0.01 to 0.99 the law is within 5e-14 of it at every position up to
-``n = 1000``, and within 2e-13 on the degenerate coins up to ``n = 2001``.
+``n = 5000``, and within 2e-13 on the degenerate coins up to ``n = 2001``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
@@ -38,10 +41,11 @@ import numpy as np
 
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .engine import Distribution
-from .errors import NumericalHealthError, ParityViolationError, PreconditionError
+from .errors import CapExceededError, NumericalHealthError, ParityViolationError, PreconditionError
 from .paths import _mixed_coordinates, _require_generic, _tau
 
 __all__ = [
+    "LAW_TIME_CAP",
     "WalkParams",
     "law",
     "position_probability",
@@ -49,6 +53,10 @@ __all__ = [
     "moment",
     "reduced_mean",
 ]
+
+#: Largest time whose closed-form law is built (about 1.1 s at the cap on a
+#: 2-vCPU VM).
+LAW_TIME_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -90,11 +98,15 @@ def law(params: WalkParams, n: int) -> Distribution:
     ------
     ValueError
         If ``n < 0``.
+    CapExceededError
+        If ``n`` exceeds :data:`LAW_TIME_CAP`.
     NumericalHealthError
         If a value leaves ``[0, 1]`` (values are never clamped).
     """
     if n < 0:
         raise ValueError(f"time must be >= 0, got {n}")
+    if n > LAW_TIME_CAP:
+        raise CapExceededError(f"time {n} exceeds the closed-form cap {LAW_TIME_CAP}")
     coin, qubit = params.coin, params.qubit
     alpha_sq, beta_sq = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
     probs = np.zeros(n + 1)
@@ -109,16 +121,15 @@ def law(params: WalkParams, n: int) -> Distribution:
         amp_c = coin.c * qubit.alpha + coin.d * qubit.beta
         probs[0] = coin.abs_a_sq ** (n - 1) * abs(amp_a) ** 2
         probs[n] = coin.abs_a_sq ** (n - 1) * abs(amp_c) ** 2
-        for kk in range(1, n // 2 + 1):
-            tau = _tau(coin, n, kk)
-            for l, m in ((kk, n - kk), (n - kk, kk)):
-                p, q, r, s = _mixed_coordinates(coin, l, m, tau)
-                probs[m] = abs(p * amp_a + r * amp_c) ** 2 + abs(q * amp_c + s * amp_a) ** 2
-    for j, value in enumerate(probs.tolist()):
-        if not -1e-9 <= value <= 1.0 + 1e-9:
-            raise NumericalHealthError(
-                f"probability {value} escapes [0, 1] at n={n}, k={2 * j - n}"
-            )
+        kk = np.arange(1, n // 2 + 1)
+        tau = _tau(coin, n)
+        for l, m in ((kk, n - kk), (n - kk, kk)):  # the two mirror halves
+            p, q, r, s = _mixed_coordinates(coin, l, m, *tau)
+            probs[m] = np.abs(p * amp_a + r * amp_c) ** 2 + np.abs(q * amp_c + s * amp_a) ** 2
+    escaped = np.flatnonzero(~((probs >= -1e-9) & (probs <= 1.0 + 1e-9)))
+    if escaped.size:
+        j = int(escaped[0])
+        raise NumericalHealthError(f"probability {probs[j]} escapes [0, 1] at n={n}, k={2 * j - n}")
     probs.flags.writeable = False
     return Distribution(n=n, probs=probs)
 
@@ -126,7 +137,7 @@ def law(params: WalkParams, n: int) -> Distribution:
 def position_probability(params: WalkParams, n: int, k: int) -> float:
     """Closed-form ``P(X_n = k)`` for every coin and every ``n >= 0``.
 
-    A read of :func:`law`, which builds the law at time ``n`` once (O(n^2)).
+    A read of :func:`law`, which builds the law at time ``n`` once.
 
     Raises
     ------
@@ -160,5 +171,6 @@ def reduced_mean(params: WalkParams, n: int) -> float:
     if n < 3:
         raise ValueError(f"reduced mean needs n >= 3, got {n}")
     coin = params.coin
-    body = fsum((n - 2 * kk) ** 2 * math.prod(_tau(coin, n, kk)) for kk in range(1, (n - 1) // 2 + 1))
+    t0, t1 = (t[: (n - 1) // 2] for t in _tau(coin, n))
+    body = fsum(((n - 2 * np.arange(1, t0.size + 1)) ** 2 * (t0 * t1)).tolist())
     return -(params.weight_gap / coin.abs_b_sq) * body

@@ -138,8 +138,8 @@ def _emit(args, command: str, columns: dict[str, str], rows, extra: dict) -> Non
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
-    dist = engine.distribution(coin, qubit, args.steps)
     closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
+    dist = engine.distribution(coin, qubit, args.steps)
     diffs = np.abs(dist.probs - closed)
     rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
     worst = _worst(diffs)
@@ -161,10 +161,11 @@ def _xi_grid(args) -> list[float]:
 
 def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
     params = WalkParams(coin=coin, qubit=qubit)
+    xis = _xi_grid(args)
+    closed_values = [characteristic_function(params, args.steps, xi) for xi in xis]
     dist = engine.distribution(coin, qubit, args.steps)
     rows = []
-    for xi in _xi_grid(args):
-        closed = characteristic_function(params, args.steps, xi)
+    for xi, closed in zip(xis, closed_values):
         direct = dist.characteristic_function(xi)
         rows.append([xi, closed.real, closed.imag, direct.real, direct.imag, abs(closed - direct)])
     worst = _worst([row[5] for row in rows])
@@ -177,10 +178,11 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
 
 def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
     params = WalkParams(coin=coin, qubit=qubit)
+    orders = range(1, args.max_order + 1)
+    closed_values = [moment(params, args.steps, m) for m in orders]
     dist = engine.distribution(coin, qubit, args.steps)
     rows = []
-    for m in range(1, args.max_order + 1):
-        closed = moment(params, args.steps, m)
+    for m, closed in zip(orders, closed_values):
         direct = dist.moment(m)
         scale = max(1.0, float(args.steps) ** m)
         rows.append([m, closed, direct, abs(closed - direct) / scale])

@@ -247,14 +247,15 @@ def _window(coin: Coin) -> tuple[float, float]:
 def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
-    The scaled Jacobi value comes from the float kernel in O(k)."""
+    The scaled Jacobi value is read from the array kernel's table for time
+    ``n``, which costs O(n^2) float operations in O(n) numpy steps."""
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:
         raise OutOfWindowError(f"x = k/n = {x} outside the oscillatory window ({lo}, {hi})")
     if i not in (0, 1) or not 1 <= k <= n // 2:
         raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
-    return abs(_scaled_jacobi(k - 1, i, n - 2 * k, coin.abs_a_sq)) * math.sqrt(n)
+    return abs(_scaled_jacobi(n, coin.abs_a_sq)[i, k - 1]) * math.sqrt(n)
 
 
 def oscillation_scales(coin: Coin, x: float) -> OscillationScales:

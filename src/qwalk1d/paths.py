@@ -13,8 +13,10 @@ is a unit phase times a combination of
 
 ``kk = min(l, m)``.  These are Jacobi values,
 ``|a|^(n-1) T_i = -(|b|^2/|a|) u_i / kk^i`` with
-``u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)`` from the one float kernel
-:func:`qwalk1d.special._scaled_jacobi`; they are never summed term by term.
+``u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``; they are never summed
+term by term.  One call of the array kernel
+:func:`qwalk1d.special._scaled_jacobi` gives ``u_0`` and ``u_1`` for every kk
+of a time at once, and :func:`_tau` caches them per coin and time.
 """
 
 from __future__ import annotations
@@ -82,11 +84,10 @@ class PqrsMatrix:
     coin: Coin
 
     def materialize(self) -> np.ndarray:
-        out = self.p * letter_matrix(self.coin, Letter.P)
-        out += self.q * letter_matrix(self.coin, Letter.Q)
-        out += self.r * letter_matrix(self.coin, Letter.R)
-        out += self.s * letter_matrix(self.coin, Letter.S)
-        return out
+        """``pP + qQ + rR + sS``, formed from the coin entries in one array."""
+        p, q, r, s = self.p, self.q, self.r, self.s
+        a, b, c, d = self.coin.a, self.coin.b, self.coin.c, self.coin.d
+        return np.array([[p * a + r * c, p * b + r * d], [s * a + q * c, s * b + q * d]])
 
 
 def cluster_count(gamma: int, l: int, m: int) -> int:
@@ -186,22 +187,21 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     )
 
 
-def _tau(coin: Coin, n: int, kk: int) -> tuple[float, float]:
-    """``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)`` for ``Xi(l, m)``, ``l+m = n``, ``kk = min(l, m)``."""
+@lru_cache(maxsize=256)
+def _tau(coin: Coin, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)`` for every ``Xi(l, m)`` with ``l+m = n``,
+    entry ``kk - 1`` for ``kk = min(l, m)``; one kernel call per time, cached and read-only."""
     a2 = coin.abs_a_sq
-    factor = -coin.abs_b_sq / math.sqrt(a2)
-    return (
-        factor * _scaled_jacobi(kk - 1, 0, n - 2 * kk, a2),
-        factor * _scaled_jacobi(kk - 1, 1, n - 2 * kk, a2) / kk,
-    )
+    u = -coin.abs_b_sq / math.sqrt(a2) * _scaled_jacobi(n, a2)
+    u[1] /= np.arange(1, n // 2 + 1)
+    u.flags.writeable = False
+    return u[0], u[1]
 
 
-def _mixed_coordinates(
-    coin: Coin, l: int, m: int, tau: tuple[float, float]
-) -> tuple[complex, complex, complex, complex]:
+def _mixed_coordinates(coin: Coin, l, m, t0, t1) -> tuple:
     """Letter coordinates ``(p, q, r, s)`` of ``Xi(l, m)``, ``l, m >= 1``, divided by
-    the unit phase ``(a/|a|)^l (conj(a)/|a|)^m det^m``; ``tau`` is :func:`_tau`."""
-    t0, t1 = tau
+    the unit phase ``(a/|a|)^l (conj(a)/|a|)^m det^m``; ``t0, t1`` are the
+    :func:`_tau` entries of ``kk = min(l, m)``.  Scalars or arrays over kk."""
     a, b, det = coin.a, coin.b, coin.delta
     abs_a = abs(a)
     return (
@@ -230,7 +230,8 @@ def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
         return PqrsMatrix(p=zero, q=(det * a.conjugate()) ** (m - 1), r=zero, s=zero, coin=coin)
     _require_generic(coin)
     phase = (a / abs(a)) ** (l - m) * det**m
-    p, q, r, s = (phase * x for x in _mixed_coordinates(coin, l, m, _tau(coin, sc.n, min(l, m))))
+    t0, t1 = (t[min(l, m) - 1] for t in _tau(coin, sc.n))
+    p, q, r, s = (phase * x for x in _mixed_coordinates(coin, l, m, t0, t1))
     return PqrsMatrix(p=p, q=q, r=r, s=s, coin=coin)
 
 

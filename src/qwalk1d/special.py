@@ -1,7 +1,8 @@
 """Gauss hypergeometric series, Jacobi polynomials, and the sum identities.
 
 The alternating binomial sums of the path-sum closed form are Jacobi values.
-Every closed form takes them from one float kernel, :func:`_scaled_jacobi`.
+Every closed form takes them from one float kernel, :func:`_scaled_jacobi`,
+which returns the values of every cluster count ``kk`` of one time as an array.
 The public functions are its exact references: 2F1 summed from its series,
 Jacobi values through it, the Pfaff transformation as a residual diagnostic,
 and the combinatorial-sum/Jacobi-value identities.
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from math import comb
+
+import numpy as np
 
 from .coin import BRANCH_A_ZERO, Coin
 from .errors import CapExceededError, DegenerateCoinError, NonConvergentError, PoleAtCError
@@ -45,6 +48,8 @@ _SERIES_RTOL = 1e-16
 # factor moved into the log-scale, so nothing overflows for small |a|.
 _RESCALE = 1e150
 _LOG_RESCALE = math.log(_RESCALE)
+# Degree steps whose recurrence coefficients are formed in one broadcast.
+_BLOCK = 32
 
 
 def gamma_value(x: float) -> float:
@@ -208,29 +213,51 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     return lhs, rhs
 
 
-def _scaled_jacobi(degree: int, alpha: int, beta: int, a2: float) -> float:
-    """``|a|^beta * P_degree^(alpha, beta)(2|a|^2 - 1)`` for ``|a|^2 = a2``.
+def _scaled_jacobi(n: int, a2: float) -> np.ndarray:
+    """Every Jacobi value of time ``n``, as a ``(2, n // 2)`` array.
 
-    Three-term recurrence in the degree (DLMF 18.9.2).  The factor
-    ``|a|^beta``, which underflows for small ``|a|`` at large ``beta``, is
-    carried as a log-scale and applied once at the end.
+    Row ``i``, column ``kk - 1`` holds ``|a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``
+    for ``|a|^2 = a2``.  One three-term recurrence in the degree (DLMF 18.9.2)
+    runs for every entry at once: at degree step ``m`` only the entries of
+    degree above ``m``, a contiguous suffix, move on, and an entry's value is
+    final once ``m`` reaches its degree.  Each entry applies its own
+    ``|a|^(n-2kk)``, which underflows for small ``|a|``, as a log-scale at the
+    end; its running values are divided by ``_RESCALE`` whenever they exceed
+    it.  The recurrence coefficients of ``_BLOCK`` steps are formed together,
+    so the scratch memory is O(``_BLOCK`` n).  O(n^2) float operations in
+    O(n) numpy steps.
     """
-    log_scale = 0.5 * beta * math.log(a2)
-    if degree == 0:
-        return math.exp(log_scale)
+    size = n // 2
     x = 2.0 * a2 - 1.0
-    prev, cur = 1.0, (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0
-    for m in range(1, degree):
-        s = 2 * m + alpha + beta
-        nxt = (
-            (s + 1) * ((s + 2) * s * x + alpha * alpha - beta * beta) * cur
-            - 2 * (m + alpha) * (m + beta) * (s + 2) * prev
-        ) / (2 * (m + 1) * (m + alpha + beta + 1) * s)
-        prev, cur = cur, nxt
-        if abs(cur) > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            log_scale += _LOG_RESCALE
-    if cur == 0.0:
-        return 0.0
-    return math.copysign(math.exp(math.log(abs(cur)) + log_scale), cur)
+    alpha = np.arange(2.0)[:, None]
+    beta = n - 2.0 * np.arange(1, size + 1)
+    log_scale = np.tile(0.5 * beta * math.log(a2), (2, 1))
+    # The two running degrees alternate between the two buffers: step m writes
+    # degree m + 1 over degree m - 1.  Degree 0 stays in the first buffer.
+    bufs = (np.ones((2, size)), (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0)
+    scratch = np.empty((2, size))
+    for m0 in range(1, size - 1, _BLOCK):
+        m = np.arange(m0, min(m0 + _BLOCK, size - 1), dtype=float)[:, None, None]
+        b = beta[m0 + 1:]
+        s = 2 * m + alpha + b
+        grow = (s + 1) * ((s + 2) * s * x + alpha * alpha - b * b)
+        fall = 2 * (m + alpha) * (m + b) * (s + 2)
+        den = 2 * (m + 1) * (m + alpha + b + 1) * s
+        for t in range(len(m)):
+            step = m0 + t
+            new, cur = bufs[(step + 1) % 2][:, step + 1:], bufs[step % 2][:, step + 1:]
+            tmp = scratch[:, step + 1:]
+            np.multiply(new, fall[t, :, t:], out=new)
+            np.multiply(cur, grow[t, :, t:], out=tmp)
+            np.subtract(tmp, new, out=new)
+            np.divide(new, den[t, :, t:], out=new)
+            np.abs(new, out=tmp)
+            if tmp.max() > _RESCALE:
+                big = tmp > _RESCALE
+                new[big] /= _RESCALE
+                cur[big] /= _RESCALE
+                log_scale[:, step + 1:][big] += _LOG_RESCALE
+    # degree j was last written by step j - 1: even j in the first buffer
+    values = np.where(np.arange(size) % 2 == 0, *bufs)
+    with np.errstate(divide="ignore"):
+        return np.copysign(np.exp(np.log(np.abs(values)) + log_scale), values)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import qwalk1d.analytic as analytic
 import qwalk1d.special as special
 from qwalk1d.analytic import (
+    LAW_TIME_CAP,
     WalkParams,
     characteristic_function,
     law,
@@ -15,7 +17,7 @@ from qwalk1d.analytic import (
 )
 from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import distribution
-from qwalk1d.errors import ParityViolationError, PreconditionError
+from qwalk1d.errors import CapExceededError, ParityViolationError, PreconditionError
 from qwalk1d.special import rho_value
 
 
@@ -116,6 +118,15 @@ class TestLaw:
             with pytest.raises(ValueError):
                 law(params, -1)
             assert law(params, 0).probs.tolist() == [1.0]
+
+    def test_time_cap(self, hadamard, symmetric_qubit, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("an over-cap law must be refused before any work")
+
+        monkeypatch.setattr(analytic, "_tau", no_kernel)
+        for coin in (hadamard, validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])):
+            with pytest.raises(CapExceededError):
+                law(WalkParams(coin=coin, qubit=symmetric_qubit), LAW_TIME_CAP + 1)
 
     def test_degenerate_coins_match_engine(self, rng):
         coins = [
@@ -257,11 +268,22 @@ class TestJacobiKernel:
         a2_values = [0.01, 0.5, 0.99] + [random_unitary_coin(rng).abs_a_sq for _ in range(2)]
         for a2 in a2_values:
             for n in range(2, 61):
+                table = special._scaled_jacobi(n, a2)
+                assert table.shape == (2, n // 2)
                 for kk in range(1, n // 2 + 1):
                     for i in (0, 1):
                         expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
-                        got = special._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
-                        assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+                        assert table[i, kk - 1] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_kernel_at_the_smallest_times(self, n):
+        # n = 2, 3 have the one cluster count kk = 1, of degree 0: P_0 = 1,
+        # so both rows hold |a|^(n-2); n = 0, 1 have no mixed word at all.
+        for a2 in (0.01, 0.5, 0.99):
+            table = special._scaled_jacobi(n, a2)
+            assert table.shape == (2, n // 2)
+            for i in (0, 1):
+                assert table[i] == pytest.approx([math.sqrt(a2) ** (n - 2)] * (n // 2), rel=1e-15)
 
     @pytest.mark.parametrize("n", [1000, 2000, 2001])
     def test_kernel_matches_exact_jacobi_values_at_large_n(self, n):
@@ -269,11 +291,11 @@ class TestJacobiKernel:
         # range (OverflowError) at these n.
         kks = sorted({1, 2, 17, n // 8, n // 4, n // 3, n // 2 - 1, n // 2})
         for a2 in (0.3, 0.5, 0.7, 0.99):
+            table = special._scaled_jacobi(n, a2)
             for kk in kks:
                 for i in (0, 1):
                     expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
-                    got = special._scaled_jacobi(kk - 1, i, n - 2 * kk, a2)
-                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+                    assert table[i, kk - 1] == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_small_amplitude_coin_against_engine(self, rng):
         # |a| ~ 0.12: summed term by term, the alternating sums would cancel
@@ -297,6 +319,17 @@ class TestJacobiKernel:
         # theta = 1.4706 gives |a|^2 = cos(theta)^2 ~ 0.01.
         coin = coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3))
         assert worst_engine_gap(coin, random_qubit(rng), n) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    def test_law_against_engine_at_large_n(self, rng, n):
+        # |a|^2 ~ 0.01 runs the rescale branch: rho_value itself overflows there.
+        coins = [hadamard_coin()] + [
+            coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3)) for theta in (1.4706, 0.1002)
+        ]
+        for coin in coins:
+            qubit = random_qubit(rng)
+            closed = law(WalkParams(coin=coin, qubit=qubit), n).probs
+            assert np.max(np.abs(closed - distribution(coin, qubit, n).probs)) <= 1e-12
 
 
 class TestReducedMean:

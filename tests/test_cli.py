@@ -14,6 +14,20 @@ from qwalk1d.analytic import WalkParams, moment, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin
 
 
+def clear_closed_form_caches():
+    analytic.law.cache_clear()
+    paths._tau.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty closed-form caches, emptied again afterwards, so that nothing a
+    patched kernel computed outlives the test."""
+    clear_closed_form_caches()
+    yield
+    clear_closed_form_caches()
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -124,12 +138,11 @@ def reals(*values):
     return ",".join(repr(part) for z in values for part in (z.real, z.imag))
 
 
-def test_symmetry_builds_no_closed_form_law(capsys, monkeypatch):
+def test_symmetry_builds_no_closed_form_law(capsys, monkeypatch, fresh_caches):
     def no_kernel(*args):
         raise AssertionError("symmetry must read the engine's laws only")
 
     monkeypatch.setattr(paths, "_scaled_jacobi", no_kernel)
-    analytic.law.cache_clear()
     code, out, err = run_cli(
         capsys, ["symmetry", "--n-max", "40", "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0", "--format", "json"]
     )
@@ -267,42 +280,39 @@ def test_converge_evolves_each_time_once(capsys, monkeypatch):
     assert totals == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
-def test_closed_forms_share_one_law_per_time(capsys, monkeypatch):
+def count_kernel_calls(monkeypatch):
+    """Record, from now on, the time of every Jacobi kernel call."""
     calls = []
-    true_tau = analytic._tau
+    true_kernel = paths._scaled_jacobi
 
-    def counting(coin, n, kk):
-        calls.append((n, kk))
-        return true_tau(coin, n, kk)
+    def counting(n, a2):
+        calls.append(n)
+        return true_kernel(n, a2)
 
-    monkeypatch.setattr(analytic, "_tau", counting)
-    analytic.law.cache_clear()
+    monkeypatch.setattr(paths, "_scaled_jacobi", counting)
+    return calls
+
+
+def test_closed_forms_share_one_law_per_time(capsys, monkeypatch, fresh_caches):
+    calls = count_kernel_calls(monkeypatch)
     coin = "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0"
     for command in ("dist", "charfn", "moments"):
         code, _, _ = run_cli(capsys, [command, "-n", "40", coin])
         assert code == 0
-    assert sorted(calls) == [(40, kk) for kk in range(1, 21)]
+    assert calls == [40]
 
 
-def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch):
-    calls = []
-    true_tau = analytic._tau
-
-    def counting(coin, n, kk):
-        calls.append((n, kk))
-        return true_tau(coin, n, kk)
-
+def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch, fresh_caches):
     def no_position_probability(*args):
         raise AssertionError("dist must read the whole law, not one position at a time")
 
-    monkeypatch.setattr(analytic, "_tau", counting)
+    calls = count_kernel_calls(monkeypatch)
     monkeypatch.setattr(analytic, "position_probability", no_position_probability)
     monkeypatch.setattr(cli, "position_probability", no_position_probability, raising=False)
-    analytic.law.cache_clear()
     code, out, _ = run_cli(capsys, ["dist", "-n", "40", "--format", "json"])
     assert code == 0
     assert json.loads(out)["ok"] is True
-    assert sorted(calls) == [(40, kk) for kk in range(1, 21)]
+    assert calls == [40]
 
 
 def test_oracle_clean(capsys):
@@ -351,9 +361,20 @@ def test_closed_forms_pass_at_large_n(capsys, command):
     assert json.loads(out)["ok"] is True
 
 
-def test_numerical_health_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(paths, "_scaled_jacobi", lambda *args: 1e3)
-    analytic.law.cache_clear()
+@pytest.mark.parametrize("command", ["dist", "moments", "charfn"])
+def test_closed_forms_refuse_times_over_the_cap(capsys, monkeypatch, command):
+    def no_engine(*args):
+        raise AssertionError("an over-cap time must be refused before the engine runs")
+
+    monkeypatch.setattr(engine, "distribution", no_engine)
+    code, out, err = run_cli(capsys, [command, "-n", str(analytic.LAW_TIME_CAP + 1)])
+    assert code == 2
+    assert out == ""
+    assert "exceeds the closed-form cap" in err
+
+
+def test_numerical_health_failure_exits_3(capsys, monkeypatch, fresh_caches):
+    monkeypatch.setattr(paths, "_scaled_jacobi", lambda n, a2: np.full((2, n // 2), 1e3))
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
     assert code == 3
     assert out == ""

@@ -3,17 +3,20 @@
 Whatever the input, ``qwalk1d`` exits 0 (all checks pass), 2 (bad input) or 3
 (a self-check failed), never with a traceback, and a 0 exit never prints NaN.
 A non-positive count (``--xi-points``, ``--max-order``, ``--n-max``,
-``--grid-points``, ``--n-cap``) is bad input: it never exits 0.
+``--grid-points``, ``--n-cap``) is bad input: it never exits 0.  A time over
+the closed-form cap, drawn up to ten times the cap, exits 2 at once.
 """
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qwalk1d.cli as cli
+from qwalk1d.analytic import LAW_TIME_CAP
 from qwalk1d.coin import coin_from_angles
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
@@ -62,7 +65,9 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(cli._HANDLERS)))
     argv = [command]
     if command in ("dist", "charfn", "moments"):
-        argv.append("--steps=" + draw(integer(-2, 64)))
+        # small times, or times over the cap: no draw starts a long run
+        steps = st.one_of(st.integers(-2, 64), st.integers(LAW_TIME_CAP + 1, 10 * LAW_TIME_CAP))
+        argv.append("--steps=" + draw(sometimes_bad(steps.map(str))))
     if command == "charfn":
         if draw(st.booleans()):
             argv.append("--xi=" + draw(st.lists(xi, min_size=1, max_size=3).map(",".join)))
@@ -89,14 +94,25 @@ def argvs(draw):
 COUNT_FLAGS = ("--xi-points=", "--max-order=", "--n-max=", "--grid-points=", "--n-cap=")
 
 
-def non_positive_count(argv) -> bool:
+def _int_option(argv, flags) -> int | None:
+    """The value of the first of ``flags`` in ``argv``, None if absent or malformed."""
     for arg in argv:
-        if arg.startswith(COUNT_FLAGS):
+        if arg.startswith(flags):
             try:
-                return int(arg.split("=", 1)[1]) < 1
+                return int(arg.split("=", 1)[1])
             except ValueError:  # a malformed token; argparse refuses it
-                return False
-    return False
+                return None
+    return None
+
+
+def non_positive_count(argv) -> bool:
+    count = _int_option(argv, COUNT_FLAGS)
+    return count is not None and count < 1
+
+
+def over_the_cap(argv) -> bool:
+    steps = _int_option(argv, ("--steps=",))
+    return steps is not None and steps > LAW_TIME_CAP
 
 
 def run_main(argv):
@@ -112,11 +128,16 @@ def run_main(argv):
 @settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_exit_code_contract(argv):
+    start = time.perf_counter()
     code, out, err = run_main(argv)
+    elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     if non_positive_count(argv):
         assert code != 0, argv
+    if over_the_cap(argv):
+        assert code == 2, argv
+        assert elapsed < 1.0, (argv, elapsed)
     if code == 0:
         assert "nan" not in out, argv
 

@@ -160,6 +160,27 @@ class TestCoefficients:
             closed_form_coefficients(coin, StepCount(l=2, m=2))
 
 
+class TestMaterialize:
+    def test_matches_the_four_letter_sum(self, rng):
+        coins = [hadamard_coin()] + [random_unitary_coin(rng) for _ in range(20)]
+        for coin in coins:
+            p, q, r, s = rng.normal(size=4) + 1j * rng.normal(size=4)
+            got = paths.PqrsMatrix(p=p, q=q, r=r, s=s, coin=coin).materialize()
+            expected = (
+                p * letter_matrix(coin, Letter.P)
+                + q * letter_matrix(coin, Letter.Q)
+                + r * letter_matrix(coin, Letter.R)
+                + s * letter_matrix(coin, Letter.S)
+            )
+            # Each entry is a sum of two complex products, which may cancel: the
+            # two routes round differently (numpy's array loops may fuse a
+            # multiply-add), so they agree to a few ulps of the sum of absolute
+            # terms, not of the entry.
+            scale = np.abs([[p, r], [s, q]]) @ np.abs([[coin.a, coin.b], [coin.c, coin.d]])
+            assert got.dtype == np.complex128
+            assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * scale)
+
+
 class TestClosedForm:
     def test_pure_branches(self, rng):
         coin = random_unitary_coin(rng)
