@@ -149,14 +149,21 @@ def position_probability(params: WalkParams, n: int, k: int) -> float:
     return law(params, n).probability(k)
 
 
-def characteristic_function(params: WalkParams, n: int, xi: float) -> complex:
-    """``E(exp(i xi X_n))``, the sum over the closed-form :func:`law`."""
+def characteristic_function(params: WalkParams, n: int, xi):
+    """``E(exp(i xi X_n))``, the sum over the closed-form :func:`law`.
+
+    ``xi`` is one point or a sequence of points, as for
+    ``Distribution.characteristic_function``: a sequence gives the table.
+    """
     return law(params, n).characteristic_function(xi)
 
 
-def moment(params: WalkParams, n: int, m: int) -> float:
-    """``E((X_n)^m)`` for ``m >= 1``, the sum over the closed-form :func:`law`."""
-    if m < 1:
+def moment(params: WalkParams, n: int, m):
+    """``E((X_n)^m)`` for ``m >= 1``, the sum over the closed-form :func:`law`.
+
+    ``m`` is one order or a sequence of orders, as for ``Distribution.moment``.
+    """
+    if np.any(np.asarray(m) < 1):
         raise ValueError(f"need m >= 1, got m={m}")
     return law(params, n).moment(m)
 

@@ -18,6 +18,11 @@ not corrected.
 
 Both routes hand out the law as a :class:`Distribution` (here, and from
 ``analytic.law(params, n)``); its methods are the package's only sums over a law.
+Both routes build a law once per input and cache it, so the returned
+``Distribution`` is shared and its ``probs`` are read-only.  Its sums take one
+argument or a sequence of them: a sequence gives the whole table in one array
+pass, each entry summed exactly rounded and bit-identical to the one-argument
+call.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ __all__ = [
 
 #: Largest half-width N for the dense ring-evolution matrix (size 4N+2).
 DENSE_CAP = 64
+
+#: Most products of arguments and positions that a table of sums forms at
+#: once (64 KB per float array); a longer table is formed in blocks of rows.
+_TABLE_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,46 @@ class Distribution:
     def mean(self) -> float:
         return self.moment(1)
 
-    def moment(self, m: int) -> float:
-        """``E(X_n^m) = sum_k k^m P(X_n = k)``, summed exactly rounded."""
-        return fsum((self.positions.astype(float) ** m * self.probs).tolist())
+    def moment(self, m):
+        """``E(X_n^m) = sum_k k^m P(X_n = k)``, summed exactly rounded.
 
-    def characteristic_function(self, xi: float) -> complex:
-        """``E(exp(i xi X_n))``, real and imaginary parts each summed exactly rounded."""
-        phase = self.positions * xi
-        return complex(fsum((self.probs * np.cos(phase)).tolist()), fsum((self.probs * np.sin(phase)).tolist()))
+        ``m`` is one order (a float comes back) or a sequence of orders (an
+        array of their moments comes back, in one pass over the law).
+        """
+        orders = np.asarray(m)
+        k = self.positions.astype(float)
+        sums = self._row_sums(orders, lambda column: k**column * self.probs)
+        return np.reshape(sums, orders.shape) if orders.ndim else sums[0]
+
+    def characteristic_function(self, xi):
+        """``E(exp(i xi X_n))``, real and imaginary parts each summed exactly rounded.
+
+        ``xi`` is one point (a complex comes back) or a sequence of points (a
+        complex array comes back, in one pass over the law).
+        """
+        xis = np.asarray(xi, dtype=float)
+
+        def terms(column):
+            phase = column * self.positions
+            # a row of real parts, then a row of imaginary parts, per point
+            return np.concatenate([np.cos(phase), np.sin(phase)], axis=1).reshape(-1, self.n + 1) * self.probs
+
+        values = np.array(self._row_sums(xis, terms)).view(complex)
+        return values.reshape(xis.shape) if xis.ndim else complex(values[0])
+
+    def _row_sums(self, args: np.ndarray, terms) -> list[float]:
+        """``math.fsum`` of each row of the table ``terms(args as a column)``.
+
+        The table is one broadcast of the arguments against the positions,
+        formed in blocks of at most :data:`_TABLE_TERMS` products, so that a
+        long table needs no more memory than one block.
+        """
+        column = args.reshape(-1, 1)
+        rows = max(1, _TABLE_TERMS // (self.n + 1))
+        sums = []
+        for start in range(0, len(column), rows):
+            sums += map(fsum, terms(column[start:start + rows]).tolist())
+        return sums
 
 
 def initial_field(qubit: Qubit) -> AmplitudeField:
@@ -140,8 +181,12 @@ def evolve(coin: Coin, qubit: Qubit, n: int) -> AmplitudeField:
     return field
 
 
+@lru_cache(maxsize=512)
 def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """Exact position distribution at time ``n``, by one transform (Fourier route).
+
+    Built once per ``(coin, qubit, n)``, cached and read-only, like the
+    closed-form ``analytic.law``.
 
     With ``psi_hat(t) = sum_k psi_k e^{ikt}``, the field at time ``n`` is
     ``psi_hat_n(t) = U(t)^n psi_0``, ``U(t) = e^{-it} P + e^{it} Q``.  Times
@@ -182,7 +227,9 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
             trace, qr = p + s, q * r
             p, q, r, s = p * p + qr, q * trace, r * trace, s * s + qr
     amps = np.fft.fft(np.stack([u, v], axis=1).astype(np.complex128), axis=0, norm="forward")
-    return AmplitudeField(n=n, amps=amps).to_distribution()
+    dist = AmplitudeField(n=n, amps=amps).to_distribution()
+    dist.probs.flags.writeable = False
+    return dist
 
 
 def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -244,18 +245,28 @@ def _window(coin: Coin) -> tuple[float, float]:
     return ((1.0 - a) / 2.0, (1.0 + a) / 2.0)
 
 
+@lru_cache(maxsize=8)
+def _jacobi_table(n: int, a2: float) -> np.ndarray:
+    """The Jacobi kernel's table of time ``n`` for ``|a|^2 = a2``, cached and
+    read-only: the envelope is read at neighbouring ``k`` of one time."""
+    table = _scaled_jacobi(n, a2)
+    table.flags.writeable = False
+    return table
+
+
 def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
     The scaled Jacobi value is read from the array kernel's table for time
-    ``n``, which costs O(n^2) float operations in O(n) numpy steps."""
+    ``n``, which costs O(n^2) float operations in O(n) numpy steps once per
+    time and ``|a|``; the last few tables are cached."""
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:
         raise OutOfWindowError(f"x = k/n = {x} outside the oscillatory window ({lo}, {hi})")
     if i not in (0, 1) or not 1 <= k <= n // 2:
         raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
-    return abs(_scaled_jacobi(n, coin.abs_a_sq)[i, k - 1]) * math.sqrt(n)
+    return abs(_jacobi_table(n, coin.abs_a_sq)[i, k - 1]) * math.sqrt(n)
 
 
 def oscillation_scales(coin: Coin, x: float) -> OscillationScales:

@@ -10,22 +10,24 @@ import qwalk1d.cli as cli
 import qwalk1d.engine as engine
 import qwalk1d.limit as limit
 import qwalk1d.paths as paths
+import qwalk1d.symmetry as symmetry
 from qwalk1d.analytic import WalkParams, moment, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin
 
 
-def clear_closed_form_caches():
+def clear_law_caches():
     analytic.law.cache_clear()
     paths._tau.cache_clear()
+    engine.distribution.cache_clear()
 
 
 @pytest.fixture
 def fresh_caches():
-    """Empty closed-form caches, emptied again afterwards, so that nothing a
-    patched kernel computed outlives the test."""
-    clear_closed_form_caches()
+    """Empty law caches of both routes, emptied again afterwards, so that
+    nothing a patched kernel computed outlives the test."""
+    clear_law_caches()
     yield
-    clear_closed_form_caches()
+    clear_law_caches()
 
 
 def run_cli(capsys, argv):
@@ -300,6 +302,9 @@ def test_closed_forms_share_one_law_per_time(capsys, monkeypatch, fresh_caches):
         code, _, _ = run_cli(capsys, [command, "-n", "40", coin])
         assert code == 0
     assert calls == [40]
+    # and one Fourier-route law: the other two commands read the cached one
+    info = engine.distribution.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch, fresh_caches):
@@ -373,6 +378,17 @@ def test_closed_forms_refuse_times_over_the_cap(capsys, monkeypatch, command):
     assert "exceeds the closed-form cap" in err
 
 
+def test_symmetry_refuses_n_max_over_the_cap(capsys, monkeypatch):
+    def no_step(coin, field):
+        raise AssertionError("an over-cap sweep must be refused before the engine steps")
+
+    monkeypatch.setattr(engine, "step", no_step)
+    code, out, err = run_cli(capsys, ["symmetry", "--n-max", str(symmetry.SWEEP_TIME_CAP + 1)])
+    assert code == 2
+    assert out == ""
+    assert "exceeds the sweep cap" in err
+
+
 def test_numerical_health_failure_exits_3(capsys, monkeypatch, fresh_caches):
     monkeypatch.setattr(paths, "_scaled_jacobi", lambda n, a2: np.full((2, n // 2), 1e3))
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
@@ -401,8 +417,11 @@ def test_non_finite_xi_exits_2(capsys, xi):
     ],
 )
 def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_value):
-    # max(worst, nan) keeps worst, so a NaN must fail the gate explicitly
-    monkeypatch.setattr(cli, name, lambda *args: nan_value)
+    # max(worst, nan) keeps worst, so a NaN must fail the gate explicitly.  The
+    # charfn and moments tables take all their points or orders in one call,
+    # so there the closed column gets one NaN per entry.
+    table = command in ("charfn", "moments")
+    monkeypatch.setattr(cli, name, lambda *args: np.full(len(args[-1]), nan_value) if table else nan_value)
     argv = [command, "--n-cap", "2"] if command == "oracle" else [command, "-n", "4"]
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 3

@@ -4,7 +4,8 @@ Whatever the input, ``qwalk1d`` exits 0 (all checks pass), 2 (bad input) or 3
 (a self-check failed), never with a traceback, and a 0 exit never prints NaN.
 A non-positive count (``--xi-points``, ``--max-order``, ``--n-max``,
 ``--grid-points``, ``--n-cap``) is bad input: it never exits 0.  A time over
-the closed-form cap, drawn up to ten times the cap, exits 2 at once.
+the closed-form cap, or a ``--n-max`` over the symmetry sweep's cap, each
+drawn up to ten times its cap, exits 2 at once.
 """
 
 import io
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import qwalk1d.cli as cli
 from qwalk1d.analytic import LAW_TIME_CAP
 from qwalk1d.coin import coin_from_angles
+from qwalk1d.symmetry import SWEEP_TIME_CAP
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
 # st.floats() adds NaN and infinities).
@@ -76,7 +78,9 @@ def argvs(draw):
     elif command == "moments":
         argv.append("--max-order=" + draw(integer(-1, 300)))
     elif command == "symmetry":
-        argv.append("--n-max=" + draw(integer(-1, 64)))
+        # short sweeps, or sweeps over the cap
+        n_max = st.one_of(st.integers(-1, 64), st.integers(SWEEP_TIME_CAP + 1, 10 * SWEEP_TIME_CAP))
+        argv.append("--n-max=" + draw(sometimes_bad(n_max.map(str))))
     elif command == "limit":
         argv.append("--grid-points=" + draw(integer(-1, 200)))
     elif command == "converge":
@@ -112,7 +116,8 @@ def non_positive_count(argv) -> bool:
 
 def over_the_cap(argv) -> bool:
     steps = _int_option(argv, ("--steps=",))
-    return steps is not None and steps > LAW_TIME_CAP
+    n_max = _int_option(argv, ("--n-max=",))
+    return (steps is not None and steps > LAW_TIME_CAP) or (n_max is not None and n_max > SWEEP_TIME_CAP)
 
 
 def run_main(argv):

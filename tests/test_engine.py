@@ -2,11 +2,13 @@ import cmath
 import math
 import time
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
 
 from qwalk1d import engine
+from qwalk1d.analytic import WalkParams, law
 from qwalk1d.coin import (
     Coin,
     Letter,
@@ -115,6 +117,49 @@ def test_distribution_sums_match_direct_numpy_sums(rng):
     for m in (1, 2, 3, 6):
         assert dist.moment(m) == pytest.approx(float(np.dot(ks**m, dist.probs)), rel=1e-13, abs=1e-13)
     assert dist.mean() == dist.moment(1)
+
+
+def reference_characteristic_function(dist, xi: float) -> complex:
+    """The one-point sum of the per-point method: one ``fsum`` per part."""
+    phase = dist.positions * xi
+    return complex(fsum((dist.probs * np.cos(phase)).tolist()), fsum((dist.probs * np.sin(phase)).tolist()))
+
+
+def reference_moment(dist, m: int) -> float:
+    """The one-order sum of the per-order method."""
+    return fsum((dist.positions.astype(float) ** m * dist.probs).tolist())
+
+
+def bits(values) -> list[int]:
+    """The bit patterns of float or complex values, so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 160, 5000))
+@pytest.mark.parametrize("case", ("hadamard", "random", "a_zero", "b_zero"))
+def test_tables_equal_the_per_element_sums_bit_for_bit(case, n, rng):
+    # at n = 5000 a table of 32 points is formed in several blocks of rows
+    coin = random_unitary_coin(rng) if case == "random" else fourier_case(case, rng)
+    qubit = random_qubit(rng)
+    xis = [-math.pi + 2.0 * math.pi * j / 32 for j in range(32)]
+    orders = np.arange(1, 5)
+    for dist in (distribution(coin, qubit, n), law(WalkParams(coin=coin, qubit=qubit), n)):
+        table = dist.characteristic_function(xis)
+        assert table.shape == (32,)
+        assert bits(table) == bits([reference_characteristic_function(dist, xi) for xi in xis])
+        assert bits(dist.moment(orders)) == bits([reference_moment(dist, m) for m in orders])
+        # a scalar argument is the one-entry table
+        one = dist.characteristic_function(xis[5])
+        assert type(one) is complex and bits([one]) == bits(table[5:6])
+        assert type(dist.moment(3)) is float and dist.moment(3) == reference_moment(dist, 3)
+
+
+def test_distribution_is_cached_and_read_only(rng):
+    coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+    dist = distribution(coin, qubit, 40)
+    assert distribution(coin, qubit, 40) is dist
+    with pytest.raises(ValueError):
+        dist.probs[0] = 0.5
 
 
 FOURIER_TIMES = (0, 1, 2, 7, 40, 161, 800, 2000)

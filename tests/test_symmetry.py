@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qwalk1d.engine as engine
 from qwalk1d.analytic import WalkParams
 from qwalk1d.coin import (
     coin_from_angles,
@@ -14,7 +15,14 @@ from qwalk1d.coin import (
     validate_coin,
 )
 from qwalk1d.engine import distribution
-from qwalk1d.symmetry import MEMBERSHIP_TOL, is_symmetric_state, mean_zero_check, symmetry_evidence
+from qwalk1d.errors import CapExceededError
+from qwalk1d.symmetry import (
+    MEMBERSHIP_TOL,
+    SWEEP_TIME_CAP,
+    is_symmetric_state,
+    mean_zero_check,
+    symmetry_evidence,
+)
 
 
 def test_symmetric_state_accepted(hadamard, symmetric_qubit):
@@ -150,3 +158,12 @@ def test_members_at_the_tolerance_pass_both_verdicts(rng):
             assert is_symmetric_state(coin, qubit)
             report = symmetry_evidence(coin, qubit, 300)
             assert report.symmetric and report.zero_mean
+
+
+def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit, monkeypatch):
+    def no_step(coin, field):
+        raise AssertionError("an over-cap sweep must be refused before its first step")
+
+    monkeypatch.setattr(engine, "step", no_step)
+    with pytest.raises(CapExceededError):
+        symmetry_evidence(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
