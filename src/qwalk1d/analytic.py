@@ -12,9 +12,10 @@ and the unit phase common to ``p, q, r, s`` drops out.  The mirror positions
 One call of the package's Jacobi kernel gives the sums of every kk at time
 ``n`` as arrays, and the law is assembled from them by array expressions over
 kk; the extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.  A law
-costs O(n^2) float operations in O(n) numpy steps, about 20 ms at
-``n = 2000`` and 1.1 s at ``n = 20000`` on a 2-vCPU VM; :data:`LAW_TIME_CAP`
-bounds ``n``.
+costs O(n): the kernel's recurrence in kk takes O(n) long double scalar
+steps, and the assembly O(1) numpy array expressions over kk.  That is about
+2-4 ms at ``n = 2000`` and 25-40 ms at ``n = 20000`` on a 2-vCPU VM;
+:data:`LAW_TIME_CAP` bounds ``n``.
 
 For every coin and every time ``n >= 0``, ``law(params, n)`` builds the law
 at time ``n`` once, caches it and returns it as an ``engine.Distribution``,
@@ -27,8 +28,12 @@ sum above is the law of a coin with all entries nonzero.  A coin with
 turns at every step, ``P(X_n = -1) = |beta|^2`` and ``P(X_n = 1) = |alpha|^2``
 at odd ``n`` and ``P(X_n = 0) = 1`` at even ``n``.  At ``n = 0`` the law is
 the atom at 0.  The walk engine is the independent oracle: for ``|a|^2`` from
-0.01 to 0.99 the law is within 5e-14 of it at every position up to
-``n = 5000``, and within 2e-13 on the degenerate coins up to ``n = 2001``.
+0.01 to 0.96 the law is within 8e-14 of it at every position up to
+``n = 20000`` (3e-14 for ``|a|^2 <= 0.5``); at ``|a|^2 = 0.99`` the gap grows
+to 1.1e-13 at ``n = 5000`` and 2.1e-13 at ``n = 20000``.  On the degenerate
+coins it is within 2e-13 up to ``n = 2001``.  These figures rest on the
+kernel's ``np.longdouble``; where that is plain double, the gap at
+``|a|^2 = 0.01`` was measured up to 4.1e-13, inside the 1e-12 gate.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ __all__ = [
     "reduced_mean",
 ]
 
-#: Largest time whose closed-form law is built (about 1.1 s at the cap on a
-#: 2-vCPU VM).
+#: Largest time whose closed-form law is built.  The law costs O(n): about
+#: 25-40 ms at the cap on a 2-vCPU VM.
 LAW_TIME_CAP = 20000
 
 
@@ -178,6 +183,6 @@ def reduced_mean(params: WalkParams, n: int) -> float:
     if n < 3:
         raise ValueError(f"reduced mean needs n >= 3, got {n}")
     coin = params.coin
-    t0, t1 = (t[: (n - 1) // 2] for t in _tau(coin, n))
+    t0, t1 = _tau(coin, n, slice((n - 1) // 2))
     body = fsum(((n - 2 * np.arange(1, t0.size + 1)) ** 2 * (t0 * t1)).tolist())
     return -(params.weight_gap / coin.abs_b_sq) * body

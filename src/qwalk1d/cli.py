@@ -49,6 +49,11 @@ COUNT_OPTIONS = {
     "grid_points": "--grid-points",
     "n_cap": "--n-cap",
 }
+#: Most points a grid option may ask for.  Each point is one table row, held
+#: in memory until the table is written: at the cap, ``limit`` peaks near
+#: 70 MB and ``charfn -n 4`` near 100 MB.
+GRID_POINTS_CAP = 100_000
+GRID_OPTIONS = ("xi_points", "grid_points")
 
 QUBIT_PRESETS = {
     "symmetric": (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)),
@@ -320,6 +325,8 @@ def main(argv=None) -> int:
             count = getattr(args, dest, None)
             if count is not None and count < 1:
                 raise CliInputError(f"{flag} must be >= 1, got {count}")
+            if dest in GRID_OPTIONS and count is not None and count > GRID_POINTS_CAP:
+                raise CliInputError(f"{flag} must be <= {GRID_POINTS_CAP}, got {count}")
         if args.command == "moments" and args.max_order * math.log(max(steps, 1)) > 700.0:
             raise CliInputError(f"moments needs n^m within the float range, got n={steps}, m={args.max_order}")
         coin = _coin_from_args(args)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import engine
 from .analytic import WalkParams
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .errors import CapExceededError, DegenerateCoinError, OutOfWindowError
-from .special import _scaled_jacobi
+from .special import _jacobi_table
 
 __all__ = [
     "LimitDensity",
@@ -245,21 +244,11 @@ def _window(coin: Coin) -> tuple[float, float]:
     return ((1.0 - a) / 2.0, (1.0 + a) / 2.0)
 
 
-@lru_cache(maxsize=8)
-def _jacobi_table(n: int, a2: float) -> np.ndarray:
-    """The Jacobi kernel's table of time ``n`` for ``|a|^2 = a2``, cached and
-    read-only: the envelope is read at neighbouring ``k`` of one time."""
-    table = _scaled_jacobi(n, a2)
-    table.flags.writeable = False
-    return table
-
-
 def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
-    The scaled Jacobi value is read from the array kernel's table for time
-    ``n``, which costs O(n^2) float operations in O(n) numpy steps once per
-    time and ``|a|``; the last few tables are cached."""
+    The scaled Jacobi value is read from the kernel's cached table for time
+    ``n`` and ``|a|``, which costs O(n) long double scalar steps once."""
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:

@@ -16,7 +16,8 @@ is a unit phase times a combination of
 ``u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``; they are never summed
 term by term.  One call of the array kernel
 :func:`qwalk1d.special._scaled_jacobi` gives ``u_0`` and ``u_1`` for every kk
-of a time at once, and :func:`_tau` caches them per coin and time.
+of a time at once; the kernel's table is cached per time and ``|a|^2``, and
+:func:`_tau` scales it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .coin import BRANCH_GENERIC, Coin, Letter, letter_matrix
 from .errors import CapExceededError, DegenerateCoinError, ParityViolationError
-from .special import _scaled_jacobi
+from .special import _jacobi_table
 
 __all__ = [
     "StepCount",
@@ -187,14 +188,13 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     )
 
 
-@lru_cache(maxsize=256)
-def _tau(coin: Coin, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)`` for every ``Xi(l, m)`` with ``l+m = n``,
-    entry ``kk - 1`` for ``kk = min(l, m)``; one kernel call per time, cached and read-only."""
+def _tau(coin: Coin, n: int, cols=slice(None)) -> tuple:
+    """``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)`` for the ``Xi(l, m)`` with ``l+m = n``,
+    entry ``kk - 1`` for ``kk = min(l, m)``, from the cached Jacobi table of time ``n``;
+    ``cols`` picks the entries (an index or a slice; all by default)."""
     a2 = coin.abs_a_sq
-    u = -coin.abs_b_sq / math.sqrt(a2) * _scaled_jacobi(n, a2)
-    u[1] /= np.arange(1, n // 2 + 1)
-    u.flags.writeable = False
+    u = -coin.abs_b_sq / math.sqrt(a2) * _jacobi_table(n, a2)[:, cols]
+    u[1] /= np.arange(1, n // 2 + 1)[cols]
     return u[0], u[1]
 
 
@@ -230,7 +230,7 @@ def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
         return PqrsMatrix(p=zero, q=(det * a.conjugate()) ** (m - 1), r=zero, s=zero, coin=coin)
     _require_generic(coin)
     phase = (a / abs(a)) ** (l - m) * det**m
-    t0, t1 = (t[min(l, m) - 1] for t in _tau(coin, sc.n))
+    t0, t1 = _tau(coin, sc.n, min(l, m) - 1)
     p, q, r, s = (phase * x for x in _mixed_coordinates(coin, l, m, t0, t1))
     return PqrsMatrix(p=p, q=q, r=r, s=s, coin=coin)
 

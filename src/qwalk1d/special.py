@@ -2,7 +2,12 @@
 
 The alternating binomial sums of the path-sum closed form are Jacobi values.
 Every closed form takes them from one float kernel, :func:`_scaled_jacobi`,
-which returns the values of every cluster count ``kk`` of one time as an array.
+which returns the values of every cluster count ``kk`` of one time as an array:
+a three-term recurrence in ``kk``, O(n) scalar steps in ``np.longdouble`` with
+exact power-of-two scaling.  Each value is within 1e-12 relative or 1e-14
+absolute of the exact one; that accuracy rests on the long double (see the
+kernel).
+:func:`_jacobi_table` caches its table per time and ``|a|^2``, read-only.
 The public functions are its exact references: 2F1 summed from its series,
 Jacobi values through it, the Pfaff transformation as a residual diagnostic,
 and the combinatorial-sum/Jacobi-value identities.
@@ -18,6 +23,7 @@ at ``z = 0.3``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -44,12 +50,11 @@ _TERMINATING_CAP = 10_000
 _TERMINATING_BITS_CAP = 830_000
 _SERIES_RTOL = 1e-16
 
-# The recurrence values are divided by this whenever they exceed it, with the
-# factor moved into the log-scale, so nothing overflows for small |a|.
-_RESCALE = 1e150
-_LOG_RESCALE = math.log(_RESCALE)
-# Degree steps whose recurrence coefficients are formed in one broadcast.
-_BLOCK = 32
+# The Jacobi recurrence divides its running values by 2^_SCALE_BITS whenever
+# one passes it; the exponent is carried as an int.
+_SCALE_BITS = 500
+_SCALE_LIMIT = np.ldexp(np.longdouble(1.0), _SCALE_BITS)
+_SCALE_DOWN = np.ldexp(np.longdouble(1.0), -_SCALE_BITS)
 
 
 def gamma_value(x: float) -> float:
@@ -213,51 +218,81 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     return lhs, rhs
 
 
+def _power(x: np.longdouble, e: int) -> tuple[np.longdouble, int]:
+    """``x^e`` for ``x > 0`` and ``e >= 0`` as ``(mantissa, exponent)``, by
+    squaring in long double with the exponents carried as ints, so that no
+    step overflows or underflows."""
+    result, result_exp = np.longdouble(1.0), 0
+    base, base_exp = np.frexp(x)
+    base_exp = int(base_exp)
+    while e:
+        if e & 1:
+            result, shift = np.frexp(result * base)
+            result_exp += int(shift) + base_exp
+        base, shift = np.frexp(base * base)
+        base_exp = 2 * base_exp + int(shift)
+        e >>= 1
+    return result, result_exp
+
+
 def _scaled_jacobi(n: int, a2: float) -> np.ndarray:
     """Every Jacobi value of time ``n``, as a ``(2, n // 2)`` array.
 
-    Row ``i``, column ``kk - 1`` holds ``|a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``
-    for ``|a|^2 = a2``.  One three-term recurrence in the degree (DLMF 18.9.2)
-    runs for every entry at once: at degree step ``m`` only the entries of
-    degree above ``m``, a contiguous suffix, move on, and an entry's value is
-    final once ``m`` reaches its degree.  Each entry applies its own
-    ``|a|^(n-2kk)``, which underflows for small ``|a|``, as a log-scale at the
-    end; its running values are divided by ``_RESCALE`` whenever they exceed
-    it.  The recurrence coefficients of ``_BLOCK`` steps are formed together,
-    so the scratch memory is O(``_BLOCK`` n).  O(n^2) float operations in
-    O(n) numpy steps.
+    Row ``i``, column ``kk - 1`` holds ``u_i(kk) = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``
+    for ``|a|^2 = a2``.  With ``w = 1 - a2`` and ``s = 2kk(kk - n)``, both rows
+    obey one three-term recurrence in the cluster count (from the contiguous
+    2F1 relations, DLMF 15.5(ii))::
+
+        kk(kk-n+1)(2kk-n-1) u_i(kk+1)
+            = (2kk-n) [s + (1-i)(n-1) + w (s + (n+i)(n-1))] / a2 u_i(kk)
+              - (kk-1+i)(kk-n-i)(2kk-n+1) u_i(kk-1),
+
+    run forward from ``u_i(0) = 0`` and ``u_i(1) = |a|^(n-2)``: O(n) scalar
+    steps in ``np.longdouble``, with the integer coefficients (up to about
+    n^3) exact below 2^64.  The factor ``|a|^(n-2)`` is left out of the steps
+    and put in once at the end, as a long double mantissa times a power of
+    two; the running values are divided by ``2^_SCALE_BITS`` whenever they
+    pass it.  So no value overflows or underflows for small ``|a|``, every
+    rescaling is exact, and each entry is rounded to double once.  About
+    0.2-0.3 ms at ``n = 160`` and 25-40 ms at ``n = 20000`` on a 2-vCPU VM.
+
+    The accuracy rests on ``np.longdouble``, which has a 64-bit mantissa on
+    x86-64 Linux.  Where it is plain double (macOS arm64, Windows), the law
+    was measured up to 4.1e-13 from the engine at ``|a|^2 = 0.01``, inside
+    the 1e-12 gate but further than here (under 5e-14).
     """
     size = n // 2
-    x = 2.0 * a2 - 1.0
-    alpha = np.arange(2.0)[:, None]
-    beta = n - 2.0 * np.arange(1, size + 1)
-    log_scale = np.tile(0.5 * beta * math.log(a2), (2, 1))
-    # The two running degrees alternate between the two buffers: step m writes
-    # degree m + 1 over degree m - 1.  Degree 0 stays in the first buffer.
-    bufs = (np.ones((2, size)), (alpha + 1) + (alpha + beta + 2) * (x - 1.0) / 2.0)
-    scratch = np.empty((2, size))
-    for m0 in range(1, size - 1, _BLOCK):
-        m = np.arange(m0, min(m0 + _BLOCK, size - 1), dtype=float)[:, None, None]
-        b = beta[m0 + 1:]
-        s = 2 * m + alpha + b
-        grow = (s + 1) * ((s + 2) * s * x + alpha * alpha - b * b)
-        fall = 2 * (m + alpha) * (m + b) * (s + 2)
-        den = 2 * (m + 1) * (m + alpha + b + 1) * s
-        for t in range(len(m)):
-            step = m0 + t
-            new, cur = bufs[(step + 1) % 2][:, step + 1:], bufs[step % 2][:, step + 1:]
-            tmp = scratch[:, step + 1:]
-            np.multiply(new, fall[t, :, t:], out=new)
-            np.multiply(cur, grow[t, :, t:], out=tmp)
-            np.subtract(tmp, new, out=new)
-            np.divide(new, den[t, :, t:], out=new)
-            np.abs(new, out=tmp)
-            if tmp.max() > _RESCALE:
-                big = tmp > _RESCALE
-                new[big] /= _RESCALE
-                cur[big] /= _RESCALE
-                log_scale[:, step + 1:][big] += _LOG_RESCALE
-    # degree j was last written by step j - 1: even j in the first buffer
-    values = np.where(np.arange(size) % 2 == 0, *bufs)
-    with np.errstate(divide="ignore"):
-        return np.copysign(np.exp(np.log(np.abs(values)) + log_scale), values)
+    if size == 0:
+        return np.empty((2, 0))
+    a2l = np.longdouble(a2)
+    inv, ratio = 1 / a2l, (1 - a2l) / a2l
+    prev0 = prev1 = np.longdouble(0.0)
+    cur0 = cur1 = np.longdouble(1.0)
+    values, exps, exp = [(cur0, cur1)], [0], 0
+    for kk in range(1, size):
+        s, g, back = 2 * kk * (kk - n), 2 * kk - n, 2 * kk - n + 1
+        den = kk * (kk - n + 1) * (2 * kk - n - 1)
+        cur0, prev0 = (((g * (s + n - 1)) * inv + (g * (s + n * (n - 1))) * ratio) * cur0
+                       - ((kk - 1) * (kk - n) * back) * prev0) / den, cur0
+        cur1, prev1 = (((g * s) * inv + (g * (s + (n + 1) * (n - 1))) * ratio) * cur1
+                       - (kk * (kk - n - 1) * back) * prev1) / den, cur1
+        if abs(cur0) > _SCALE_LIMIT or abs(cur1) > _SCALE_LIMIT:
+            cur0, cur1, prev0, prev1 = (v * _SCALE_DOWN for v in (cur0, cur1, prev0, prev1))
+            exp += _SCALE_BITS
+        values.append((cur0, cur1))
+        exps.append(exp)
+    # |a|^(n-2) = a2^((n-2)//2), times |a| for odd n
+    mantissa, power_exp = _power(a2l, (n - 2) // 2)
+    if n % 2:
+        mantissa *= np.sqrt(a2l)
+    table = np.array(values, dtype=np.longdouble).T * mantissa
+    return np.ldexp(table, np.array(exps) + power_exp).astype(float)
+
+
+@lru_cache(maxsize=256)
+def _jacobi_table(n: int, a2: float) -> np.ndarray:
+    """The table of :func:`_scaled_jacobi`, cached per ``(n, a2)`` and read-only:
+    the path sums, the law and the limit envelope all read this one copy."""
+    table = _scaled_jacobi(n, a2)
+    table.flags.writeable = False
+    return table

@@ -297,6 +297,25 @@ class TestJacobiKernel:
                     expected = rho_value(n, kk, i, a2) * math.sqrt(a2) ** (n - 2 * kk)
                     assert table[i, kk - 1] == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
+    def test_kernel_matches_mpmath_at_the_cap(self):
+        # At |a|^2 = 0.01 and n = 20000, |a|^(n-2) is about 1e-20000, so the
+        # scaling decides the accuracy: taken through exp of its logarithm in
+        # double, the entries at kk = n/2 were about 6e-12 off (relative).
+        mpmath = pytest.importorskip("mpmath")
+        n, a2 = 20000, 0.01
+        table = special._scaled_jacobi(n, a2)
+        for i in (0, 1):  # kk = n/2, where the mpmath series is shortest
+            with mpmath.workdps(30):
+                exact = mpmath.jacobi(n // 2 - 1, i, 0, 2 * mpmath.mpf(a2) - 1)
+            assert table[i, -1] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 8, 60, 1000, 2000, 20000])
+    def test_hadamard_zero_entries(self, n):
+        # At |a|^2 = 1/2 and kk = n/2 the entry is the Legendre value
+        # P_(n/2-1)(0), exactly zero for odd degree: the recurrence reaches it
+        # by cancellation, so it is near zero, not zero.
+        assert special._scaled_jacobi(n, 0.5)[0, n // 2 - 1] == pytest.approx(0.0, abs=1e-14)
+
     def test_small_amplitude_coin_against_engine(self, rng):
         # |a| ~ 0.12: summed term by term, the alternating sums would cancel
         # about 11 digits at n = 14.
@@ -320,9 +339,10 @@ class TestJacobiKernel:
         coin = coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3))
         assert worst_engine_gap(coin, random_qubit(rng), n) <= 1e-12
 
-    @pytest.mark.parametrize("n", [1000, 2000, 5000])
+    @pytest.mark.parametrize("n", [1000, 2000, 5000, 20000])
     def test_law_against_engine_at_large_n(self, rng, n):
-        # |a|^2 ~ 0.01 runs the rescale branch: rho_value itself overflows there.
+        # |a|^2 ~ 0.01 runs the power-of-two scaling: rho_value itself overflows
+        # there, and at n = 20000 |a|^(n-2) is about 1e-20000.
         coins = [hadamard_coin()] + [
             coin_from_angles(theta, *rng.uniform(0.0, 2.0 * math.pi, 3)) for theta in (1.4706, 0.1002)
         ]

@@ -9,7 +9,7 @@ import qwalk1d.analytic as analytic
 import qwalk1d.cli as cli
 import qwalk1d.engine as engine
 import qwalk1d.limit as limit
-import qwalk1d.paths as paths
+import qwalk1d.special as special
 import qwalk1d.symmetry as symmetry
 from qwalk1d.analytic import WalkParams, moment, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin
@@ -17,7 +17,7 @@ from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary
 
 def clear_law_caches():
     analytic.law.cache_clear()
-    paths._tau.cache_clear()
+    special._jacobi_table.cache_clear()
     engine.distribution.cache_clear()
 
 
@@ -144,7 +144,7 @@ def test_symmetry_builds_no_closed_form_law(capsys, monkeypatch, fresh_caches):
     def no_kernel(*args):
         raise AssertionError("symmetry must read the engine's laws only")
 
-    monkeypatch.setattr(paths, "_scaled_jacobi", no_kernel)
+    monkeypatch.setattr(special, "_scaled_jacobi", no_kernel)
     code, out, err = run_cli(
         capsys, ["symmetry", "--n-max", "40", "--coin=0.6,0.0,0.8,0.0,0.8,0.0,-0.6,0.0", "--format", "json"]
     )
@@ -285,13 +285,13 @@ def test_converge_evolves_each_time_once(capsys, monkeypatch):
 def count_kernel_calls(monkeypatch):
     """Record, from now on, the time of every Jacobi kernel call."""
     calls = []
-    true_kernel = paths._scaled_jacobi
+    true_kernel = special._scaled_jacobi
 
     def counting(n, a2):
         calls.append(n)
         return true_kernel(n, a2)
 
-    monkeypatch.setattr(paths, "_scaled_jacobi", counting)
+    monkeypatch.setattr(special, "_scaled_jacobi", counting)
     return calls
 
 
@@ -390,7 +390,7 @@ def test_symmetry_refuses_n_max_over_the_cap(capsys, monkeypatch):
 
 
 def test_numerical_health_failure_exits_3(capsys, monkeypatch, fresh_caches):
-    monkeypatch.setattr(paths, "_scaled_jacobi", lambda n, a2: np.full((2, n // 2), 1e3))
+    monkeypatch.setattr(special, "_scaled_jacobi", lambda n, a2: np.full((2, n // 2), 1e3))
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])
     assert code == 3
     assert out == ""
@@ -495,6 +495,29 @@ def test_non_positive_counts_exit_2(capsys, argv, flag):
     assert out == ""
     assert flag in err
     assert "Traceback" not in err
+
+
+class GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, flag", [(["charfn", "-n", "4", "--xi-points"], "--xi-points"), (["limit", "--grid-points"], "--grid-points")]
+)
+def test_grid_counts_over_the_cap_exit_2(capsys, monkeypatch, argv, flag):
+    # the grid builders raise, so no count here allocates a grid
+    def no_grid(*args, **kwargs):
+        raise GridBuilt
+
+    monkeypatch.setattr(cli, "_xi_grid", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, out, err = run_cli(capsys, argv + [str(cli.GRID_POINTS_CAP + 1)])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be <= {cli.GRID_POINTS_CAP}" in err
+    assert "Traceback" not in err
+    with pytest.raises(GridBuilt):  # the cap itself is accepted
+        cli.main(argv + [str(cli.GRID_POINTS_CAP)])
 
 
 def test_time_zero_charfn_and_moments(capsys):

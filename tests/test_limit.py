@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qwalk1d.engine as engine
-import qwalk1d.limit as limit
+import qwalk1d.special as special
 from qwalk1d.coin import (
     coin_from_angles,
     make_qubit,
@@ -344,14 +344,14 @@ class TestEnvelope:
     def test_neighbouring_k_share_one_kernel_call(self, monkeypatch):
         # the callers read about five neighbouring k of one time: one table
         calls = []
-        true_kernel = limit._scaled_jacobi
+        true_kernel = special._scaled_jacobi
 
         def counting(n, a2):
             calls.append(n)
             return true_kernel(n, a2)
 
-        monkeypatch.setattr(limit, "_scaled_jacobi", counting)
-        limit._jacobi_table.cache_clear()
+        monkeypatch.setattr(special, "_scaled_jacobi", counting)
+        special._jacobi_table.cache_clear()
         coin, n = real_coin(0.3), 1000
         for k in range(448, 453):
             exact = abs(rho_value(n, k, 0, coin.abs_a_sq)) * abs(coin.a) ** (n - 2 * k) * math.sqrt(n)

@@ -1,10 +1,12 @@
 import math
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+import qwalk1d.special as special
 from qwalk1d.coin import hadamard_coin, random_unitary_coin, real_coin, validate_coin
 from qwalk1d.errors import CapExceededError, DegenerateCoinError, NonConvergentError, PoleAtCError
 from qwalk1d.special import (
@@ -199,6 +201,31 @@ class TestJacobi:
             rho_value(10, 6, 0, 0.5)
         with pytest.raises(ValueError):
             rho_value(10, 3, 2, 0.5)
+
+
+def fraction_scaled_jacobi(n, kk, i, abs_a):
+    """``|a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)`` in ``Fraction`` arithmetic,
+    from the explicit sum of DLMF 18.5.8: at ``x = 2|a|^2 - 1``,
+    ``(x - 1)/2 = -|b|^2`` and ``(x + 1)/2 = |a|^2``."""
+    a2, m, beta = abs_a**2, kk - 1, n - 2 * kk
+    terms = (comb(m + i, m - s) * comb(m + beta, s) * (a2 - 1) ** s * a2 ** (m - s) for s in range(m + 1))
+    return abs_a**beta * sum(terms)
+
+
+class TestJacobiRecurrence:
+    """The kernel's recurrence in the cluster count, row by row, against exact values."""
+
+    # dyadic |a|, so that |a|^(n-2kk) is rational at odd n too: |a|^2 ~ 0.01, 0.14, 0.49, 0.98
+    @pytest.mark.parametrize("abs_a", [Fraction(13, 128), Fraction(3, 8), Fraction(45, 64), Fraction(127, 128)])
+    def test_both_rows_match_exact_values(self, abs_a):
+        a2 = float(abs_a**2)
+        assert Fraction(a2) == abs_a**2
+        for n in range(2, 61):
+            table = special._scaled_jacobi(n, a2)
+            for kk in sorted({1, 2, 3, n // 2 - 1, n // 2} & set(range(1, n // 2 + 1))):
+                for i in (0, 1):
+                    exact = float(fraction_scaled_jacobi(n, kk, i, abs_a))
+                    assert table[i, kk - 1] == pytest.approx(exact, rel=1e-14), (n, kk, i)
 
 
 class TestSumIdentity:
