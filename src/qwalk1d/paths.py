@@ -4,8 +4,11 @@ The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
 amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
 compute ``Xi`` by enumeration and by the explicit binomial sums.  The
-enumeration forms each time's ``2^n`` words once per coin and caches their
-sums, one per ``l``, each entry correctly rounded.  The production
+enumeration forms each time's ``2^n`` words, each from the last time's by one
+letter, and keeps of each product only the row that its first letter leaves
+nonzero.  The words are grouped by their number of P's, and each group is
+summed with ``math.fsum``, so each entry is correctly rounded.  The binomial
+sums read every power of a coin entry from one list per time.  The production
 route is the closed form over the cluster count, where each letter coordinate
 is a unit phase times a combination of
 
@@ -18,10 +21,18 @@ term by term.  One call of the array kernel
 :func:`qwalk1d.special._scaled_jacobi` gives ``u_0`` and ``u_1`` for every kk
 of a time at once; the kernel's table is cached per time and ``|a|^2``, and
 :func:`_tau` scales it.
+
+:func:`path_sums_by_time` is the ``oracle`` command's pass: for each time up
+to ``n_max`` it gives ``Xi(l, n - l)`` for every ``l`` by all three routes.
+It enumerates each time's words once, scales each time's Jacobi entries once,
+and forms each time's coin powers once.  Its rows equal the per-entry
+functions bit for bit, because both call the same scalar helpers.  The
+per-entry enumeration caches the sums of each coin and time but not the words.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +52,7 @@ __all__ = [
     "path_sum_coefficients",
     "closed_form_coefficients",
     "path_sum",
+    "path_sums_by_time",
 ]
 
 #: Largest l+m the brute-force oracle will enumerate (C(14,7) = 3432 words).
@@ -105,23 +117,66 @@ def cluster_count(gamma: int, l: int, m: int) -> int:
     return math.comb(l - 1, gamma) * math.comb(m - 1, gamma - 1)
 
 
+def _block_edges(n: int) -> list[int]:
+    """Where each block of the words of length ``n`` starts, by P count, and where the last ends."""
+    return list(itertools.accumulate((math.comb(n, l) for l in range(n + 1)), initial=0))
+
+
+def _word_rows(coin: Coin):
+    """Yield, for time 1, 2, 3, ..., the products of all its ``2^n`` words, as the
+    ``(2, 2, 2^(n-1))`` array of their nonzero rows.
+
+    A word's first letter leaves one row of its product nonzero: row 0 for P,
+    row 1 for Q.  Entry ``[0, :, w]`` is row 0 of ``P t_w`` and ``[1, :, w]``
+    row 1 of ``Q t_w``, for the tails ``t_w`` of length ``n - 1``.  Each
+    time's tails are the last time's with one letter appended on the right,
+    each row computed as the full product's row would be.  The tails with
+    ``j`` P's fill one contiguous block, the blocks in order of ``j``: block
+    ``j`` of the next time is block ``j`` times Q, then block ``j - 1`` times P.
+    """
+    letters = (letter_matrix(coin, Letter.P), letter_matrix(coin, Letter.Q))
+    identity = np.eye(2, dtype=np.complex128)[:, :, None]
+    p_word, q_word = (identity[:, :1] * x[0, :, None] + identity[:, 1:] * x[1, :, None] for x in letters)
+    rows = np.stack([p_word[0], q_word[1]])
+    for n in itertools.count(1):
+        yield rows
+        with_p, with_q = (rows[:, :1] * x[0, :, None] + rows[:, 1:] * x[1, :, None] for x in letters)
+        edges = _block_edges(n - 1)
+        rows = np.concatenate(
+            [part[:, :, lo:hi] for lo, hi in zip(edges, edges[1:]) for part in (with_q, with_p)], axis=2
+        )
+
+
+def _block_sums(rows: np.ndarray) -> np.ndarray:
+    """Slot ``l`` is the sum of the products of all the words with ``l`` P's of
+    one :func:`_word_rows` time, each entry correctly rounded, as an
+    ``(n + 1, 2, 2)`` array.
+
+    Tail block ``j`` gives row 0 of slot ``j + 1`` (words ``P t``) and row 1 of
+    slot ``j`` (words ``Q t``).  The other rows are exact zeros, which leave a
+    ``math.fsum`` unchanged, so they are not summed.
+    """
+    n = rows.shape[2].bit_length()
+    edges = _block_edges(n - 1)
+    # re and im of each entry of row 0 of the P words, then of row 1 of the Q words;
+    # fsum reads a memoryview's floats one at a time, with no list of them
+    parts = [memoryview(part) for part in np.stack([rows.real, rows.imag], axis=2).reshape(8, -1)]
+    block = np.array([[math.fsum(part[lo:hi]) for part in parts] for lo, hi in zip(edges, edges[1:])])
+    block = block.view(np.complex128).reshape(n, 2, 2)
+    sums = np.zeros((n + 1, 2, 2), dtype=np.complex128)
+    sums[1:, 0] = block[:, 0]
+    sums[:-1, 1] = block[:, 1]
+    return sums
+
+
 @lru_cache(maxsize=256)
 def _word_sums(coin: Coin, n: int) -> np.ndarray:
-    """Slot ``l`` is the sum of the products of all length-``n`` words with ``l``
-    P's, each entry correctly rounded (``math.fsum``); cached and read-only."""
-    letters = (letter_matrix(coin, Letter.P), letter_matrix(coin, Letter.Q))
-    words = np.eye(2, dtype=np.complex128)[:, :, None]  # axis 2 runs over words
-    lefts = np.zeros(1, dtype=np.int64)
-    for _ in range(n):  # append one letter on the right of every word
-        words = np.concatenate(
-            [words[:, :1] * x[0, :, None] + words[:, 1:] * x[1, :, None] for x in letters], axis=2
-        )
-        lefts = np.concatenate([lefts + 1, lefts])
-    sums = np.array([
-        [complex(math.fsum(e.real.tolist()), math.fsum(e.imag.tolist()))
-         for e in words[:, :, lefts == l].reshape(4, -1)]
-        for l in range(n + 1)
-    ]).reshape(n + 1, 2, 2)
+    """:func:`_block_sums` of time ``n`` (the identity at ``n = 0``), cached per coin
+    and read-only; the words are not kept."""
+    if n == 0:
+        sums = np.eye(2, dtype=np.complex128)[None]
+    else:
+        sums = _block_sums(next(itertools.islice(_word_rows(coin), n - 1, None)))
     sums.flags.writeable = False
     return sums
 
@@ -130,9 +185,10 @@ def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
     Forms every word's product on its own, one letter at a time; all ``2^n``
-    words of time ``n = l + m`` are enumerated once per coin and cached, and
-    each entry of the sum is correctly rounded.  Exponential in ``n``; refuses
-    beyond :data:`ENUMERATION_CAP`.  Returns a fresh, writeable array.
+    words of time ``n = l + m`` are enumerated once per coin, and their sums
+    by P count are cached, each entry correctly rounded.  Exponential in
+    ``n``; refuses beyond :data:`ENUMERATION_CAP`.  Returns a fresh,
+    writeable array.
     """
     if sc.n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")
@@ -146,46 +202,53 @@ def _require_generic(coin: Coin) -> None:
         )
 
 
+def _powers(coin: Coin, n: int) -> tuple:
+    """The lists ``[x ** j for j < n]`` for each coin entry ``x`` in ``(a, b, c, d)``:
+    every power the binomial sums of time ``n`` read."""
+    return tuple([x**j for j in range(n)] for x in (coin.a, coin.b, coin.c, coin.d))
+
+
+def _coefficients(coin: Coin, l: int, m: int, powers: tuple) -> PqrsMatrix:
+    """The binomial sums of :func:`path_sum_coefficients`, ``l + m >= 1``, with the
+    coin's powers read from the :func:`_powers` lists of time ``l + m``."""
+    pa, pb, pc, pd = powers
+    zero = complex(0.0)
+    if m == 0:
+        return PqrsMatrix(p=pa[l - 1], q=zero, r=zero, s=zero, coin=coin)
+    if l == 0:
+        return PqrsMatrix(p=zero, q=pd[m - 1], r=zero, s=zero, coin=coin)
+    _require_generic(coin)
+
+    p_sum = sum(
+        math.comb(l - 1, g) * math.comb(m - 1, g - 1) * pa[l - g - 1] * pb[g] * pc[g] * pd[m - g]
+        for g in range(1, min(l - 1, m) + 1)
+    )
+    q_sum = sum(
+        math.comb(l - 1, g - 1) * math.comb(m - 1, g) * pa[l - g] * pb[g] * pc[g] * pd[m - g - 1]
+        for g in range(1, min(l, m - 1) + 1)
+    )
+    r_sum = sum(
+        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1) * pa[l - g] * pb[g] * pc[g - 1] * pd[m - g]
+        for g in range(1, min(l, m) + 1)
+    )
+    s_sum = sum(
+        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1) * pa[l - g] * pb[g - 1] * pc[g] * pd[m - g]
+        for g in range(1, min(l, m) + 1)
+    )
+    return PqrsMatrix(
+        p=complex(p_sum), q=complex(q_sum), r=complex(r_sum), s=complex(s_sum), coin=coin
+    )
+
+
 def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     """Letter-basis coordinates of the path sum via the explicit binomial sums.
 
     Branches: pure-left words give ``p = a^(l-1)`` only, pure-right words give
     ``q = d^(m-1)`` only; mixed words need all coin entries nonzero.
     """
-    l, m = sc.l, sc.m
     if sc.n < 1:
         raise ValueError("path sums are defined for l + m >= 1")
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    zero = complex(0.0)
-    if m == 0:
-        return PqrsMatrix(p=a ** (l - 1), q=zero, r=zero, s=zero, coin=coin)
-    if l == 0:
-        return PqrsMatrix(p=zero, q=d ** (m - 1), r=zero, s=zero, coin=coin)
-    _require_generic(coin)
-
-    p_sum = sum(
-        math.comb(l - 1, g) * math.comb(m - 1, g - 1)
-        * a ** (l - g - 1) * b**g * c**g * d ** (m - g)
-        for g in range(1, min(l - 1, m) + 1)
-    )
-    q_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g)
-        * a ** (l - g) * b**g * c**g * d ** (m - g - 1)
-        for g in range(1, min(l, m - 1) + 1)
-    )
-    r_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1)
-        * a ** (l - g) * b**g * c ** (g - 1) * d ** (m - g)
-        for g in range(1, min(l, m) + 1)
-    )
-    s_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1)
-        * a ** (l - g) * b ** (g - 1) * c**g * d ** (m - g)
-        for g in range(1, min(l, m) + 1)
-    )
-    return PqrsMatrix(
-        p=complex(p_sum), q=complex(q_sum), r=complex(r_sum), s=complex(s_sum), coin=coin
-    )
+    return _coefficients(coin, sc.l, sc.m, _powers(coin, sc.n))
 
 
 def _tau(coin: Coin, n: int, cols=slice(None)) -> tuple:
@@ -212,16 +275,10 @@ def _mixed_coordinates(coin: Coin, l, m, t0, t1) -> tuple:
     )
 
 
-def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
-    """Letter-basis coordinates via the closed form over the cluster count.
-
-    Pure-left words give ``p = a^(l-1)`` only, pure-right words give
-    ``q = (det conj(a))^(m-1)`` only; mixed words need all coin entries nonzero
-    and take their alternating sums from the Jacobi kernel (:func:`_tau`).
-    """
-    l, m = sc.l, sc.m
-    if sc.n < 1:
-        raise ValueError("path sums are defined for l + m >= 1")
+def _closed_form(coin: Coin, l: int, m: int, tau: tuple | None = None) -> PqrsMatrix:
+    """The closed form of :func:`closed_form_coefficients`, ``l + m >= 1``.  ``tau``
+    is the pair of :func:`_tau` arrays of every kk at time ``l + m``; without it
+    the one entry needed is read from the Jacobi table."""
     a, det = coin.a, coin.delta
     zero = complex(0.0)
     if m == 0:
@@ -229,12 +286,55 @@ def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     if l == 0:
         return PqrsMatrix(p=zero, q=(det * a.conjugate()) ** (m - 1), r=zero, s=zero, coin=coin)
     _require_generic(coin)
+    kk = min(l, m)
+    t0, t1 = _tau(coin, l + m, kk - 1) if tau is None else (tau[0][kk - 1], tau[1][kk - 1])
     phase = (a / abs(a)) ** (l - m) * det**m
-    t0, t1 = _tau(coin, sc.n, min(l, m) - 1)
     p, q, r, s = (phase * x for x in _mixed_coordinates(coin, l, m, t0, t1))
     return PqrsMatrix(p=p, q=q, r=r, s=s, coin=coin)
+
+
+def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
+    """Letter-basis coordinates via the closed form over the cluster count.
+
+    Pure-left words give ``p = a^(l-1)`` only, pure-right words give
+    ``q = (det conj(a))^(m-1)`` only; mixed words need all coin entries nonzero
+    and take their alternating sums from the Jacobi kernel (:func:`_tau`).
+    """
+    if sc.n < 1:
+        raise ValueError("path sums are defined for l + m >= 1")
+    return _closed_form(coin, sc.l, sc.m)
 
 
 def path_sum(coin: Coin, sc: StepCount) -> np.ndarray:
     """The path-sum operator as a 2x2 matrix, via the closed form."""
     return closed_form_coefficients(coin, sc).materialize()
+
+
+def path_sums_by_time(coin: Coin, n_max: int) -> list[tuple]:
+    """``Xi(l, n - l)`` by all three routes of this module, one pass per time.
+
+    One ``(n, ls, exhaustive, closed, coefficients)`` per time ``n = 1..n_max``:
+    the three are ``(len(ls), 2, 2)`` arrays whose row ``j`` is the path sum of
+    ``l = ls[j]`` by :func:`path_sum_exhaustive`, :func:`path_sum` and
+    :func:`path_sum_coefficients`, bit for bit.  ``ls`` runs over ``0..n``,
+    or is ``[0, n]`` for a degenerate coin, which has no mixed path sums.
+    Each time's words extend the last time's by one letter, its Jacobi
+    entries are scaled once and its coin powers formed once; the words are
+    dropped as the pass moves on.  Refuses ``n_max`` beyond
+    :data:`ENUMERATION_CAP` before any work.
+    """
+    if n_max > ENUMERATION_CAP:
+        raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {n_max}")
+    out = []
+    for n, rows in zip(range(1, n_max + 1), _word_rows(coin)):
+        ls = [0, n] if coin.is_degenerate else list(range(n + 1))
+        tau = None if coin.is_degenerate else _tau(coin, n)
+        powers = _powers(coin, n)
+        out.append((
+            n,
+            ls,
+            _block_sums(rows)[ls],
+            np.array([_closed_form(coin, l, n - l, tau).materialize() for l in ls]),
+            np.array([_coefficients(coin, l, n - l, powers).materialize() for l in ls]),
+        ))
+    return out

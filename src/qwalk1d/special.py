@@ -17,7 +17,11 @@ series or binomial sum is carried as one integer numerator over one integer
 denominator, never reduced, and rounded once by the correctly rounded integer
 true division; the result is the float nearest the exact sum.  A terminating
 2F1 is limited to 10,000 terms and to integers of the size 10,000 terms reach
-at ``z = 0.3``.
+at ``z = 0.3``.  The exact terminating series are memoised on their
+arguments in a bounded LRU cache of 256 entries (errors are not stored).
+``jacobi_sum_identity`` and the left side of ``pfaff_residual`` ask for the
+same series at the same ``(n, k, i)``, so a Jacobi/Pfaff sweep sums each of
+those series once.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ _TERMINATING_CAP = 10_000
 # grows with the square of that size; a tiny z adds about 1,000 bits a term.
 # Capped at what 10,000 terms reach at z = 0.3 with half-integer b and c.
 _TERMINATING_BITS_CAP = 830_000
+# Terminating series kept by the memo.  A Jacobi/Pfaff sweep asks for each
+# rho series twice in a row (the identity's right side, then the Pfaff
+# residual's left side), so a short memo serves it.
+_TERMINATING_MEMO = 256
 _SERIES_RTOL = 1e-16
 
 # The Jacobi recurrence divides its running values by 2^_SCALE_BITS whenever
@@ -109,26 +117,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     stop = _termination_index(a, b)
     _check_pole(c, stop)
     if stop is not None:
-        if stop >= _TERMINATING_CAP:
-            raise CapExceededError(
-                f"terminating series of {stop + 1} terms exceeds the cap of {_TERMINATING_CAP}"
-            )
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        (cn, cd), (zn, zd) = c.as_integer_ratio(), z.as_integer_ratio()
-        # bounds every step denominator (c_n + j c_d)(j+1) a_d b_d z_d, j < stop
-        size = (stop + 1) * ((abs(cn) + stop * cd) * stop * ad * bd * zd).bit_length()
-        if size > _TERMINATING_BITS_CAP:
-            raise CapExceededError(
-                f"terminating series of {stop + 1} terms would carry {size} bits, "
-                f"over the cap of {_TERMINATING_BITS_CAP}"
-            )
-        # r_j = (a+j)(b+j)z / ((c+j)(j+1)) = N_j / D_j, innermost term first.
-        num = den = 1
-        for j in range(stop - 1, -1, -1):
-            step_den = (cn + j * cd) * (j + 1) * ad * bd * zd
-            step_num = (an + j * ad) * (bn + j * bd) * zn * cd
-            num, den = den * step_den + step_num * num, den * step_den
-        return num / den
+        return _terminating_sum(a, b, c, z, stop)
     if abs(z) >= 1.0:
         raise NonConvergentError(f"series does not converge for |z| = {abs(z)} >= 1")
     term = 1.0
@@ -139,6 +128,32 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         if abs(term) < _SERIES_RTOL * abs(total):
             return total
     raise NonConvergentError(f"series cap of {_SERIES_CAP} terms hit at z = {z}")
+
+
+@lru_cache(maxsize=_TERMINATING_MEMO)
+def _terminating_sum(a: float, b: float, c: float, z: float, stop: int) -> float:
+    """The exact terminating series of :func:`hyp2f1`, last nonzero term ``stop``,
+    memoised on its floats (a raised cap is not stored, so it is raised again)."""
+    if stop >= _TERMINATING_CAP:
+        raise CapExceededError(
+            f"terminating series of {stop + 1} terms exceeds the cap of {_TERMINATING_CAP}"
+        )
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    (cn, cd), (zn, zd) = c.as_integer_ratio(), z.as_integer_ratio()
+    # bounds every step denominator (c_n + j c_d)(j+1) a_d b_d z_d, j < stop
+    size = (stop + 1) * ((abs(cn) + stop * cd) * stop * ad * bd * zd).bit_length()
+    if size > _TERMINATING_BITS_CAP:
+        raise CapExceededError(
+            f"terminating series of {stop + 1} terms would carry {size} bits, "
+            f"over the cap of {_TERMINATING_BITS_CAP}"
+        )
+    # r_j = (a+j)(b+j)z / ((c+j)(j+1)) = N_j / D_j, innermost term first.
+    num = den = 1
+    for j in range(stop - 1, -1, -1):
+        step_den = (cn + j * cd) * (j + 1) * ad * bd * zd
+        step_num = (an + j * ad) * (bn + j * bd) * zn * cd
+        num, den = den * step_den + step_num * num, den * step_den
+    return num / den
 
 
 def pfaff_residual(a: float, b: float, c: float, z: float) -> float:

@@ -9,10 +9,11 @@ import qwalk1d.analytic as analytic
 import qwalk1d.cli as cli
 import qwalk1d.engine as engine
 import qwalk1d.limit as limit
+import qwalk1d.paths as paths
 import qwalk1d.special as special
 import qwalk1d.symmetry as symmetry
 from qwalk1d.analytic import WalkParams, moment, position_probability
-from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin
+from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 
 
 def clear_law_caches():
@@ -329,13 +330,13 @@ def test_oracle_clean(capsys):
 
 
 def test_oracle_checks_binomial_sums(capsys, monkeypatch):
-    true_coefficients = cli.path_sum_coefficients
+    true_coefficients = paths._coefficients
 
-    def wrong(coin, sc):
-        coeffs = true_coefficients(coin, sc)
+    def wrong(*args):
+        coeffs = true_coefficients(*args)
         return replace(coeffs, p=coeffs.p + 1e-6)
 
-    monkeypatch.setattr(cli, "path_sum_coefficients", wrong)
+    monkeypatch.setattr(paths, "_coefficients", wrong)
     code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
     assert code == 3
     doc = json.loads(out)
@@ -344,13 +345,51 @@ def test_oracle_checks_binomial_sums(capsys, monkeypatch):
 
 
 def test_oracle_checks_enumeration(capsys, monkeypatch):
-    true_exhaustive = cli.path_sum_exhaustive
-    monkeypatch.setattr(cli, "path_sum_exhaustive", lambda coin, sc: true_exhaustive(coin, sc) + 1e-6)
+    true_sums = paths._block_sums
+    monkeypatch.setattr(paths, "_block_sums", lambda rows: true_sums(rows) + 1e-6)
     code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
     assert code == 3
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["max_abs_diff"] > cli.ORACLE_TOL
+
+
+def _coin_reals(coin):
+    return ",".join(repr(x) for e in (coin.a, coin.b, coin.c, coin.d) for x in (e.real, e.imag))
+
+
+def test_oracle_rows_equal_the_per_entry_routes_bit_for_bit(capsys):
+    # per coin, the two differences of every row from per-entry calls, up to the cap
+    rng = np.random.default_rng(17)
+    coins = ["0,0,1,0,1,0,0,0", "1,0,0,0,0,0,1,0", _coin_reals(hadamard_coin())]
+    coins += [_coin_reals(random_unitary_coin(rng)) for _ in range(5)]
+    for reals in coins:
+        v = [float(x) for x in reals.split(",")]
+        coin = validate_coin([[complex(v[0], v[1]), complex(v[2], v[3])], [complex(v[4], v[5]), complex(v[6], v[7])]])
+        expected = []
+        for n in range(1, paths.ENUMERATION_CAP + 1):
+            for l in range(n + 1):
+                if coin.is_degenerate and 0 < l < n:
+                    continue
+                sc = paths.StepCount(l=l, m=n - l)
+                closed = paths.path_sum(coin, sc)
+                expected.append([l, n - l, float(np.max(np.abs(paths.path_sum_exhaustive(coin, sc) - closed))),
+                                 float(np.max(np.abs(paths.path_sum_coefficients(coin, sc).materialize() - closed)))])
+        for n_cap in (1, 2, 12, 14):
+            code, out, err = run_cli(capsys, ["oracle", "--n-cap", str(n_cap), f"--coin={reals}", "--format", "json"])
+            assert code == 0, err
+            assert json.loads(out)["rows"] == [row for row in expected if row[0] + row[1] <= n_cap]
+
+
+def test_oracle_refuses_n_cap_over_the_enumeration_cap(capsys, monkeypatch):
+    def no_letters(*args):
+        raise AssertionError("an over-cap oracle must be refused before any word is formed")
+
+    monkeypatch.setattr(paths, "letter_matrix", no_letters)
+    code, out, err = run_cli(capsys, ["oracle", "--n-cap", str(paths.ENUMERATION_CAP + 1)])
+    assert code == 2
+    assert out == ""
+    assert "enumeration capped" in err
 
 
 def test_self_check_exit_code(capsys, monkeypatch):
@@ -413,15 +452,17 @@ def test_non_finite_xi_exits_2(capsys, xi):
         ("dist", "law", engine.Distribution(n=4, probs=np.full(5, math.nan))),
         ("charfn", "characteristic_function", complex(math.nan, 0.0)),
         ("moments", "moment", math.nan),
-        ("oracle", "path_sum", np.full((2, 2), math.nan)),
+        ("oracle", "_closed_form", paths.PqrsMatrix(*[complex(math.nan)] * 4, coin=hadamard_coin())),
     ],
 )
 def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_value):
     # max(worst, nan) keeps worst, so a NaN must fail the gate explicitly.  The
     # charfn and moments tables take all their points or orders in one call,
-    # so there the closed column gets one NaN per entry.
+    # so there the closed column gets one NaN per entry.  The oracle takes
+    # each closed form from the per-time pass in paths.
     table = command in ("charfn", "moments")
-    monkeypatch.setattr(cli, name, lambda *args: np.full(len(args[-1]), nan_value) if table else nan_value)
+    target = paths if command == "oracle" else cli
+    monkeypatch.setattr(target, name, lambda *args: np.full(len(args[-1]), nan_value) if table else nan_value)
     argv = [command, "--n-cap", "2"] if command == "oracle" else [command, "-n", "4"]
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 3
@@ -518,6 +559,35 @@ def test_grid_counts_over_the_cap_exit_2(capsys, monkeypatch, argv, flag):
     assert "Traceback" not in err
     with pytest.raises(GridBuilt):  # the cap itself is accepted
         cli.main(argv + [str(cli.GRID_POINTS_CAP)])
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "over, at",
+    [
+        # 557 x 2693 = cap + 1 and 1500 x 1000 = cap, from the point count
+        (["-n", "2692", "--xi-points", "557"], ["-n", "999", "--xi-points", "1500"]),
+        # and from a listed point, with one point and cap + 1 or cap positions
+        (["-n", str(cli.CHARFN_CELLS_CAP), "--xi", "0.5"], ["-n", str(cli.CHARFN_CELLS_CAP - 1), "--xi", "0.5"]),
+    ],
+)
+def test_charfn_tables_over_the_cell_cap_exit_2(capsys, monkeypatch, over, at):
+    # both table builders raise, so no table here is built
+    def no_table(*args):
+        raise TableBuilt
+
+    monkeypatch.setattr(cli, "characteristic_function", no_table)
+    monkeypatch.setattr(engine, "distribution", no_table)
+    code, out, err = run_cli(capsys, ["charfn"] + over)
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the cap of {cli.CHARFN_CELLS_CAP}" in err
+    assert "Traceback" not in err
+    with pytest.raises(TableBuilt):  # the cap itself is accepted
+        cli.main(["charfn"] + at)
 
 
 def test_time_zero_charfn_and_moments(capsys):

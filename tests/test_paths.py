@@ -113,6 +113,7 @@ class TestExhaustive:
     def test_returns_a_fresh_array(self):
         sc = StepCount(l=3, m=2)
         first = path_sum_exhaustive(hadamard_coin(), sc)
+        assert first.flags.writeable
         expected = first.copy()
         first[:] = 7.0
         np.testing.assert_array_equal(path_sum_exhaustive(hadamard_coin(), sc), expected)
@@ -125,6 +126,22 @@ class TestExhaustive:
             path_sum_exhaustive(hadamard_coin(), StepCount(l=8, m=8))
         assert letters == []
         assert paths._word_sums.cache_info().misses == 0
+
+
+class TestPathSumsByTime:
+    def test_rows_are_the_per_entry_sums_bit_for_bit(self, rng):
+        coins = [hadamard_coin(), random_unitary_coin(rng), random_unitary_coin(rng),
+                 validate_coin([[0, 1], [1, 0]]), validate_coin([[1j, 0], [0, cmath.exp(0.3j)]])]
+        for coin in coins:
+            times = paths.path_sums_by_time(coin, 10)
+            assert [t[0] for t in times] == list(range(1, 11))
+            for n, ls, exhaustive, closed, coefficients in times:
+                assert ls == ([0, n] if coin.is_degenerate else list(range(n + 1)))
+                for j, l in enumerate(ls):
+                    sc = StepCount(l=l, m=n - l)
+                    assert exhaustive[j].tobytes() == path_sum_exhaustive(coin, sc).tobytes()
+                    assert closed[j].tobytes() == path_sum(coin, sc).tobytes()
+                    assert coefficients[j].tobytes() == path_sum_coefficients(coin, sc).materialize().tobytes()
 
 
 class TestCoefficients:

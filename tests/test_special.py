@@ -150,6 +150,54 @@ class TestExactSeries:
         assert time.perf_counter() - start < 0.1
 
 
+class TestTerminatingMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        special._terminating_sum.cache_clear()
+        yield
+        special._terminating_sum.cache_clear()
+
+    def test_memo_is_bounded(self):
+        size = special._terminating_sum.cache_info().maxsize
+        assert size == special._TERMINATING_MEMO
+        for j in range(size + 1):
+            hyp2f1(-2.0, 1.0, 1.0, j / 1024)
+        assert special._terminating_sum.cache_info().currsize == size
+
+    def test_memoised_values_equal_the_fraction_sum(self, rng):
+        for _ in range(20):
+            stop = int(rng.integers(1, 30))
+            args = (-float(stop), float(rng.uniform(-5, 5)), float(rng.uniform(0.5, 5)), float(rng.uniform(-2, 2)))
+            expected = fraction_hyp2f1(*args, stop)
+            assert hyp2f1(*args) == expected
+            assert hyp2f1(*args) == expected  # read from the memo
+        assert special._terminating_sum.cache_info().hits == 20
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((-5.0, 1.0, -2.0, 0.3), PoleAtCError),
+            ((1.0, -10000.0, 1.0, 0.0), CapExceededError),
+            ((-2000.0, 2.5, 1.5, 1e-300), CapExceededError),
+            ((0.5, 1.0, 2.0, 1.0), NonConvergentError),
+        ],
+    )
+    def test_errors_are_raised_again(self, args, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                hyp2f1(*args)
+        assert special._terminating_sum.cache_info().currsize == 0
+
+    def test_sweep_sums_each_rho_series_once(self, rng):
+        coin = random_unitary_coin(rng)
+        n, k, i = 40, 7, 1
+        z = (1.0 - (2.0 * coin.abs_a_sq - 1.0)) / 2.0
+        jacobi_sum_identity(coin, n, k, i)
+        pfaff_residual(-(k - 1), n - k + i, i + 1.0, z)
+        info = special._terminating_sum.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+
 class TestPfaff:
     @pytest.mark.parametrize("args", PFAFF_TERMINATING + PFAFF_CONVERGENT)
     def test_residual_grid(self, args):
