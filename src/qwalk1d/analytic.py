@@ -7,14 +7,13 @@ the path-sum closed form (:mod:`qwalk1d.paths`) applied to the initial state
 
     P(X_n = m - l) = |Xi(l, m) phi|^2 = |p A + r C|^2 + |q C + s A|^2,
 
-and the unit phase common to ``p, q, r, s`` drops out.  The mirror positions
-``+-(n - 2kk)`` share ``kk = min(l, m)``, hence one pair of alternating sums.
-One call of the package's Jacobi kernel gives the sums of every kk at time
-``n`` as arrays, and the law is assembled from them by array expressions over
-kk; the extremes are ``|a|^(2(n-1)) |A|^2`` and ``|a|^(2(n-1)) |C|^2``.  A law
-costs O(n): the kernel's recurrence in kk takes O(n) long double scalar
-steps, and the assembly O(1) numpy array expressions over kk.  That is about
-2-4 ms at ``n = 2000`` and 25-40 ms at ``n = 20000`` on a 2-vCPU VM;
+and the unit phase common to ``p, q, r, s`` drops out.  The phase-free
+coordinates of every position of a time are one array expression over the
+cached Jacobi table (:func:`qwalk1d.paths._letter_coordinates`; its ``kk = 0``
+case gives the two extremes), and the law contracts them with ``A`` and ``C``
+in one more.  A law costs O(n): the kernel's recurrence in kk takes O(n) long
+double scalar steps.  That is about 2-4 ms at ``n = 2000`` and 25-40 ms at
+``n = 20000`` on a 2-vCPU VM;
 :data:`LAW_TIME_CAP` bounds ``n``.
 
 For every coin and every time ``n >= 0``, ``law(params, n)`` builds the law
@@ -30,10 +29,11 @@ at odd ``n`` and ``P(X_n = 0) = 1`` at even ``n``.  At ``n = 0`` the law is
 the atom at 0.  The walk engine is the independent oracle: for ``|a|^2`` from
 0.01 to 0.96 the law is within 8e-14 of it at every position up to
 ``n = 20000`` (3e-14 for ``|a|^2 <= 0.5``); at ``|a|^2 = 0.99`` the gap grows
-to 1.1e-13 at ``n = 5000`` and 2.1e-13 at ``n = 20000``.  On the degenerate
-coins it is within 2e-13 up to ``n = 2001``.  These figures rest on the
-kernel's ``np.longdouble``; where that is plain double, the gap at
-``|a|^2 = 0.01`` was measured up to 4.1e-13, inside the 1e-12 gate.
+to 1.1e-13 at ``n = 5000`` and up to 2.9e-13 at ``n = 20000`` (random coins
+and qubits).  On the degenerate coins it is within 2e-13 up to ``n = 2001``.
+These figures hold for ``|a|^2 >= 0.01`` only (see ``paths._letter_coordinates``
+for the loss below), and rest on the kernel's ``np.longdouble``; where that
+is plain double, the gap at ``|a|^2 = 0.01`` was measured up to 4.1e-13.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import numpy as np
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .engine import Distribution
 from .errors import CapExceededError, NumericalHealthError, ParityViolationError, PreconditionError
-from .paths import _mixed_coordinates, _require_generic, _tau
+from .paths import _letter_coordinates, _require_generic
+from .special import _jacobi_table
 
 __all__ = [
     "LAW_TIME_CAP",
@@ -124,13 +125,8 @@ def law(params: WalkParams, n: int) -> Distribution:
     else:
         amp_a = coin.a * qubit.alpha + coin.b * qubit.beta
         amp_c = coin.c * qubit.alpha + coin.d * qubit.beta
-        probs[0] = coin.abs_a_sq ** (n - 1) * abs(amp_a) ** 2
-        probs[n] = coin.abs_a_sq ** (n - 1) * abs(amp_c) ** 2
-        kk = np.arange(1, n // 2 + 1)
-        tau = _tau(coin, n)
-        for l, m in ((kk, n - kk), (n - kk, kk)):  # the two mirror halves
-            p, q, r, s = _mixed_coordinates(coin, l, m, *tau)
-            probs[m] = np.abs(p * amp_a + r * amp_c) ** 2 + np.abs(q * amp_c + s * amp_a) ** 2
+        p, q, r, s = _letter_coordinates(coin, n, np.arange(n + 1))
+        probs = np.abs(p * amp_a + r * amp_c) ** 2 + np.abs(q * amp_c + s * amp_a) ** 2
     escaped = np.flatnonzero(~((probs >= -1e-9) & (probs <= 1.0 + 1e-9)))
     if escaped.size:
         j = int(escaped[0])
@@ -182,7 +178,7 @@ def reduced_mean(params: WalkParams, n: int) -> float:
         raise PreconditionError(f"reduced mean requires mu = 0, got {params.mu!r}")
     if n < 3:
         raise ValueError(f"reduced mean needs n >= 3, got {n}")
-    coin = params.coin
-    t0, t1 = _tau(coin, n, slice((n - 1) // 2))
-    body = fsum(((n - 2 * np.arange(1, t0.size + 1)) ** 2 * (t0 * t1)).tolist())
-    return -(params.weight_gap / coin.abs_b_sq) * body
+    u0, u1 = _jacobi_table(n, params.coin.abs_a_sq)[:, : (n - 1) // 2]
+    kk = np.arange(1, u0.size + 1)  # tau_0 tau_1 = (|b|^4 / |a|^2) u_0 u_1 / kk
+    body = fsum(((n - 2 * kk) ** 2 * (u0 * u1 / kk)).tolist())
+    return -params.weight_gap * params.coin.abs_b_sq / params.coin.abs_a_sq * body

@@ -452,7 +452,7 @@ def test_non_finite_xi_exits_2(capsys, xi):
         ("dist", "law", engine.Distribution(n=4, probs=np.full(5, math.nan))),
         ("charfn", "characteristic_function", complex(math.nan, 0.0)),
         ("moments", "moment", math.nan),
-        ("oracle", "_closed_form", paths.PqrsMatrix(*[complex(math.nan)] * 4, coin=hadamard_coin())),
+        ("oracle", "_closed_forms", paths.PqrsMatrix(*[complex(math.nan)] * 4, coin=hadamard_coin())),
     ],
 )
 def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_value):
@@ -471,6 +471,15 @@ def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_v
     doc = json.loads(out)  # NaN is spelled as JSON reads it
     assert doc["ok"] is False
     assert math.isnan(doc["rows"][0][-1])
+
+
+@pytest.mark.xfail(strict=True, reason="for small |a| the closed form loses its leading terms "
+                   "(FOUND in CHANGES.md)")
+def test_oracle_passes_at_small_abs_a(capsys):
+    # a valid generic coin with |a| = 1e-7: the closed form is 2.3e-9 off the
+    # enumeration, over the 1e-9 gate
+    code, out, err = run_cli(capsys, ["oracle", "--n-cap", "14", "--coin=1e-07,0,1,0,1,0,-1e-07,0"])
+    assert code == 0, out[-200:] + err
 
 
 def test_moment_order_beyond_float_range_exits_2(capsys):

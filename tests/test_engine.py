@@ -264,6 +264,76 @@ class TestFourierRoute:
         assert abs(dist.mean()) <= 1e-9  # the symmetric state stays mirror-symmetric
 
 
+def dyadic(values) -> tuple[int, list[tuple[int, int]]]:
+    """``(E, [x * 2^E as (re, im) integers])`` for the complex floats ``values``,
+    with ``E`` the smallest exponent that makes every part an integer."""
+    ratios = [part.as_integer_ratio() for value in values for part in (value.real, value.imag)]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (e - den.bit_length() + 1) for num, den in ratios]
+    return e, list(zip(ints[::2], ints[1::2]))
+
+
+def exact_laws(coin: Coin, qubit, times):
+    """Yield ``(n, law)``, the exact law of the coin and qubit as stored, at each
+    of the increasing ``times``.
+
+    The banded recurrence runs in Gaussian integers over one power of two per
+    time, and each probability is rounded once, by the correctly rounded
+    integer true division.  The stored coin is not exactly unitary, so the
+    exact total differs from 1 by its own rounding.
+    """
+    ec, (a, b, c, d) = dyadic([coin.a, coin.b, coin.c, coin.d])
+    eq, state = dyadic([qubit.alpha, qubit.beta])
+
+    def apply(x, y, left, right):  # x * left + y * right
+        return (x[0] * left[0] - x[1] * left[1] + y[0] * right[0] - y[1] * right[1],
+                x[0] * left[1] + x[1] * left[0] + y[0] * right[1] + y[1] * right[0])
+
+    zero = (0, 0)
+    amps = [tuple(state)]
+    for n in range(max(times) + 1):
+        if n in times:
+            scale = 1 << 2 * (eq + n * ec)
+            yield n, np.array([(l[0] ** 2 + l[1] ** 2 + r[0] ** 2 + r[1] ** 2) / scale for l, r in amps])
+        lefts = [apply(a, b, l, r) for l, r in amps] + [zero]
+        rights = [zero] + [apply(c, d, l, r) for l, r in amps]
+        amps = list(zip(lefts, rights))
+
+
+#: Times of the exact law: its integers grow by about 55 bits a step, and on a
+#: 2-vCPU VM one law at n = 120 takes about 20 ms to round, the whole
+#: evolution to n = 120 about 90 ms.
+EXACT_TIMES = (0, 1, 2, 3, 7, 8, 40, 119, 120)
+
+
+class TestExactLaw:
+    """Every float route of the law against the exact law of the stored coin."""
+
+    def test_dyadic_is_exact(self):
+        values = [complex(0.1, -3.0), complex(2.5, 0.0)]
+        e, ints = dyadic(values)
+        assert [complex(re / 2**e, im / 2**e) for re, im in ints] == values
+
+    def test_hadamard_law_at_small_times(self, hadamard, symmetric_qubit):
+        laws = dict(exact_laws(hadamard, symmetric_qubit, (0, 1, 3)))
+        # the stored 1/sqrt(2), 0.7071067811865476, lies above the real one: its
+        # two squares sum to 1 + 1.4e-16 exactly, which rounds to 1 + 2.2e-16
+        assert laws[0].tolist() == [1.0000000000000002]
+        assert laws[1].tolist() == [0.5, 0.5]
+        assert np.max(np.abs(laws[3] - [1 / 8, 3 / 8, 3 / 8, 1 / 8])) <= 1e-15
+
+    @pytest.mark.parametrize("case", FOURIER_CASES)
+    def test_every_route_within_1e_14_up_to_n_120(self, case, rng):
+        coin, qubit = fourier_case(case, rng), random_qubit(rng)
+        params = WalkParams(coin=coin, qubit=qubit)
+        field = initial_field(qubit)
+        for n, exact in exact_laws(coin, qubit, EXACT_TIMES):
+            while field.n < n:
+                field = step(coin, field)
+            for route in (law(params, n), distribution(coin, qubit, n), field.to_distribution()):
+                assert np.max(np.abs(route.probs - exact)) <= 1e-14, n
+
+
 def test_step_builds_the_letters_once_per_coin(rng, monkeypatch):
     coin, qubit = random_unitary_coin(rng), random_qubit(rng)
     built = []
