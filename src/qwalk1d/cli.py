@@ -1,14 +1,17 @@
 """Command-line surface: every computation, machine-readable output.
 
 Exit codes: 0 = success and all self-checks pass, 2 = input/parse error,
-3 = a numerical self-check failed.  Output is CSV (header row, RFC-4180
-quoting) or JSON (one object per invocation).  Each command declares its
-columns' formats next to their names, ``INT`` or ``REAL`` (17 significant
-digits), and each table's rows are rendered by one ``%`` template applied to
-all their cells at once, so identical invocations are byte-identical and JSON
-round-trips bit-exactly (``-0.0`` reads back as ``0``).  Non-finite JSON
-values are spelled ``NaN``, ``Infinity`` and ``-Infinity``, as ``json.loads``
-reads them; CSV spells them ``nan``, ``inf`` and ``-inf``.
+3 = a numerical self-check failed.  Each command returns its table and its
+verdict, the head's last field ``ok``; :func:`main` alone refuses bad input,
+writes the table and maps the verdict to the exit code.  Output is CSV
+(header row, RFC-4180 quoting) or JSON (one object per invocation).  Each
+command declares its columns' formats next to their names, ``INT`` or
+``REAL`` (17 significant digits), and each table's rows are rendered by one
+``%`` template applied to all their cells at once, so identical invocations
+are byte-identical and JSON round-trips bit-exactly (``-0.0`` reads back as
+``0``).  Non-finite JSON values are spelled ``NaN``, ``Infinity`` and
+``-Infinity``, as ``json.loads`` reads them; CSV spells them ``nan``, ``inf``
+and ``-inf``.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ COUNT_OPTIONS = {
     "grid_points": "--grid-points",
     "n_cap": "--n-cap",
 }
-#: Most points a grid option may ask for.  Each point is one table row, held
-#: in memory until the table is written: at the cap, ``limit`` peaks near
-#: 70 MB and ``charfn -n 4`` near 100 MB.
+#: Most rows a row-count option may ask for.  Each row is held in memory
+#: until the table is written: at the cap, ``limit`` peaks near 70 MB and
+#: ``charfn -n 4`` near 100 MB.
 GRID_POINTS_CAP = 100_000
-GRID_OPTIONS = ("xi_points", "grid_points")
+ROW_OPTIONS = ("xi_points", "max_order", "grid_points")
 #: Most cells, points x (n + 1) positions, that a ``charfn`` table may have.
 #: Each route sums one exactly rounded row of n + 1 terms per point and part,
 #: so the cells bound the time, which the grid cap does not: at the cap a
@@ -75,6 +78,12 @@ class CliInputError(Exception):
 def _worst(diffs) -> float:
     """The largest difference, NaN if any is NaN (so a NaN fails its gate)."""
     return float(np.max(diffs, initial=0.0))
+
+
+def _gate(name: str, diffs, tolerance: float) -> dict:
+    """Head fields of a tolerance gate: the worst difference as ``name``, the tolerance, the verdict."""
+    worst = _worst(diffs)
+    return {name: worst, "tolerance": tolerance, "ok": worst <= tolerance}
 
 
 #: Column formats.  Each table declares one per column rather than reading it
@@ -148,29 +157,27 @@ def _emit(args, command: str, columns: dict[str, str], rows, extra: dict) -> Non
     sys.stdout.write(buffer.getvalue() + (",".join(columns.values()) + "\n") * len(rows) % cells)
 
 
-def _cmd_dist(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
     dist = engine.distribution(coin, qubit, args.steps)
     diffs = np.abs(dist.probs - closed)
     rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
-    worst = _worst(diffs)
-    ok = worst <= DIST_TOL
-    _emit(args, "dist", {"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL}, rows,
-          {"n": args.steps, "max_abs_diff": worst, "tolerance": DIST_TOL, "ok": ok})
-    return EXIT_OK if ok else EXIT_SELF_CHECK
+    return ({"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL}, rows,
+            {"n": args.steps, **_gate("max_abs_diff", diffs, DIST_TOL)})
 
 
 def _xi_grid(args) -> list[float]:
     if args.xi is not None:
         xis = [float(part) for part in args.xi.split(",")]
-        if not all(math.isfinite(xi) for xi in xis):
-            raise CliInputError(f"--xi: expected finite reals, got {args.xi!r}")
+        # xi * n bounds every phase xi * k, so this also refuses inf and NaN
+        if not all(math.isfinite(xi * args.steps) for xi in xis):
+            raise CliInputError(f"--xi: expected finite reals with finite phases xi * n, got {args.xi!r}")
         return xis
     count = args.xi_points
     return [-math.pi + 2.0 * math.pi * j / count for j in range(count)]
 
 
-def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     xis = _xi_grid(args)
     cells = len(xis) * (args.steps + 1)
     if cells > CHARFN_CELLS_CAP:
@@ -183,45 +190,36 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> int:
     delta = closed - direct
     diffs = np.hypot(delta.real, delta.imag)  # libm's hypot, as abs(complex) rounds
     rows = np.column_stack([xis, closed.real, closed.imag, direct.real, direct.imag, diffs]).tolist()
-    worst = _worst(diffs)
-    ok = worst <= CHARFN_TOL
-    _emit(args, "charfn", {"xi": REAL, "re_closed": REAL, "im_closed": REAL, "re_direct": REAL,
-                           "im_direct": REAL, "abs_diff": REAL}, rows,
-          {"n": args.steps, "max_abs_diff": worst, "tolerance": CHARFN_TOL, "ok": ok})
-    return EXIT_OK if ok else EXIT_SELF_CHECK
+    return ({"xi": REAL, "re_closed": REAL, "im_closed": REAL, "re_direct": REAL, "im_direct": REAL,
+             "abs_diff": REAL}, rows, {"n": args.steps, **_gate("max_abs_diff", diffs, CHARFN_TOL)})
 
 
-def _cmd_moments(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_moments(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     orders = np.arange(1, args.max_order + 1)
     closed = moment(WalkParams(coin=coin, qubit=qubit), args.steps, orders)
     direct = engine.distribution(coin, qubit, args.steps).moment(orders)
     scales = [max(1.0, float(args.steps) ** m) for m in orders.tolist()]
     diffs = np.abs(closed - direct) / scales
     rows = [list(row) for row in zip(orders.tolist(), closed.tolist(), direct.tolist(), diffs.tolist())]
-    worst = _worst(diffs)
-    ok = worst <= MOMENT_TOL
-    _emit(args, "moments", {"m": INT, "closed": REAL, "direct": REAL, "rel_diff": REAL}, rows,
-          {"n": args.steps, "max_rel_diff": worst, "tolerance": MOMENT_TOL, "ok": ok})
-    return EXIT_OK if ok else EXIT_SELF_CHECK
+    return ({"m": INT, "closed": REAL, "direct": REAL, "rel_diff": REAL}, rows,
+            {"n": args.steps, **_gate("max_rel_diff", diffs, MOMENT_TOL)})
 
 
-def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
     report = symmetry_evidence(coin, qubit, max(args.n_max, 3))
     rows = [[n, gap, mean] for (n, gap), mean in zip(report.evidence[: args.n_max], report.means)]
     member = is_symmetric_state(coin, qubit)
-    agrees = member == report.symmetric == report.zero_mean
-    _emit(args, "symmetry", {"n": INT, "max_asymmetry": REAL, "mean": REAL}, rows, {
+    return ({"n": INT, "max_asymmetry": REAL, "mean": REAL}, rows, {
         "n_max": args.n_max,
         "algebraic_member": member,
         "empirically_symmetric": report.symmetric,
         "zero_mean": report.zero_mean,
-        "ok": agrees,
+        "ok": member == report.symmetric == report.zero_mean,
     })
-    return EXIT_OK if agrees else EXIT_SELF_CHECK
 
 
-def _cmd_limit(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_limit(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     ld = limit.LimitDensity(coin=coin, qubit=qubit)
     a = ld.a_abs
     xs = np.linspace(-a, a, args.grid_points)
@@ -233,40 +231,33 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> int:
     # the norm is 1 by construction, so check that the emitted column is a CDF
     # (NaN fails the range test)
     cdf_valid = np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
-    ok = abs(norm - 1.0) <= NORM_TOL and bool(cdf_valid)
-    _emit(args, "limit", {"x": REAL, "density": REAL, "cdf": REAL}, rows, {
+    return ({"x": REAL, "density": REAL, "cdf": REAL}, rows, {
         "slope": ld.slope,
         "support": [-a, a],
         "mean": m1,
         "sd": math.sqrt(m2 - m1 * m1),
         "norm": norm,
-        "ok": ok,
+        "ok": abs(norm - 1.0) <= NORM_TOL and bool(cdf_valid),
     })
-    return EXIT_OK if ok else EXIT_SELF_CHECK
 
 
-def _cmd_converge(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_converge(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     n_list = [int(part) for part in args.n_list.split(",")]
     report = limit.ks_convergence(coin, qubit, n_list)
     rows = [[n, ks, total] for (n, ks), total in zip(report.entries, report.totals)]
     worst_drift = _worst([abs(total - 1.0) for total in report.totals])
-    ok = worst_drift <= 1e-9
-    _emit(args, "converge", {"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,
-          {"max_probability_drift": worst_drift, "ok": ok})
-    return EXIT_OK if ok else EXIT_SELF_CHECK
+    return ({"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,
+            {"max_probability_drift": worst_drift, "ok": worst_drift <= 1e-9})
 
 
-def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> int:
+def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     rows = []
     for n, ls, exhaustive, closed, coefficients in path_sums_by_time(coin, args.n_cap):
         # per row: the largest entry of |enumeration - closed| and of |coefficients - closed|
         diffs = np.abs(np.stack([exhaustive - closed, coefficients - closed])).max(axis=(2, 3))
         rows += ([l, n - l, *d] for l, d in zip(ls, diffs.T.tolist()))
-    worst = _worst([d for row in rows for d in row[2:]])
-    ok = worst <= ORACLE_TOL
-    _emit(args, "oracle", {"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, rows,
-          {"n_cap": args.n_cap, "max_abs_diff": worst, "tolerance": ORACLE_TOL, "ok": ok})
-    return EXIT_OK if ok else EXIT_SELF_CHECK
+    return ({"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, rows,
+            {"n_cap": args.n_cap, **_gate("max_abs_diff", [d for row in rows for d in row[2:]], ORACLE_TOL)})
 
 
 @functools.cache
@@ -330,13 +321,15 @@ def main(argv=None) -> int:
             count = getattr(args, dest, None)
             if count is not None and count < 1:
                 raise CliInputError(f"{flag} must be >= 1, got {count}")
-            if dest in GRID_OPTIONS and count is not None and count > GRID_POINTS_CAP:
+            if dest in ROW_OPTIONS and count is not None and count > GRID_POINTS_CAP:
                 raise CliInputError(f"{flag} must be <= {GRID_POINTS_CAP}, got {count}")
         if args.command == "moments" and args.max_order * math.log(max(steps, 1)) > 700.0:
             raise CliInputError(f"moments needs n^m within the float range, got n={steps}, m={args.max_order}")
         coin = _coin_from_args(args)
         qubit = _qubit_from_args(args)
-        return _HANDLERS[args.command](args, coin, qubit)
+        columns, rows, head = _HANDLERS[args.command](args, coin, qubit)
+        _emit(args, args.command, columns, rows, head)
+        return EXIT_OK if head["ok"] else EXIT_SELF_CHECK
     except NumericalHealthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELF_CHECK

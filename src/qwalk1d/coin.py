@@ -1,12 +1,13 @@
 """Coin matrices, initial states, and the four-letter step algebra.
 
 A walk step is driven by a 2x2 unitary ``U = [[a, b], [c, d]]`` acting on the
-chirality (left/right) degree of freedom.  ``U`` splits as ``U = P + Q`` where
-``P`` keeps the top row (a left move) and ``Q`` keeps the bottom row (a right
-move).  Two companion matrices ``R`` and ``S`` (the rows swapped into the
-opposite slot) complete an orthonormal basis of the 2x2 matrices under the
-trace inner product, and products of any two letters close to a scalar times
-a single letter.  That closure is what makes path sums tractable.
+chirality (left/right) degree of freedom.  Each letter places one coin row in
+one move slot (slot 0 moves left, slot 1 right), as ``(slot, row)``:
+``P = (0, 0)``, ``Q = (1, 1)``, ``R = (0, 1)``, ``S = (1, 0)``.  So
+``U = P + Q``, and the four letters are an orthonormal basis of the 2x2
+matrices under the trace inner product.  A product ``x @ y`` is the entry of
+x's coin row at y's slot times the letter with x's slot and y's row; that
+closure is what makes path sums tractable.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class Letter(enum.Enum):
     Q = "Q"  # bottom row in the right-move slot:  [[0, 0], [c, d]]
     R = "R"  # bottom row in the left-move slot:   [[c, d], [0, 0]]
     S = "S"  # top row in the right-move slot:     [[0, 0], [a, b]]
+
+
+#: ``(slot, row)`` of each letter: coin row ``row`` placed in matrix row ``slot``.
+_SLOT_ROW = {Letter.P: (0, 0), Letter.Q: (1, 1), Letter.R: (0, 1), Letter.S: (1, 0)}
 
 
 def validate_coin(matrix) -> Coin:
@@ -222,51 +227,26 @@ def random_qubit(rng: np.random.Generator) -> Qubit:
 
 def letter_matrix(coin: Coin, letter: Letter) -> np.ndarray:
     """Materialize one of the four step matrices for this coin."""
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    zero = 0.0 + 0.0j
-    rows = {
-        Letter.P: [[a, b], [zero, zero]],
-        Letter.Q: [[zero, zero], [c, d]],
-        Letter.R: [[c, d], [zero, zero]],
-        Letter.S: [[zero, zero], [a, b]],
-    }
-    return np.array(rows[letter], dtype=np.complex128)
-
-
-# Product closure: matrix(x) @ matrix(y) == scalar * matrix(letter).
-# Sixteen cases, scalar named by the coin entry it equals.
-_PRODUCT_TABLE = {
-    (Letter.P, Letter.P): ("a", Letter.P),
-    (Letter.P, Letter.Q): ("b", Letter.R),
-    (Letter.P, Letter.R): ("a", Letter.R),
-    (Letter.P, Letter.S): ("b", Letter.P),
-    (Letter.Q, Letter.P): ("c", Letter.S),
-    (Letter.Q, Letter.Q): ("d", Letter.Q),
-    (Letter.Q, Letter.R): ("c", Letter.Q),
-    (Letter.Q, Letter.S): ("d", Letter.S),
-    (Letter.R, Letter.P): ("c", Letter.P),
-    (Letter.R, Letter.Q): ("d", Letter.R),
-    (Letter.R, Letter.R): ("c", Letter.R),
-    (Letter.R, Letter.S): ("d", Letter.P),
-    (Letter.S, Letter.P): ("a", Letter.S),
-    (Letter.S, Letter.Q): ("b", Letter.Q),
-    (Letter.S, Letter.R): ("a", Letter.Q),
-    (Letter.S, Letter.S): ("b", Letter.S),
-}
+    slot, row = _SLOT_ROW[letter]
+    out = np.zeros((2, 2), dtype=np.complex128)
+    out[slot] = coin.matrix[row]
+    return out
 
 
 def letter_product(coin: Coin, x: Letter, y: Letter) -> tuple[complex, Letter]:
     """Return ``(scalar, letter)`` with ``matrix(x) @ matrix(y) = scalar * matrix(letter)``."""
-    name, letter = _PRODUCT_TABLE[(x, y)]
-    return getattr(coin, name), letter
+    (x_slot, x_row), (y_slot, y_row) = _SLOT_ROW[x], _SLOT_ROW[y]
+    scalar = (coin.a, coin.b, coin.c, coin.d)[2 * x_row + y_slot]
+    return scalar, next(letter for letter, key in _SLOT_ROW.items() if key == (x_slot, y_row))
 
 
 def basis_decompose(coin: Coin, m) -> tuple[complex, complex, complex, complex]:
     """Coordinates ``(p, q, r, s)`` of a 2x2 matrix in the letter basis.
 
     Uses the trace inner product ``<A|B> = tr(A^* B)``, under which the four
-    letters are orthonormal.  Refused for degenerate coins (a = 0 or b = 0):
-    callers en route to path sums have no valid use for the coordinates there.
+    letters are orthonormal: each coordinate is conj(coin row) . M[slot].
+    Refused for degenerate coins (a = 0 or b = 0): callers en route to path
+    sums have no valid use for the coordinates there.
 
     Raises
     ------
@@ -278,8 +258,5 @@ def basis_decompose(coin: Coin, m) -> tuple[complex, complex, complex, complex]:
     mat = np.asarray(m, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    coords = tuple(
-        complex(np.trace(letter_matrix(coin, letter).conj().T @ mat))
-        for letter in (Letter.P, Letter.Q, Letter.R, Letter.S)
-    )
-    return coords
+    u = coin.matrix
+    return tuple(complex(np.vdot(u[row], mat[slot])) for slot, row in _SLOT_ROW.values())

@@ -77,10 +77,6 @@ class LimitDensity:
         params = WalkParams(coin=self.coin, qubit=self.qubit)
         return params.weight_gap + params.cross / self.coin.abs_a_sq
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.a_abs, self.a_abs)
-
 
 @dataclass(frozen=True)
 class TwoPointLimit:

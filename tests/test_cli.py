@@ -283,6 +283,24 @@ def test_converge_evolves_each_time_once(capsys, monkeypatch):
     assert totals == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
+def test_converge_fails_on_probability_drift(capsys, monkeypatch):
+    # every law is scaled to a total 1e-8 off 1, past the 1e-9 drift gate
+    true_distribution = engine.distribution
+
+    def drifting_distribution(coin, qubit, n):
+        dist = true_distribution(coin, qubit, n)
+        return replace(dist, probs=dist.probs * (1.0 + 1e-8))
+
+    monkeypatch.setattr(engine, "distribution", drifting_distribution)
+    code, out, err = run_cli(capsys, ["converge", "--n-list", "10,40", "--format", "json"])
+    assert code == 3
+    assert '"ok":false' in out
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert [row[0] for row in doc["rows"]] == [10, 40]
+    assert doc["max_probability_drift"] == pytest.approx(1e-8, rel=1e-6)
+
+
 def count_kernel_calls(monkeypatch):
     """Record, from now on, the time of every Jacobi kernel call."""
     calls = []
@@ -437,7 +455,7 @@ def test_numerical_health_failure_exits_3(capsys, monkeypatch, fresh_caches):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("xi", ["nan", "inf", "0,-inf", "1e400"])
+@pytest.mark.parametrize("xi", ["nan", "inf", "0,-inf", "1e400", "1e308"])
 def test_non_finite_xi_exits_2(capsys, xi):
     code, out, err = run_cli(capsys, ["charfn", "-n", "4", "--xi", xi])
     assert code == 2
@@ -552,15 +570,21 @@ class GridBuilt(Exception):
 
 
 @pytest.mark.parametrize(
-    "argv, flag", [(["charfn", "-n", "4", "--xi-points"], "--xi-points"), (["limit", "--grid-points"], "--grid-points")]
+    "argv, flag",
+    [
+        (["charfn", "-n", "4", "--xi-points"], "--xi-points"),
+        (["limit", "--grid-points"], "--grid-points"),
+        (["moments", "-n", "1", "--max-order"], "--max-order"),
+    ],
 )
 def test_grid_counts_over_the_cap_exit_2(capsys, monkeypatch, argv, flag):
-    # the grid builders raise, so no count here allocates a grid
+    # the grid builders and the moment route raise, so no count here builds a table
     def no_grid(*args, **kwargs):
         raise GridBuilt
 
     monkeypatch.setattr(cli, "_xi_grid", no_grid)
     monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(cli, "moment", no_grid)
     code, out, err = run_cli(capsys, argv + [str(cli.GRID_POINTS_CAP + 1)])
     assert code == 2
     assert out == ""

@@ -213,15 +213,13 @@ class TestClosedForm:
         )
 
     def test_matches_enumeration(self, rng):
-        for _ in range(5):
-            coin = random_unitary_coin(rng)
-            for n in range(1, 11):
-                for l in range(n + 1):
-                    sc = StepCount(l=l, m=n - l)
-                    oracle = path_sum_exhaustive(coin, sc)
-                    assert np.max(np.abs(path_sum(coin, sc) - oracle)) < 1e-10
-                    rebuilt = path_sum_coefficients(coin, sc).materialize()
-                    assert np.max(np.abs(rebuilt - oracle)) < 1e-10
+        # |a|^2 ~ 0.01 and ~ 0.99 besides Hadamard and random coins; every
+        # l + m <= 14 against the word enumeration
+        coins = [hadamard_coin(), coin_from_angles(1.4706, 2.0, 0.1, 0.5), coin_from_angles(0.1002, 5.0, 3.0, 1.0)]
+        for coin in coins + [random_unitary_coin(rng) for _ in range(5)]:
+            for _, _, exhaustive, closed, coefficients in paths.path_sums_by_time(coin, 14):
+                assert np.max(np.abs(closed - exhaustive)) < 1e-14
+                assert np.max(np.abs(coefficients - exhaustive)) < 1e-14
 
     def test_p_coefficient_index_shift(self, rng):
         # The gamma-shifted single-sum p coordinate equals the direct p sum.
