@@ -59,9 +59,9 @@ GRID_POINTS_CAP = 100_000
 ROW_OPTIONS = ("xi_points", "max_order", "grid_points")
 #: Most cells, points x (n + 1) positions, that a ``charfn`` table may have.
 #: Each route sums one exactly rounded row of n + 1 terms per point and part,
-#: so the cells bound the time, which the grid cap does not: at the cap a
-#: table took 0.5 s at n = 100 and 2.3-2.7 s at n = 2692, 5000 and 20000 on
-#: a 2-vCPU VM.
+#: so the cells bound the time, which the grid cap does not: at the cap the
+#: command took 0.35-0.45 s at n = 100 and 0.2-0.36 s at n = 2692, 5000 and
+#: 20000 on a 2-vCPU VM, in-process with both laws cached.
 CHARFN_CELLS_CAP = 1_500_000
 
 QUBIT_PRESETS = {

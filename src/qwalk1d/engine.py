@@ -21,8 +21,16 @@ Both routes hand out the law as a :class:`Distribution` (here, and from
 Both routes build a law once per input and cache it, so the returned
 ``Distribution`` is shared and its ``probs`` are read-only.  Its sums take one
 argument or a sequence of them: a sequence gives the whole table in one array
-pass, each entry summed exactly rounded and bit-identical to the one-argument
-call.
+pass, each entry bit-identical to the one-argument call.
+
+Every entry of those sums is exactly rounded: it is ``math.fsum`` of its row
+of terms, bit for bit.  A table of a few thousand terms or more is not summed
+row by row, though.  One vectorised error-free cascade over a block of rows
+(``np.cumsum`` and Knuth's TwoSum, after Ogita, Rump & Oishi 2005) gives each
+row's rounded sum with a rigorous bound on what is left, and accepts it where
+the bound shows it is the correctly rounded sum.  ``fsum`` still sums a small
+table, and each row the cascade cannot certify: exact halfway ties, rows that
+sum to zero, and rows with NaN, infinities or terms near overflow.
 """
 
 from __future__ import annotations
@@ -54,6 +62,16 @@ DENSE_CAP = 64
 #: Most products of arguments and positions that a table of sums forms at
 #: once (64 KB per float array); a longer table is formed in blocks of rows.
 _TABLE_TERMS = 1 << 13
+
+#: Fewest terms of a block for which :func:`_exact_sums` runs its cascade
+#: instead of one ``math.fsum`` per row.  The cascade's fixed cost is about
+#: 0.1-0.2 ms.  On the 64-row ``charfn`` tables of the Hadamard law and of a
+#: random law, on a 2-vCPU VM, ``fsum`` took 0.05-0.18 ms up to 3072 terms,
+#: where the cascade took 0.09-0.24 ms; at 4096 terms both took 0.13-0.27
+#: ms; at 8192 terms the cascade took 0.14-0.31 ms and ``fsum`` 0.29-0.85 ms.
+_CASCADE_TERMS = 1 << 12
+#: Most cascade passes before a row still undecided is summed by ``fsum``.
+_CASCADE_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -133,18 +151,95 @@ class Distribution:
         return values.reshape(xis.shape) if xis.ndim else complex(values[0])
 
     def _row_sums(self, args: np.ndarray, terms) -> list[float]:
-        """``math.fsum`` of each row of the table ``terms(args as a column)``.
+        """The exactly rounded sum of each row of the table ``terms(args as a column)``.
 
-        The table is one broadcast of the arguments against the positions,
-        formed in blocks of at most :data:`_TABLE_TERMS` products, so that a
-        long table needs no more memory than one block.
+        Every entry is ``math.fsum`` of its row, bit for bit.  The table is
+        one broadcast of the arguments against the positions, formed in
+        blocks of at most :data:`_TABLE_TERMS` products, so that a long table
+        needs no more memory than one block.  The rows are spread evenly over
+        the fewest blocks that fit, so a table of several blocks has no small
+        last block.  Each block is summed by :func:`_exact_sums`: a
+        vectorised cascade certifies the rows of a block of
+        :data:`_CASCADE_TERMS` terms or more, and ``fsum`` sums a smaller
+        block and each row the cascade cannot certify.
         """
         column = args.reshape(-1, 1)
-        rows = max(1, _TABLE_TERMS // (self.n + 1))
+        blocks = -(-len(column) // max(1, _TABLE_TERMS // (self.n + 1))) or 1
+        edges = [len(column) * i // blocks for i in range(blocks + 1)]
         sums = []
-        for start in range(0, len(column), rows):
-            sums += map(fsum, terms(column[start:start + rows]).tolist())
+        for lo, hi in zip(edges, edges[1:]):
+            sums += _exact_sums(terms(column[lo:hi]))
         return sums
+
+
+def _exact_sums(table: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of the float64 ``table``, bit for bit.
+
+    A table of fewer than :data:`_CASCADE_TERMS` terms is summed by ``fsum``.
+    A larger one is certified row by row with a few whole-table operations,
+    after the error-free summation of Ogita, Rump & Oishi (SIAM J. Sci.
+    Comput. 26, 2005):
+
+    - ``np.cumsum`` gives each row's partials ``p``.  Knuth's TwoSum gives
+      each step's exact error ``e``, once it is checked that every partial is
+      ``p[j-1] + x[j]``.  Then ``p[-1] + sum(e)`` is the row's exact sum.
+    - ``tau = fl(sum(e))`` is within ``gamma_{m-1} sum|e|`` of ``sum(e)`` in
+      any summation order, also through underflow.  ``bound`` is at least
+      twice that, from the rounded ``sum|e|``.  Its own rounding cannot
+      undercut the error, which is a multiple of 2**-1074: that error is
+      zero wherever ``bound`` underflows.
+    - ``p[-1] + tau = hi + lo`` exactly, so the exact sum lies within
+      ``bound`` of ``hi + lo``.  ``hi`` is its correctly rounded value when
+      that interval lies strictly inside the half gaps from ``hi`` to its
+      neighbours, on both sides of ``hi``.
+    - The rows left undecided run the cascade again on ``(e, p[-1])``, which
+      has the same exact sum, up to :data:`_CASCADE_PASSES` passes in all.
+
+    ``fsum`` sums from the row's own terms every row that is still undecided
+    (an exact halfway tie stays so), every row with ``hi == 0`` and every row
+    with a partial that is not finite or is 2**1020 or more (``fsum``'s own
+    running sum may overflow there).  So signed zeros, NaN and infinities,
+    and ``fsum``'s exceptions, are ``fsum``'s.
+    """
+    if table.size < _CASCADE_TERMS:
+        return list(map(fsum, table.tolist()))
+    sums = np.full(len(table), np.nan)  # NaN marks the rows left to fsum
+    rows, x = np.arange(len(table)), table
+    with np.errstate(all="ignore"):  # a row that overflows or holds NaN goes to fsum
+        for _ in range(_CASCADE_PASSES):
+            p = np.cumsum(x, axis=1)
+            prev, term, partial = p[:, :-1], x[:, 1:], p[:, 1:]
+            z = prev + term
+            usable = (z == partial).all(axis=1)
+            # Knuth's TwoSum of each step, with the partial as its sum:
+            # e = (prev - (partial - z)) + (term - z), z = partial - prev.
+            # In place: with fresh arrays, a charfn table at n = 2000 took
+            # 15-30% longer to sum.
+            np.subtract(partial, prev, out=z)
+            e = partial - z
+            np.subtract(prev, e, out=e)
+            e += np.subtract(term, z, out=z)
+            last, tau = p[:, -1].copy(), e.sum(axis=1)
+            usable &= np.abs(p, out=p).max(axis=1) < 2.0**1020
+            bound = np.abs(e, out=z).sum(axis=1) * (x.shape[1] * 2.0**-52)
+            hi = last + tau
+            z = hi - last
+            lo = (last - (hi - z)) + (tau - z)
+            usable &= hi != 0
+            certified = (
+                usable
+                & (lo + bound < (np.nextafter(hi, np.inf) - hi) / 2)
+                & (bound - lo < (hi - np.nextafter(hi, -np.inf)) / 2)
+            )
+            sums[rows[certified]] = hi[certified]
+            retry = usable & ~certified
+            if not retry.any():
+                break
+            rows, x = rows[retry], np.column_stack([e[retry], last[retry]])
+    out = sums.tolist()
+    for row in np.flatnonzero(np.isnan(sums)).tolist():
+        out[row] = fsum(table[row].tolist())
+    return out
 
 
 def initial_field(qubit: Qubit) -> AmplitudeField:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import time
 from fractions import Fraction
 from math import fsum
@@ -152,6 +153,113 @@ def test_tables_equal_the_per_element_sums_bit_for_bit(case, n, rng):
         one = dist.characteristic_function(xis[5])
         assert type(one) is complex and bits([one]) == bits(table[5:6])
         assert type(dist.moment(3)) is float and dist.moment(3) == reference_moment(dist, 3)
+
+
+def tiled(rows) -> np.ndarray:
+    """The rows repeated until the table has enough terms to take the cascade."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    count = -(-engine._CASCADE_TERMS // rows.shape[1])
+    return np.resize(rows, (max(count, len(rows)), rows.shape[1]))
+
+
+def fsum_outcome(row: list[float]):
+    """``fsum`` of the row, or the type of the exception it raises."""
+    try:
+        return fsum(row)
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+def mirrored_rows(rng) -> np.ndarray:
+    """Rows of ``x, tiny, -reversed(x)``: they cancel to about 1e-20."""
+    half = rng.standard_normal((64, 50)) * 10.0 ** rng.integers(-20, 3, size=(64, 50))
+    return np.hstack([half, rng.standard_normal((64, 1)) * 1e-20, -half[:, ::-1]])
+
+
+def symmetric_sine_rows(rng) -> np.ndarray:
+    """The imaginary-part rows of the Hadamard law from the symmetric state,
+    whose mirror symmetry cancels them to rounding noise (and to ±0 at xi = 0)."""
+    dist = law(WalkParams(coin=hadamard_coin(), qubit=make_qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))), 160)
+    xis = np.linspace(-math.pi, math.pi, 33).reshape(-1, 1)
+    return np.sin(xis * dist.positions) * dist.probs
+
+
+EXACT_SUM_ROWS = {
+    "mirrored": mirrored_rows,
+    "symmetric_sine": symmetric_sine_rows,
+    "halfway_ties": lambda rng: [[1.0, 2.0**-53], [1.0, 3 * 2.0**-53], [-1.0, -(2.0**-53)], [1.0, -(2.0**-54)],
+                                 [2.0**53, 1.0], [2.0**53 + 2, 1.0], [0.5, 2.0**-54]],
+    "hidden_ties": lambda rng: [[1.0, 2.0**-54, 2.0**-54], [1.0, 2.0**-53, 2.0**-200], [2.0**-53, 1.0, -(2.0**-200)],
+                                [3.0, 2.0**-52, 2.0**-53]],
+    "signed_zeros": lambda rng: np.where(rng.random((64, 9)) < 0.5, 0.0, -0.0),
+    "negative_zeros": lambda rng: np.full((4, 9), -0.0),
+    "subnormals": lambda rng: rng.integers(-6, 7, size=(64, 11)) * 2.0**-1074,
+    "wide_range": lambda rng: rng.standard_normal((64, 40)) * 10.0 ** rng.integers(-300, 301, size=(64, 40)),
+    "length_one": lambda rng: rng.standard_normal((64, 1)) * 10.0 ** rng.integers(-300, 301, size=(64, 1)),
+    "length_two": lambda rng: rng.standard_normal((64, 2)) * 10.0 ** rng.integers(-30, 31, size=(64, 2)),
+    "near_1e304": lambda rng: rng.standard_normal((64, 30)) * 1e304,
+    "near_overflow": lambda rng: rng.choice([2.0**1019, -(2.0**1019), 2.0**1021, 1.0], size=(64, 5)),
+}
+
+
+class TestExactSums:
+    """``engine._exact_sums`` is ``math.fsum`` of each row, bit for bit."""
+
+    @pytest.mark.parametrize("kind", EXACT_SUM_ROWS)
+    def test_rows_equal_fsum_bit_for_bit(self, kind, rng):
+        table = tiled(EXACT_SUM_ROWS[kind](rng))
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+
+    @pytest.mark.parametrize(
+        "special",
+        ([math.inf, 1.0, 2.0, 0.0], [1.0, -math.inf, 0.0, 0.0], [math.inf, -math.inf, 1.0, 0.0], [math.nan, 1.0, 0.0, 0.0],
+         [math.inf, math.nan, 1.0, 0.0], [1.5e308, 1.5e308, -1.5e308, 0.0], [1e308, 1e308, 1e308, 0.0],
+         # every partial is finite, but fsum's own running sum rounds up to inf
+         [sys.float_info.max, 2.0**969, 2.0**969, -sys.float_info.max]),
+    )
+    def test_non_finite_and_overflowing_rows_are_fsums(self, special, rng):
+        table = tiled(rng.standard_normal((64, 4)))
+        table[3] = special
+        outcome = fsum_outcome(special)
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                engine._exact_sums(table)
+        else:
+            assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+
+    def test_partials_are_checked_not_assumed(self, rng, monkeypatch):
+        # partials one ulp off the sequential ones carry no exact errors: every
+        # row must go to fsum
+        true_cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda x, axis: np.nextafter(true_cumsum(x, axis=axis), np.inf))
+        table = tiled(mirrored_rows(rng))
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+
+    def test_tables_below_the_size_constant_are_summed_by_fsum(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or fsum(row))
+        width = 64
+        for rows, fsums in ((engine._CASCADE_TERMS // width - 1, engine._CASCADE_TERMS // width - 1),
+                            (engine._CASCADE_TERMS // width, 0)):
+            # rows of random doubles can tie (about one in a hundred); these sums
+            # are exact, so the cascade certifies every row
+            table = rng.integers(1, 2**40, size=(rows, width)) * 2.0**-30
+            calls.clear()
+            assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+            assert len(calls) == fsums
+
+    def test_law_tables_take_the_cascade(self, hadamard, symmetric_qubit, monkeypatch):
+        # 64 rows of 161 terms; only the xi = 0 sine row, all ±0, goes to fsum
+        calls = []
+        monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or fsum(row))
+        xis = [-math.pi + 2.0 * math.pi * j / 32 for j in range(32)]
+        for dist in (distribution(hadamard, symmetric_qubit, 160), law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 160)):
+            calls.clear()
+            dist.characteristic_function(xis)
+            assert len(calls) <= 2
+        calls.clear()
+        distribution(hadamard, symmetric_qubit, 40).moment(1)
+        assert len(calls) == 1
 
 
 def test_distribution_is_cached_and_read_only(rng):
