@@ -13,12 +13,12 @@ cached Jacobi table (:func:`qwalk1d.paths._letter_coordinates`; its ``kk = 0``
 case gives the two extremes), and the law contracts them with ``A`` and ``C``
 in one more.  A law costs O(n): the kernel's recurrence in kk takes O(n) long
 double scalar steps.  That is about 2-4 ms at ``n = 2000`` and 25-40 ms at
-``n = 20000`` on a 2-vCPU VM;
-:data:`LAW_TIME_CAP` bounds ``n``.
+``n = 20000`` on a 2-vCPU VM; ``engine.LAW_TIME_CAP`` bounds ``n``.
 
-For every coin and every time ``n >= 0``, ``law(params, n)`` builds the law
-at time ``n`` once, caches it and returns it as an ``engine.Distribution``,
-the type the evolution route returns too; the position probabilities are its
+For every coin and every time ``0 <= n <= engine.LAW_TIME_CAP``,
+``law(params, n)`` builds the law at time ``n`` and returns it as an
+``engine.Distribution``, the type the evolution route returns too, cached by
+the one rule of :mod:`qwalk1d.engine`; the position probabilities are its
 entries, and the characteristic function and the moments are its sums.  The
 sum above is the law of a coin with all entries nonzero.  A coin with
 ``a = 0`` or ``b = 0`` never mixes the two directions, so its law is atoms
@@ -45,13 +45,12 @@ from math import fsum
 import numpy as np
 
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
-from .engine import Distribution
+from .engine import LAW_TIME_CAP, Distribution
 from .errors import CapExceededError, NumericalHealthError, ParityViolationError, PreconditionError
 from .paths import _letter_coordinates, _require_generic
 from .special import _jacobi_table
 
 __all__ = [
-    "LAW_TIME_CAP",
     "WalkParams",
     "law",
     "position_probability",
@@ -59,11 +58,6 @@ __all__ = [
     "moment",
     "reduced_mean",
 ]
-
-#: Largest time whose closed-form law is built.  The law costs O(n): about
-#: 25-40 ms at the cap on a 2-vCPU VM.
-LAW_TIME_CAP = 20000
-
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -96,7 +90,7 @@ class WalkParams:
         return gap_coin * self.weight_gap + 2.0 * self.cross
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def law(params: WalkParams, n: int) -> Distribution:
     """The closed-form law at time ``n >= 0``, for every coin, cached and read-only.
 
@@ -105,7 +99,7 @@ def law(params: WalkParams, n: int) -> Distribution:
     ValueError
         If ``n < 0``.
     CapExceededError
-        If ``n`` exceeds :data:`LAW_TIME_CAP`.
+        If ``n`` exceeds ``engine.LAW_TIME_CAP``.
     NumericalHealthError
         If a value leaves ``[0, 1]`` (values are never clamped).
     """

@@ -3,23 +3,21 @@
 Exit codes: 0 = success and all self-checks pass, 2 = input/parse error,
 3 = a numerical self-check failed.  Each command returns its table and its
 verdict, the head's last field ``ok``; :func:`main` alone refuses bad input,
-writes the table and maps the verdict to the exit code.  Output is CSV
-(header row, RFC-4180 quoting) or JSON (one object per invocation).  Each
-command declares its columns' formats next to their names, ``INT`` or
-``REAL`` (17 significant digits), and each table's rows are rendered by one
-``%`` template applied to all their cells at once, so identical invocations
-are byte-identical and JSON round-trips bit-exactly (``-0.0`` reads back as
-``0``).  Non-finite JSON values are spelled ``NaN``, ``Infinity`` and
-``-Infinity``, as ``json.loads`` reads them; CSV spells them ``nan``, ``inf``
-and ``-inf``.
+writes the table and maps the verdict to the exit code.  Output is CSV (a
+header row of the column names, none of which needs quoting) or JSON (one
+object per invocation).  Each command declares its columns' formats next to
+their names, ``INT`` or ``REAL`` (17 significant digits), and each table's
+rows are rendered by one ``%`` template applied to all their cells at once,
+so identical invocations are byte-identical and JSON round-trips bit-exactly
+(``-0.0`` reads back as ``0``).  Non-finite JSON values are spelled ``NaN``,
+``Infinity`` and ``-Infinity``, as ``json.loads`` reads them; CSV spells them
+``nan``, ``inf`` and ``-inf``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -152,9 +150,7 @@ def _emit(args, command: str, columns: dict[str, str], rows, extra: dict) -> Non
         head = _dump_json({"command": command, **extra, "columns": list(columns)})
         sys.stdout.write(head[:-1] + ',"rows":[' + _json_numbers(table) + "]}\n")  # head without its "}"
         return
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(columns)
-    sys.stdout.write(buffer.getvalue() + (",".join(columns.values()) + "\n") * len(rows) % cells)
+    sys.stdout.write(",".join(columns) + "\n" + (",".join(columns.values()) + "\n") * len(rows) % cells)
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:

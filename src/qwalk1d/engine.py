@@ -18,10 +18,19 @@ not corrected.
 
 Both routes hand out the law as a :class:`Distribution` (here, and from
 ``analytic.law(params, n)``); its methods are the package's only sums over a law.
-Both routes build a law once per input and cache it, so the returned
-``Distribution`` is shared and its ``probs`` are read-only.  Its sums take one
-argument or a sequence of them: a sequence gives the whole table in one array
-pass, each entry bit-identical to the one-argument call.
+The returned ``Distribution`` is shared, and its ``probs`` are read-only.  Its
+sums take one argument or a sequence of them: a sequence gives the whole table
+in one array pass, each entry bit-identical to the one-argument call.
+
+One cap and one cache rule hold for every law.  :data:`LAW_TIME_CAP` bounds
+the time on both routes and in ``limit.ks_convergence``, and each refuses a
+larger one before it builds an array.  Every ``lru_cache`` of the package keeps
+one entry (the two laws, :func:`_transposed_letters`, ``paths._word_sums``,
+``special._jacobi_table`` and ``special._terminating_sum``), because every
+reuse is of the entry used just before.  On the job lists of the
+``closed-form``, ``limit-converge`` and ``identities`` benchmarks (seeds 1-3)
+each had the hits and misses it had with 64 to 512 entries; at the cap a law
+cache holds 160 KB, where 512 entries could hold 82 MB.
 
 Every entry of those sums is exactly rounded: it is ``math.fsum`` of its row
 of terms, bit for bit.  A table of a few thousand terms or more is not summed
@@ -48,6 +57,7 @@ __all__ = [
     "AmplitudeField",
     "Distribution",
     "DENSE_CAP",
+    "LAW_TIME_CAP",
     "initial_field",
     "step",
     "evolve",
@@ -58,6 +68,10 @@ __all__ = [
 
 #: Largest half-width N for the dense ring-evolution matrix (size 4N+2).
 DENSE_CAP = 64
+
+#: Largest time of a law, on both routes and in ``limit.ks_convergence``.  At
+#: the cap a law takes 25-60 ms on either route on a 2-vCPU VM.
+LAW_TIME_CAP = 20000
 
 #: Most products of arguments and positions that a table of sums forms at
 #: once (64 KB per float array); a longer table is formed in blocks of rows.
@@ -247,9 +261,9 @@ def initial_field(qubit: Qubit) -> AmplitudeField:
     return AmplitudeField(n=0, amps=qubit.vector.reshape(1, 2))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _transposed_letters(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
-    """``P.T`` and ``Q.T``, built once per coin and read-only (they are shared)."""
+    """``P.T`` and ``Q.T`` of the last coin, cached and read-only (they are shared)."""
     pair = (letter_matrix(coin, Letter.P).T, letter_matrix(coin, Letter.Q).T)
     for matrix in pair:
         matrix.setflags(write=False)
@@ -276,12 +290,12 @@ def evolve(coin: Coin, qubit: Qubit, n: int) -> AmplitudeField:
     return field
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """Exact position distribution at time ``n``, by one transform (Fourier route).
 
-    Built once per ``(coin, qubit, n)``, cached and read-only, like the
-    closed-form ``analytic.law``.
+    Cached and read-only, like the closed-form ``analytic.law``; a time above
+    :data:`LAW_TIME_CAP` is refused before any array is built.
 
     With ``psi_hat(t) = sum_k psi_k e^{ikt}``, the field at time ``n`` is
     ``psi_hat_n(t) = U(t)^n psi_0``, ``U(t) = e^{-it} P + e^{it} Q``.  Times
@@ -307,6 +321,8 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """
     if n < 0:
         raise ValueError(f"time must be non-negative, got {n}")
+    if n > LAW_TIME_CAP:
+        raise CapExceededError(f"time {n} exceeds the cap {LAW_TIME_CAP}")
     size = n + 1
     z = np.exp(2j * np.pi * np.arange(size) / size).astype(np.clongdouble)
     # the symbol [[p, q], [r, s]] = P + z Q and the state [u, v], per sample

@@ -30,7 +30,6 @@ __all__ = [
     "TwoPointLimit",
     "ConvergenceReport",
     "OscillationScales",
-    "KS_TIME_CAP",
     "density",
     "limit_cdf",
     "limit_moment",
@@ -41,12 +40,6 @@ __all__ = [
     "asymptotics_envelope",
     "oscillation_scales",
 ]
-
-#: Largest time accepted by the convergence diagnostics.  One time costs one
-#: O(n log n) jump: about 50 ms at the cap, with total-probability drift near
-#: 4e-12 (Hadamard and random coins, 2-vCPU VM).
-KS_TIME_CAP = 20000
-
 
 @dataclass(frozen=True)
 class LimitDensity:
@@ -204,17 +197,18 @@ def ks_distance(ld: LimitDensity, dist: engine.Distribution) -> float:
 def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> ConvergenceReport:
     """KS distance of the exact law of ``X_n/n`` from the limit, per time.
 
-    Every time is checked before any law is computed.  Each distinct time is
-    then jumped to once, in increasing order, by one :func:`engine.distribution`
-    call; the entries follow ``n_list``, repeats included.
+    Every time is checked against ``engine.LAW_TIME_CAP`` before any law is
+    computed.  Each distinct time is then jumped to once, in increasing order,
+    by one :func:`engine.distribution` call (at the cap about 50 ms on a 2-vCPU
+    VM, drift near 4e-12); the entries follow ``n_list``, repeats included.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]
     for n in times:
         if n < 1:
             raise ValueError(f"convergence times must be >= 1, got {n}")
-        if n > KS_TIME_CAP:
-            raise CapExceededError(f"time {n} exceeds the cap {KS_TIME_CAP}")
+        if n > engine.LAW_TIME_CAP:
+            raise CapExceededError(f"time {n} exceeds the cap {engine.LAW_TIME_CAP}")
     laws = {n: engine.distribution(coin, qubit, n) for n in sorted(set(times))}
     return ConvergenceReport(
         entries=tuple((n, ks_distance(ld, laws[n])) for n in times),
@@ -243,8 +237,8 @@ def _window(coin: Coin) -> tuple[float, float]:
 def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
-    The scaled Jacobi value is read from the kernel's cached table for time
-    ``n`` and ``|a|``, which costs O(n) long double scalar steps once."""
+    The scaled Jacobi value is read from the kernel's table for time ``n`` and
+    ``|a|``, built in O(n) long double scalar steps and kept for the next call."""
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:

@@ -18,7 +18,7 @@ is a unit phase times a combination of
 ``|a|^(n-1) T_i = -(|b|^2/|a|) u_i / kk^i`` with
 ``u_i = |a|^(n-2kk) P_(kk-1)^(i, n-2kk)(2|a|^2 - 1)``; they are never summed
 term by term, but read from the table of the array kernel
-:func:`qwalk1d.special._scaled_jacobi`, cached per time and ``|a|^2``.  One
+:func:`qwalk1d.special._scaled_jacobi`, cached for one time and ``|a|^2``.  One
 function, :func:`_letter_coordinates`, gives the phase-free coordinates of
 ``Xi(n - m, m)`` for an array of ``m`` in one array expression over that
 table; the pure words are its ``kk = 0`` case.  The law in
@@ -30,7 +30,7 @@ to ``n_max`` it gives ``Xi(l, n - l)`` for every ``l`` by all three routes.
 It enumerates each time's words once, forms each time's closed forms as one
 array and each time's coin powers once.  Its rows equal the per-entry
 functions bit for bit, because both run the same array or scalar code.  The
-per-entry enumeration caches the sums of each coin and time but not the words.
+per-entry enumeration caches the last coin and time's sums, not the words.
 """
 
 from __future__ import annotations
@@ -175,10 +175,10 @@ def _block_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _word_sums(coin: Coin, n: int) -> np.ndarray:
-    """:func:`_block_sums` of time ``n`` (the identity at ``n = 0``), cached per coin
-    and read-only; the words are not kept."""
+    """:func:`_block_sums` of time ``n`` (the identity at ``n = 0``), read-only and
+    cached for the next entry of that coin and time; the words are not kept."""
     if n == 0:
         sums = np.eye(2, dtype=np.complex128)[None]
     else:
@@ -191,10 +191,10 @@ def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
     Forms every word's product on its own, one letter at a time; all ``2^n``
-    words of time ``n = l + m`` are enumerated once per coin, and their sums
-    by P count are cached, each entry correctly rounded.  Exponential in
-    ``n``; refuses beyond :data:`ENUMERATION_CAP`.  Returns a fresh,
-    writeable array.
+    words of time ``n = l + m`` are enumerated together, and their sums by P
+    count, each entry correctly rounded, are cached, so the next entry of the
+    same coin and time reads them.  Exponential in ``n``; refuses beyond
+    :data:`ENUMERATION_CAP`.  Returns a fresh, writeable array.
     """
     if sc.n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")

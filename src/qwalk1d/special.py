@@ -7,7 +7,7 @@ a three-term recurrence in ``kk``, O(n) scalar steps in ``np.longdouble`` with
 exact power-of-two scaling.  Each value is within 1e-12 relative or 1e-14
 absolute of the exact one; that accuracy rests on the long double (see the
 kernel).
-:func:`_jacobi_table` caches its table per time and ``|a|^2``, read-only.
+:func:`_jacobi_table` caches its table of one time and ``|a|^2``, read-only.
 The public functions are its exact references: 2F1 summed from its series,
 Jacobi values through it, the Pfaff transformation as a residual diagnostic,
 and the combinatorial-sum/Jacobi-value identities.
@@ -17,11 +17,10 @@ series or binomial sum is carried as one integer numerator over one integer
 denominator, never reduced, and rounded once by the correctly rounded integer
 true division; the result is the float nearest the exact sum.  A terminating
 2F1 is limited to 10,000 terms and to integers of the size 10,000 terms reach
-at ``z = 0.3``.  The exact terminating series are memoised on their
-arguments in a bounded LRU cache of 256 entries (errors are not stored).
-``jacobi_sum_identity`` and the left side of ``pfaff_residual`` ask for the
-same series at the same ``(n, k, i)``, so a Jacobi/Pfaff sweep sums each of
-those series once.
+at ``z = 0.3``.  The last exact terminating series is memoised on its
+arguments (errors are not stored).  ``jacobi_sum_identity`` and then the left
+side of ``pfaff_residual`` ask for the same series at the same ``(n, k, i)``,
+so a Jacobi/Pfaff sweep sums each of those series once.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ _TERMINATING_CAP = 10_000
 # grows with the square of that size; a tiny z adds about 1,000 bits a term.
 # Capped at what 10,000 terms reach at z = 0.3 with half-integer b and c.
 _TERMINATING_BITS_CAP = 830_000
-# Terminating series kept by the memo.  A Jacobi/Pfaff sweep asks for each
-# rho series twice in a row (the identity's right side, then the Pfaff
-# residual's left side), so a short memo serves it.
-_TERMINATING_MEMO = 256
 _SERIES_RTOL = 1e-16
 
 # The Jacobi recurrence divides its running values by 2^_SCALE_BITS whenever
@@ -130,7 +125,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     raise NonConvergentError(f"series cap of {_SERIES_CAP} terms hit at z = {z}")
 
 
-@lru_cache(maxsize=_TERMINATING_MEMO)
+@lru_cache(maxsize=1)
 def _terminating_sum(a: float, b: float, c: float, z: float, stop: int) -> float:
     """The exact terminating series of :func:`hyp2f1`, last nonzero term ``stop``,
     memoised on its floats (a raised cap is not stored, so it is raised again)."""
@@ -304,10 +299,10 @@ def _scaled_jacobi(n: int, a2: float) -> np.ndarray:
     return np.ldexp(table, np.array(exps) + power_exp).astype(float)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _jacobi_table(n: int, a2: float) -> np.ndarray:
-    """The table of :func:`_scaled_jacobi`, cached per ``(n, a2)`` and read-only:
-    the path sums, the law and the limit envelope all read this one copy."""
+    """The table of :func:`_scaled_jacobi`, cached and read-only: the path sums,
+    the law and the limit envelope of one ``(n, a2)`` all read this one copy."""
     table = _scaled_jacobi(n, a2)
     table.flags.writeable = False
     return table

@@ -7,7 +7,6 @@ import pytest
 import qwalk1d.analytic as analytic
 import qwalk1d.special as special
 from qwalk1d.analytic import (
-    LAW_TIME_CAP,
     WalkParams,
     characteristic_function,
     law,
@@ -16,7 +15,7 @@ from qwalk1d.analytic import (
     reduced_mean,
 )
 from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
-from qwalk1d.engine import distribution
+from qwalk1d.engine import LAW_TIME_CAP, distribution
 from qwalk1d.errors import CapExceededError, ParityViolationError, PreconditionError
 from qwalk1d.paths import StepCount, path_sum
 from qwalk1d.special import rho_value

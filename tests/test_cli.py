@@ -326,6 +326,14 @@ def test_closed_forms_share_one_law_per_time(capsys, monkeypatch, fresh_caches):
     assert (info.misses, info.hits) == (1, 2)
 
 
+def test_law_caches_keep_one_entry(capsys, fresh_caches):
+    for n in ("40", "41"):
+        code, _, _ = run_cli(capsys, ["dist", "-n", n])
+        assert code == 0
+    for cache in (analytic.law, engine.distribution, special._jacobi_table):
+        assert cache.cache_info().currsize == 1
+
+
 def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch, fresh_caches):
     def no_position_probability(*args):
         raise AssertionError("dist must read the whole law, not one position at a time")
@@ -429,7 +437,7 @@ def test_closed_forms_refuse_times_over_the_cap(capsys, monkeypatch, command):
         raise AssertionError("an over-cap time must be refused before the engine runs")
 
     monkeypatch.setattr(engine, "distribution", no_engine)
-    code, out, err = run_cli(capsys, [command, "-n", str(analytic.LAW_TIME_CAP + 1)])
+    code, out, err = run_cli(capsys, [command, "-n", str(engine.LAW_TIME_CAP + 1)])
     assert code == 2
     assert out == ""
     assert "exceeds the closed-form cap" in err

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qwalk1d.cli as cli
-from qwalk1d.analytic import LAW_TIME_CAP
 from qwalk1d.coin import coin_from_angles
+from qwalk1d.engine import LAW_TIME_CAP
 from qwalk1d.symmetry import SWEEP_TIME_CAP
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded

@@ -270,6 +270,16 @@ def test_distribution_is_cached_and_read_only(rng):
         dist.probs[0] = 0.5
 
 
+def test_distribution_refuses_times_over_the_cap(hadamard, symmetric_qubit, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("an over-cap time must be refused before any array is built")
+
+    monkeypatch.setattr(np, "exp", no_transform)
+    monkeypatch.setattr(np.fft, "fft", no_transform)
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        distribution(hadamard, symmetric_qubit, engine.LAW_TIME_CAP + 1)
+
+
 FOURIER_TIMES = (0, 1, 2, 7, 40, 161, 800, 2000)
 
 

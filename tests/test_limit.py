@@ -16,7 +16,6 @@ from qwalk1d.coin import (
 )
 from qwalk1d.errors import CapExceededError, DegenerateCoinError, OutOfWindowError
 from qwalk1d.limit import (
-    KS_TIME_CAP,
     LimitDensity,
     asymptotics_envelope,
     density,
@@ -292,12 +291,12 @@ class TestConvergence:
         with pytest.raises(ValueError):
             ks_convergence(hadamard, symmetric_qubit, [0])
         with pytest.raises(CapExceededError):
-            ks_convergence(hadamard, symmetric_qubit, [KS_TIME_CAP + 1])
+            ks_convergence(hadamard, symmetric_qubit, [engine.LAW_TIME_CAP + 1])
 
     def test_times_checked_before_evolving(self, hadamard, symmetric_qubit, monkeypatch):
         computed, steps = count_engine_calls(monkeypatch)
         with pytest.raises(CapExceededError):
-            ks_convergence(hadamard, symmetric_qubit, [400, KS_TIME_CAP + 1])
+            ks_convergence(hadamard, symmetric_qubit, [400, engine.LAW_TIME_CAP + 1])
         with pytest.raises(ValueError):
             ks_convergence(hadamard, symmetric_qubit, [400, 0])
         assert computed == []
