@@ -34,7 +34,7 @@ print("balanced coin, four initial states, evidence up to n = 12:")
 for label, qubit in candidates.items():
     member = is_symmetric_state(coin, qubit)
     report = symmetry_evidence(coin, qubit, 12)
-    worst = max(gap for _, gap in report.evidence)
+    worst = max(gap for _, gap, _ in report.rows)
     mean12 = distribution(coin, qubit, 12).mean()
     print(f"  {label}: algebraic member = {member!s:5}, "
           f"worst asymmetry = {worst:.2e}, mean at n=12 = {mean12:+.4f}")

@@ -46,8 +46,7 @@ print(f"  sd, right state  : {sd:.5f}  (0.45508...)")
 # Convergence is slow near the edge spikes; the exact KS distance decays
 # steadily once adjacent-parity times are averaged.
 print("\nexact KS distance of X_n/n to the limit (symmetric case):")
-raw = ks_convergence(coin, symmetric, [50, 100, 200, 400])
-for n, d in raw.entries:
+for n, d, _ in ks_convergence(coin, symmetric, [50, 100, 200, 400]):
     print(f"  n = {n:3d}: KS = {d:.5f}")
 print("parity-smoothed (average of n and n+1):")
 for n, d in parity_smoothed_ks(coin, symmetric, [50, 100, 200, 400]):

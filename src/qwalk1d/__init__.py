@@ -48,7 +48,6 @@ from .errors import (
     QWalkError,
 )
 from .limit import (
-    ConvergenceReport,
     LimitDensity,
     TwoPointLimit,
     asymptotics_envelope,

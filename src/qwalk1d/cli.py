@@ -204,9 +204,8 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
     report = symmetry_evidence(coin, qubit, max(args.n_max, 3))
-    rows = [[n, gap, mean] for (n, gap), mean in zip(report.evidence[: args.n_max], report.means)]
     member = is_symmetric_state(coin, qubit)
-    return ({"n": INT, "max_asymmetry": REAL, "mean": REAL}, rows, {
+    return ({"n": INT, "max_asymmetry": REAL, "mean": REAL}, report.rows[: args.n_max], {
         "n_max": args.n_max,
         "algebraic_member": member,
         "empirically_symmetric": report.symmetric,
@@ -239,9 +238,8 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 def _cmd_converge(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     n_list = [int(part) for part in args.n_list.split(",")]
-    report = limit.ks_convergence(coin, qubit, n_list)
-    rows = [[n, ks, total] for (n, ks), total in zip(report.entries, report.totals)]
-    worst_drift = _worst([abs(total - 1.0) for total in report.totals])
+    rows = limit.ks_convergence(coin, qubit, n_list)
+    worst_drift = _worst([abs(total - 1.0) for _, _, total in rows])
     return ({"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,
             {"max_probability_drift": worst_drift, "ok": worst_drift <= 1e-9})
 

@@ -28,8 +28,8 @@ from .special import _jacobi_table
 __all__ = [
     "LimitDensity",
     "TwoPointLimit",
-    "ConvergenceReport",
     "OscillationScales",
+    "KS_CELLS_CAP",
     "density",
     "limit_cdf",
     "limit_moment",
@@ -40,6 +40,13 @@ __all__ = [
     "asymptotics_envelope",
     "oscillation_scales",
 ]
+
+#: Most cells, the sum of ``n + 1`` over the distinct times, that one
+#: :func:`ks_convergence` call may compute laws for; the time grows with the
+#: cells.  At the cap ``converge`` took 1.4-1.9 s over the times from 1 and
+#: 2.1-2.7 s over the 50 times up to 20000 (four coins, 2-vCPU VM, in-process).
+KS_CELLS_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class LimitDensity:
@@ -80,21 +87,6 @@ class TwoPointLimit:
 
     def moment(self, m: int) -> float:
         return (-1.0) ** m * self.p_minus + self.p_plus
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Kolmogorov-Smirnov distances ``(n, sup_x |F_n(x) - F_limit(x)|)``.
-
-    ``totals[i]`` is the total probability of the engine's law at the time of
-    ``entries[i]`` (1 up to the engine's rounding drift).
-    """
-
-    entries: tuple[tuple[int, float], ...]
-    totals: tuple[float, ...]
-
-    def distances(self) -> list[float]:
-        return [d for _, d in self.entries]
 
 
 @dataclass(frozen=True)
@@ -194,13 +186,16 @@ def ks_distance(ld: LimitDensity, dist: engine.Distribution) -> float:
     return float(max(at_atoms.max(), before_atoms.max()))
 
 
-def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> ConvergenceReport:
-    """KS distance of the exact law of ``X_n/n`` from the limit, per time.
+def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, float, float]]:
+    """One row ``(n, sup_x |F_n(x) - F_limit(x)|, total probability)`` per
+    time of ``n_list``, repeats included; the total is 1 up to the engine's
+    rounding drift.
 
-    Every time is checked against ``engine.LAW_TIME_CAP`` before any law is
-    computed.  Each distinct time is then jumped to once, in increasing order,
-    by one :func:`engine.distribution` call (at the cap about 50 ms on a 2-vCPU
-    VM, drift near 4e-12); the entries follow ``n_list``, repeats included.
+    Every time is checked against ``engine.LAW_TIME_CAP``, and the distinct
+    times against :data:`KS_CELLS_CAP`, before any law is computed.  Each
+    distinct time is then jumped to once, in increasing order, by one
+    :func:`engine.distribution` call (at the time cap about 50 ms on a 2-vCPU
+    VM, drift near 4e-12), and only its row is kept: one law is held at a time.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]
@@ -209,11 +204,15 @@ def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> ConvergenceReport:
             raise ValueError(f"convergence times must be >= 1, got {n}")
         if n > engine.LAW_TIME_CAP:
             raise CapExceededError(f"time {n} exceeds the cap {engine.LAW_TIME_CAP}")
-    laws = {n: engine.distribution(coin, qubit, n) for n in sorted(set(times))}
-    return ConvergenceReport(
-        entries=tuple((n, ks_distance(ld, laws[n])) for n in times),
-        totals=tuple(laws[n].total() for n in times),
-    )
+    distinct = sorted(set(times))
+    cells = sum(n + 1 for n in distinct)
+    if cells > KS_CELLS_CAP:
+        raise CapExceededError(f"{len(distinct)} distinct times of {cells} cells exceed the cap {KS_CELLS_CAP}")
+    by_time = {}
+    for n in distinct:
+        dist = engine.distribution(coin, qubit, n)
+        by_time[n] = (n, ks_distance(ld, dist), dist.total())
+    return [by_time[n] for n in times]
 
 
 def parity_smoothed_ks(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, float]]:
@@ -224,9 +223,8 @@ def parity_smoothed_ks(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, floa
     convergence diagnostic.
     """
     times = [int(n) for n in n_list]
-    report = ks_convergence(coin, qubit, [t for n in times for t in (n, n + 1)])
-    d = report.distances()
-    return [(n, 0.5 * (d[2 * i] + d[2 * i + 1])) for i, n in enumerate(times)]
+    rows = ks_convergence(coin, qubit, [t for n in times for t in (n, n + 1)])
+    return [(n, 0.5 * (rows[2 * i][1] + rows[2 * i + 1][1])) for i, n in enumerate(times)]
 
 
 def _window(coin: Coin) -> tuple[float, float]:

@@ -44,16 +44,15 @@ MEAN_TOL = 1e-10
 class SymmetryReport:
     """Outcome of the empirical checks, both read from the engine's laws.
 
-    ``evidence`` holds ``(n, max_k |P(X_n=k) - P(X_n=-k)|)`` for each checked
-    time and ``means[i]`` is ``E(X_n)`` at the time of ``evidence[i]``.
-    ``symmetric`` is True when every mirror gap is below :data:`GAP_TOL`, and
-    ``zero_mean`` when every ``|E(X_n)|`` is below ``MEAN_TOL * n``.
+    ``rows`` holds one row ``(n, max_k |P(X_n=k) - P(X_n=-k)|, E(X_n))`` per
+    checked time.  ``symmetric`` is True when every mirror gap is below
+    :data:`GAP_TOL`, and ``zero_mean`` when every ``|E(X_n)|`` is below
+    ``MEAN_TOL * n``.
     """
 
     symmetric: bool
     zero_mean: bool
-    evidence: tuple[tuple[int, float], ...]
-    means: tuple[float, ...]
+    rows: tuple[tuple[int, float, float], ...]
 
 
 def _mean_vanishes(n: int, mean: float) -> bool:
@@ -90,17 +89,15 @@ def symmetry_evidence(coin: Coin, qubit: Qubit, n_max: int) -> SymmetryReport:
     if n_max > SWEEP_TIME_CAP:
         raise CapExceededError(f"n_max {n_max} exceeds the sweep cap {SWEEP_TIME_CAP}")
     field = engine.initial_field(qubit)
-    evidence, means = [], []
+    rows = []
     for _ in range(n_max):
         field = engine.step(coin, field)
         dist = field.to_distribution()
-        evidence.append((field.n, float(np.max(np.abs(dist.probs - dist.probs[::-1])))))
-        means.append(dist.mean())
+        rows.append((field.n, float(np.max(np.abs(dist.probs - dist.probs[::-1]))), dist.mean()))
     return SymmetryReport(
-        symmetric=all(gap < GAP_TOL for _, gap in evidence),
-        zero_mean=all(_mean_vanishes(n, mean) for (n, _), mean in zip(evidence, means)),
-        evidence=tuple(evidence),
-        means=tuple(means),
+        symmetric=all(gap < GAP_TOL for _, gap, _ in rows),
+        zero_mean=all(_mean_vanishes(n, mean) for n, _, mean in rows),
+        rows=tuple(rows),
     )
 
 

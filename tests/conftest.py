@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwalk1d.engine as engine
 from qwalk1d.coin import hadamard_coin, make_qubit
 
 
@@ -29,3 +30,24 @@ def right_qubit():
 @pytest.fixture
 def left_qubit():
     return make_qubit(1.0, 0.0)
+
+
+@pytest.fixture
+def times_of_cells():
+    """Distinct times whose ``n + 1`` sum to ``cells``: the 50 times up to the
+    time cap, then one small time for the rest."""
+
+    def times(cells):
+        top = list(range(engine.LAW_TIME_CAP - 49, engine.LAW_TIME_CAP + 1))
+        return top + [cells - sum(n + 1 for n in top) - 1]
+
+    return times
+
+
+@pytest.fixture
+def uniform_laws(monkeypatch):
+    """``engine.distribution`` replaced by a uniform law of the same time, which
+    is quick to build even at the time cap."""
+    monkeypatch.setattr(
+        engine, "distribution", lambda coin, qubit, n: engine.Distribution(n=n, probs=np.full(n + 1, 1.0 / (n + 1)))
+    )

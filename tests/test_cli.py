@@ -454,6 +454,29 @@ def test_symmetry_refuses_n_max_over_the_cap(capsys, monkeypatch):
     assert "exceeds the sweep cap" in err
 
 
+def test_converge_accepts_cells_at_the_cap(capsys, uniform_laws, times_of_cells):
+    times = times_of_cells(limit.KS_CELLS_CAP)
+    code, out, err = run_cli(capsys, ["converge", "--n-list", ",".join(map(str, times)), "--format", "json"])
+    assert code == 0, err
+    assert [row[0] for row in json.loads(out)["rows"]] == times
+
+
+@pytest.mark.parametrize("over", ["time", "cells"])
+def test_converge_refuses_runs_over_the_cap(capsys, monkeypatch, times_of_cells, over):
+    def no_engine(*args):
+        raise AssertionError("an over-cap run must be refused before the engine runs")
+
+    monkeypatch.setattr(engine, "distribution", no_engine)
+    if over == "time":
+        times, message = [10, engine.LAW_TIME_CAP + 1], f"exceeds the cap {engine.LAW_TIME_CAP}"
+    else:
+        times, message = times_of_cells(limit.KS_CELLS_CAP + 1), f"exceed the cap {limit.KS_CELLS_CAP}"
+    code, out, err = run_cli(capsys, ["converge", "--n-list", ",".join(map(str, times))])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_numerical_health_failure_exits_3(capsys, monkeypatch, fresh_caches):
     monkeypatch.setattr(special, "_scaled_jacobi", lambda n, a2: np.full((2, n // 2), 1e3))
     code, out, err = run_cli(capsys, ["dist", "-n", "8"])

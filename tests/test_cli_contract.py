@@ -4,8 +4,9 @@ Whatever the input, ``qwalk1d`` exits 0 (all checks pass), 2 (bad input) or 3
 (a self-check failed), never with a traceback, and a 0 exit never prints NaN.
 A non-positive count (``--xi-points``, ``--max-order``, ``--n-max``,
 ``--grid-points``, ``--n-cap``) is bad input: it never exits 0.  A time over
-the closed-form cap, or a ``--n-max`` over the symmetry sweep's cap, each
-drawn up to ten times its cap, exits 2 at once.
+the law's time cap, or a ``--n-max`` over the symmetry sweep's cap, each
+drawn up to ten times its cap, exits 2 at once, and so does a ``converge``
+run of distinct times whose cells pass the cells cap.
 """
 
 import io
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qwalk1d.cli as cli
 from qwalk1d.coin import coin_from_angles
 from qwalk1d.engine import LAW_TIME_CAP
+from qwalk1d.limit import KS_CELLS_CAP
 from qwalk1d.symmetry import SWEEP_TIME_CAP
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
@@ -62,6 +64,15 @@ def real_list(min_size: int, max_size: int):
     return st.lists(real, min_size=min_size, max_size=max_size).map(",".join)
 
 
+def cells_run(top: int) -> list[int]:
+    """Consecutive distinct times down from ``top`` whose ``n + 1`` just pass the cells cap."""
+    times, cells = [], 0
+    while cells <= KS_CELLS_CAP:
+        times.append(top - len(times))
+        cells += times[-1] + 1
+    return times
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(cli._HANDLERS)))
@@ -84,7 +95,15 @@ def argvs(draw):
     elif command == "limit":
         argv.append("--grid-points=" + draw(integer(-1, 200)))
     elif command == "converge":
-        argv.append("--n-list=" + draw(st.lists(integer(-1, 64), min_size=1, max_size=3).map(",".join)))
+        # a few small times, and sometimes one time over the time cap or a run
+        # of large times over the cells cap: no draw starts a long run
+        times = draw(st.lists(integer(-1, 64), min_size=1, max_size=3))
+        over = draw(st.sampled_from(["none", "time", "cells"]))
+        if over == "time":
+            times.append(str(draw(st.integers(LAW_TIME_CAP + 1, 10 * LAW_TIME_CAP))))
+        elif over == "cells":
+            times += map(str, cells_run(draw(st.integers(LAW_TIME_CAP // 2, LAW_TIME_CAP))))
+        argv.append("--n-list=" + ",".join(draw(st.permutations(times))))
     elif command == "oracle":
         argv.append("--n-cap=" + draw(integer(-1, 9)))
     if draw(st.booleans()):
@@ -98,26 +117,29 @@ def argvs(draw):
 COUNT_FLAGS = ("--xi-points=", "--max-order=", "--n-max=", "--grid-points=", "--n-cap=")
 
 
-def _int_option(argv, flags) -> int | None:
-    """The value of the first of ``flags`` in ``argv``, None if absent or malformed."""
+def _int_values(argv, flags) -> list[int]:
+    """The comma-separated integers of the first of ``flags`` in ``argv``, none
+    if it is absent or malformed."""
     for arg in argv:
         if arg.startswith(flags):
             try:
-                return int(arg.split("=", 1)[1])
-            except ValueError:  # a malformed token; argparse refuses it
-                return None
-    return None
+                return [int(part) for part in arg.split("=", 1)[1].split(",")]
+            except ValueError:  # a malformed token; the command refuses it
+                return []
+    return []
 
 
 def non_positive_count(argv) -> bool:
-    count = _int_option(argv, COUNT_FLAGS)
-    return count is not None and count < 1
+    return any(count < 1 for count in _int_values(argv, COUNT_FLAGS))
 
 
 def over_the_cap(argv) -> bool:
-    steps = _int_option(argv, ("--steps=",))
-    n_max = _int_option(argv, ("--n-max=",))
-    return (steps is not None and steps > LAW_TIME_CAP) or (n_max is not None and n_max > SWEEP_TIME_CAP)
+    times = _int_values(argv, ("--steps=", "--n-list="))
+    return (
+        any(n > LAW_TIME_CAP for n in times)
+        or any(n_max > SWEEP_TIME_CAP for n_max in _int_values(argv, ("--n-max=",)))
+        or sum(n + 1 for n in set(_int_values(argv, ("--n-list=",)))) > KS_CELLS_CAP
+    )
 
 
 def run_main(argv):

@@ -338,7 +338,7 @@ class TestFourierRoute:
                 ks_convergence(coin, qubit, times)
             assert computed == []
             return
-        report = ks_convergence(coin, qubit, times)
+        rows = ks_convergence(coin, qubit, times)
         assert [dist.n for dist in computed] == [1, 2, 7, 161, 800]
         field = initial_field(qubit)
         for dist in computed:
@@ -347,7 +347,7 @@ class TestFourierRoute:
             assert np.max(np.abs(dist.probs - field.to_distribution().probs)) <= 1e-13
         ld = LimitDensity(coin=coin, qubit=qubit)
         by_time = {dist.n: dist for dist in computed}
-        assert report.entries == tuple((n, ks_distance(ld, by_time[n])) for n in times)
+        assert rows == [(n, ks_distance(ld, by_time[n]), by_time[n].total()) for n in times]
 
     def test_b_zero_atoms_match_exact_powers(self, rng):
         # A b = 0 coin carries the two atoms |a|^(2n)|alpha|^2 and |d|^(2n)|beta|^2,

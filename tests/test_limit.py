@@ -1,5 +1,6 @@
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qwalk1d.coin import (
 )
 from qwalk1d.errors import CapExceededError, DegenerateCoinError, OutOfWindowError
 from qwalk1d.limit import (
+    KS_CELLS_CAP,
     LimitDensity,
     asymptotics_envelope,
     density,
@@ -277,15 +279,15 @@ class TestTwoPointLimit:
 
 class TestConvergence:
     def test_distances_shrink(self, hadamard, symmetric_qubit):
-        report = ks_convergence(hadamard, symmetric_qubit, [20, 80, 320])
-        d = report.distances()
+        rows = ks_convergence(hadamard, symmetric_qubit, [20, 80, 320])
+        d = [ks for _, ks, _ in rows]
         assert d[0] > d[1] > d[2]
         assert all(0.0 <= x <= 1.0 for x in d)
 
     def test_time_one_two_point_law(self, hadamard, symmetric_qubit):
-        report = ks_convergence(hadamard, symmetric_qubit, [1])
+        rows = ks_convergence(hadamard, symmetric_qubit, [1])
         # X_1 has atoms at -1 and 1, both outside the support: KS = 1/2 mass
-        assert report.entries[0][1] == pytest.approx(0.5, abs=1e-9)
+        assert rows[0][1] == pytest.approx(0.5, abs=1e-9)
 
     def test_input_guards(self, hadamard, symmetric_qubit):
         with pytest.raises(ValueError):
@@ -304,10 +306,48 @@ class TestConvergence:
 
     def test_repeated_unordered_times_match_single_reports(self, rng):
         coin, qubit = random_unitary_coin(rng), random_qubit(rng)
-        report = ks_convergence(coin, qubit, [40, 10, 40])
+        rows = ks_convergence(coin, qubit, [40, 10, 40])
         singles = [ks_convergence(coin, qubit, [n]) for n in (40, 10, 40)]
-        assert report.entries == tuple(s.entries[0] for s in singles)
-        assert report.totals == tuple(s.totals[0] for s in singles)
+        assert rows == [single[0] for single in singles]
+
+    def test_holds_one_law_at_a_time(self, rng, monkeypatch):
+        # each law is dropped once its row is made; the engine's cache keeps
+        # only the last one
+        coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+        laws = []
+        true_distribution = engine.distribution
+
+        def watched(coin, qubit, n):
+            alive = [law().n for law in laws if law() is not None]
+            assert len(alive) <= 1, (n, alive)
+            dist = true_distribution(coin, qubit, n)
+            laws.append(weakref.ref(dist))
+            return dist
+
+        monkeypatch.setattr(engine, "distribution", watched)
+        rows = ks_convergence(coin, qubit, [40, 10, 80, 20, 40, 160])
+        assert [row[0] for row in rows] == [40, 10, 80, 20, 40, 160]
+        assert len(laws) == 5
+
+    def test_cells_at_the_cap_are_accepted(self, hadamard, symmetric_qubit, uniform_laws, times_of_cells):
+        times = times_of_cells(KS_CELLS_CAP)
+        assert len(set(times)) == len(times) and max(times) == engine.LAW_TIME_CAP
+        # the cap counts distinct times: repeats add rows, not cells
+        rows = ks_convergence(hadamard, symmetric_qubit, times + times[:3])
+        assert [row[0] for row in rows] == times + times[:3]
+
+    def test_cells_over_the_cap_are_refused_before_any_law(
+        self, hadamard, symmetric_qubit, monkeypatch, times_of_cells
+    ):
+        def no_engine(*args):
+            raise AssertionError("an over-cap run must be refused before the engine runs")
+
+        monkeypatch.setattr(engine, "distribution", no_engine)
+        with pytest.raises(CapExceededError, match=f"exceed the cap {KS_CELLS_CAP}"):
+            ks_convergence(hadamard, symmetric_qubit, times_of_cells(KS_CELLS_CAP + 1))
+        # 50 pairs (n, n + 1) up to the time cap
+        with pytest.raises(CapExceededError, match=f"exceed the cap {KS_CELLS_CAP}"):
+            parity_smoothed_ks(hadamard, symmetric_qubit, range(engine.LAW_TIME_CAP - 99, engine.LAW_TIME_CAP, 2))
 
     def test_parity_smoothed_evolves_once(self, hadamard, symmetric_qubit, monkeypatch):
         computed, steps = count_engine_calls(monkeypatch)
@@ -322,8 +362,8 @@ class TestConvergence:
         assert values[-1] <= SMOOTHED_KS_SYMMETRIC_400
 
     def test_one_sided_regression_bound(self, hadamard, right_qubit):
-        report = ks_convergence(hadamard, right_qubit, [400])
-        assert report.entries[0][1] <= RAW_KS_RIGHT_400
+        rows = ks_convergence(hadamard, right_qubit, [400])
+        assert rows[0][1] <= RAW_KS_RIGHT_400
 
 
 class TestEnvelope:

@@ -70,13 +70,13 @@ def test_global_phase_invariance(hadamard, rng):
 def test_symmetry_evidence_symmetric_case(hadamard, symmetric_qubit):
     report = symmetry_evidence(hadamard, symmetric_qubit, 20)
     assert report.symmetric
-    assert all(gap < 1e-12 for _, gap in report.evidence)
+    assert all(gap < 1e-12 for _, gap, _ in report.rows)
 
 
 def test_symmetry_evidence_one_sided_case(hadamard, left_qubit):
     report = symmetry_evidence(hadamard, left_qubit, 3)
     assert not report.symmetric
-    assert dict(report.evidence)[3] > 0.1
+    assert {n: gap for n, gap, _ in report.rows}[3] > 0.1
 
 
 def test_symmetry_evidence_degenerate_coin_balanced_state():
@@ -84,7 +84,7 @@ def test_symmetry_evidence_degenerate_coin_balanced_state():
     qubit = make_qubit(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     report = symmetry_evidence(coin, qubit, 12)
     assert report.symmetric
-    assert all(gap < 1e-12 for _, gap in report.evidence)
+    assert all(gap < 1e-12 for _, gap, _ in report.rows)
 
 
 def test_mean_zero_symmetric_case(hadamard, symmetric_qubit):
@@ -127,7 +127,7 @@ def test_zero_mean_tolerance_scales_with_time(hadamard):
     eps = 3e-12
     qubit = make_qubit(1.0, complex(math.sin(eps), math.cos(eps)))
     report = symmetry_evidence(hadamard, qubit, 200)
-    assert max(abs(mean) for mean in report.means) > 1e-10
+    assert max(abs(mean) for _, _, mean in report.rows) > 1e-10
     assert is_symmetric_state(hadamard, qubit)
     assert report.symmetric and report.zero_mean
     assert mean_zero_check(hadamard, qubit, 200)
