@@ -32,8 +32,7 @@ from .engine import (
     dense_unitary_check,
     distribution,
     evolve,
-    initial_field,
-    step,
+    sweep,
 )
 from .errors import (
     CapExceededError,

@@ -50,9 +50,10 @@ COUNT_OPTIONS = {
     "grid_points": "--grid-points",
     "n_cap": "--n-cap",
 }
-#: Most rows a row-count option may ask for.  Each row is held in memory
-#: until the table is written: at the cap, ``limit`` peaks near 70 MB and
-#: ``charfn -n 4`` near 100 MB.
+#: Most rows a row-count option may ask for, and most values a row-list option
+#: (``--xi``, ``--n-list``) may name.  Each row is held in memory until the
+#: table is written: at the cap, ``limit`` peaks near 70 MB and ``charfn -n 4``
+#: near 100 MB.
 GRID_POINTS_CAP = 100_000
 ROW_OPTIONS = ("xi_points", "max_order", "grid_points")
 #: Most cells, points x (n + 1) positions, that a ``charfn`` table may have.
@@ -123,6 +124,14 @@ def _parse_floats(text: str, count: int, flag: str) -> list[float]:
     return values
 
 
+def _parse_rows(text: str, parse, flag: str) -> list:
+    """The values of a row-list option, refused above :data:`GRID_POINTS_CAP`."""
+    parts = text.split(",")
+    if len(parts) > GRID_POINTS_CAP:
+        raise CliInputError(f"{flag} must name at most {GRID_POINTS_CAP} values, got {len(parts)}")
+    return [parse(part) for part in parts]
+
+
 def _coin_from_args(args) -> Coin:
     if args.coin is not None:
         v = _parse_floats(args.coin, 8, "--coin")
@@ -164,7 +173,7 @@ def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 def _xi_grid(args) -> list[float]:
     if args.xi is not None:
-        xis = [float(part) for part in args.xi.split(",")]
+        xis = _parse_rows(args.xi, float, "--xi")
         # xi * n bounds every phase xi * k, so this also refuses inf and NaN
         if not all(math.isfinite(xi * args.steps) for xi in xis):
             raise CliInputError(f"--xi: expected finite reals with finite phases xi * n, got {args.xi!r}")
@@ -237,7 +246,7 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 
 def _cmd_converge(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
-    n_list = [int(part) for part in args.n_list.split(",")]
+    n_list = _parse_rows(args.n_list, int, "--n-list")
     rows = limit.ks_convergence(coin, qubit, n_list)
     worst_drift = _worst([abs(total - 1.0) for _, _, total in rows])
     return ({"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,

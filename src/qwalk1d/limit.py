@@ -237,12 +237,12 @@ def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
     The scaled Jacobi value is read from the kernel's table for time ``n`` and
     ``|a|``, built in O(n) long double scalar steps and kept for the next call."""
+    if i not in (0, 1) or not 1 <= k <= n // 2:
+        raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:
         raise OutOfWindowError(f"x = k/n = {x} outside the oscillatory window ({lo}, {hi})")
-    if i not in (0, 1) or not 1 <= k <= n // 2:
-        raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
     return abs(_jacobi_table(n, coin.abs_a_sq)[i, k - 1]) * math.sqrt(n)
 
 

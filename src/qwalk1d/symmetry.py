@@ -8,7 +8,7 @@ and the law at each time ``n >= 1`` is atoms ``|alpha|^2`` and ``|beta|^2`` at
 mirror positions, so each description reads ``|alpha| = |beta|``.
 
 The algebraic test is cheap.  Both empirical verdicts read the engine's law
-at each time, from one sweep of the banded recurrence
+at each time, from one ``engine.sweep`` of the banded recurrence
 (:func:`symmetry_evidence`); the closed-form :func:`mean_zero_check` is the
 independent reference for the zero-mean verdict.
 """
@@ -16,20 +16,15 @@ independent reference for the zero-mean verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import engine
 from .analytic import WalkParams, moment
 from .coin import Coin, Qubit
-from .errors import CapExceededError
 
-__all__ = ["SWEEP_TIME_CAP", "SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
-
-#: Largest ``n_max`` of one sweep.  The sweep steps every time up to
-#: ``n_max``, O(n_max^2) in all: 0.5-1.4 s at 2000 and 5.4-6.6 s at the cap
-#: (Hadamard and random coins, 2-vCPU VM).
-SWEEP_TIME_CAP = 4000
+__all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
 
 #: Largest mirror gap ``max_k |P(X_n=k) - P(X_n=-k)|`` of a symmetric law.
 GAP_TOL = 1e-10
@@ -79,21 +74,14 @@ def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
 
 
 def symmetry_evidence(coin: Coin, qubit: Qubit, n_max: int) -> SymmetryReport:
-    """Step the banded recurrence to each ``n <= n_max`` and record the worst
-    mirror gap and the mean of the law at that time.  A sweep over every time
-    costs one step per time, less than one transform per time on the Fourier
-    route of :func:`engine.distribution`.  ``n_max`` above
-    :data:`SWEEP_TIME_CAP` is refused before the first step."""
+    """Record the worst mirror gap and the mean of the law at each time
+    ``1..n_max``, read off one :func:`engine.sweep`: one step per time, less
+    than one transform per time on the Fourier route.  ``n_max`` above
+    ``engine.SWEEP_TIME_CAP`` is refused before the first field."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > SWEEP_TIME_CAP:
-        raise CapExceededError(f"n_max {n_max} exceeds the sweep cap {SWEEP_TIME_CAP}")
-    field = engine.initial_field(qubit)
-    rows = []
-    for _ in range(n_max):
-        field = engine.step(coin, field)
-        dist = field.to_distribution()
-        rows.append((field.n, float(np.max(np.abs(dist.probs - dist.probs[::-1]))), dist.mean()))
+    laws = (field.to_distribution() for field in islice(engine.sweep(coin, qubit, n_max), 1, None))
+    rows = [(dist.n, float(np.max(np.abs(dist.probs - dist.probs[::-1]))), dist.mean()) for dist in laws]
     return SymmetryReport(
         symmetric=all(gap < GAP_TOL for _, gap, _ in rows),
         zero_mean=all(_mean_vanishes(n, mean) for n, _, mean in rows),

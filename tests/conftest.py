@@ -45,6 +45,18 @@ def times_of_cells():
 
 
 @pytest.fixture
+def fieldless_sweeps(monkeypatch):
+    """``engine.sweep`` made to fail on the first field it yields, so that a
+    sweep must be refused before it forms one."""
+    true_sweep = engine.sweep
+
+    def no_field(field):
+        raise AssertionError("a refused sweep must form no field")
+
+    monkeypatch.setattr(engine, "sweep", lambda *args: map(no_field, true_sweep(*args)))
+
+
+@pytest.fixture
 def uniform_laws(monkeypatch):
     """``engine.distribution`` replaced by a uniform law of the same time, which
     is quick to build even at the time cap."""

@@ -11,7 +11,6 @@ import qwalk1d.engine as engine
 import qwalk1d.limit as limit
 import qwalk1d.paths as paths
 import qwalk1d.special as special
-import qwalk1d.symmetry as symmetry
 from qwalk1d.analytic import WalkParams, moment, position_probability
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 
@@ -263,7 +262,7 @@ def test_limit_rejects_non_monotone_cdf(capsys, monkeypatch):
 
 def test_converge_evolves_each_time_once(capsys, monkeypatch):
     # converge jumps to each distinct time by one engine.distribution call and
-    # steps no banded recurrence
+    # sweeps no banded recurrence
     computed = []
     true_distribution = engine.distribution
 
@@ -271,11 +270,11 @@ def test_converge_evolves_each_time_once(capsys, monkeypatch):
         computed.append(n)
         return true_distribution(coin, qubit, n)
 
-    def no_step(coin, field):
-        raise AssertionError("converge must not step the banded recurrence")
+    def no_sweep(coin, qubit, n_max):
+        raise AssertionError("converge must not sweep the banded recurrence")
 
     monkeypatch.setattr(engine, "distribution", counting_distribution)
-    monkeypatch.setattr(engine, "step", no_step)
+    monkeypatch.setattr(engine, "sweep", no_sweep)
     code, out, _ = run_cli(capsys, ["converge", "--n-list", "40,10,40"])
     assert code == 0
     assert computed == [10, 40]
@@ -443,12 +442,8 @@ def test_closed_forms_refuse_times_over_the_cap(capsys, monkeypatch, command):
     assert "exceeds the closed-form cap" in err
 
 
-def test_symmetry_refuses_n_max_over_the_cap(capsys, monkeypatch):
-    def no_step(coin, field):
-        raise AssertionError("an over-cap sweep must be refused before the engine steps")
-
-    monkeypatch.setattr(engine, "step", no_step)
-    code, out, err = run_cli(capsys, ["symmetry", "--n-max", str(symmetry.SWEEP_TIME_CAP + 1)])
+def test_symmetry_refuses_n_max_over_the_cap(capsys, fieldless_sweeps):
+    code, out, err = run_cli(capsys, ["symmetry", "--n-max", str(engine.SWEEP_TIME_CAP + 1)])
     assert code == 2
     assert out == ""
     assert "exceeds the sweep cap" in err
@@ -652,6 +647,23 @@ def test_charfn_tables_over_the_cell_cap_exit_2(capsys, monkeypatch, over, at):
     assert "Traceback" not in err
     with pytest.raises(TableBuilt):  # the cap itself is accepted
         cli.main(["charfn"] + at)
+
+
+@pytest.mark.parametrize("argv", [["charfn", "-n", "0", "--xi"], ["converge", "--n-list"]], ids=["xi", "n-list"])
+def test_row_lists_over_the_cap_exit_2(capsys, monkeypatch, argv):
+    # both table builders raise, so no list here builds a table
+    def no_table(*args):
+        raise TableBuilt
+
+    monkeypatch.setattr(cli, "characteristic_function", no_table)
+    monkeypatch.setattr(limit, "ks_convergence", no_table)
+    code, out, err = run_cli(capsys, argv + [",".join(["10"] * (cli.GRID_POINTS_CAP + 1))])
+    assert code == 2
+    assert out == ""
+    assert f"{argv[-1]} must name at most {cli.GRID_POINTS_CAP} values, got {cli.GRID_POINTS_CAP + 1}" in err
+    assert "Traceback" not in err
+    with pytest.raises(TableBuilt):  # the cap itself is accepted
+        cli.main(argv + [",".join(["10"] * cli.GRID_POINTS_CAP)])
 
 
 def test_time_zero_charfn_and_moments(capsys):

@@ -21,7 +21,7 @@ import qwalk1d.cli as cli
 from qwalk1d.coin import coin_from_angles
 from qwalk1d.engine import LAW_TIME_CAP
 from qwalk1d.limit import KS_CELLS_CAP
-from qwalk1d.symmetry import SWEEP_TIME_CAP
+from qwalk1d.engine import SWEEP_TIME_CAP
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
 # st.floats() adds NaN and infinities).

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from math import fsum
 
 import numpy as np
@@ -26,16 +27,20 @@ from qwalk1d.engine import (
     dense_unitary_check,
     distribution,
     evolve,
-    initial_field,
-    step,
+    sweep,
 )
 from qwalk1d.errors import CapExceededError, DegenerateCoinError
 from qwalk1d.limit import LimitDensity, ks_convergence, ks_distance
 from qwalk1d.paths import StepCount, path_sum
 
 
+def fields_at(coin, qubit, times):
+    """The banded field at each of the increasing ``times``, from one sweep."""
+    return (field for field in sweep(coin, qubit, times[-1]) if field.n in times)
+
+
 def test_initial_field(symmetric_qubit):
-    field = initial_field(symmetric_qubit)
+    field = next(sweep(hadamard_coin(), symmetric_qubit, 0))
     assert field.n == 0
     np.testing.assert_allclose(field.amplitude(0), symmetric_qubit.vector)
     assert field.total_probability() == pytest.approx(1.0, abs=1e-14)
@@ -44,7 +49,7 @@ def test_initial_field(symmetric_qubit):
 def test_single_step_splits_by_letters(rng):
     coin = random_unitary_coin(rng)
     qubit = random_qubit(rng)
-    field = step(coin, initial_field(qubit))
+    _, field = sweep(coin, qubit, 1)
     p = letter_matrix(coin, Letter.P)
     q = letter_matrix(coin, Letter.Q)
     np.testing.assert_allclose(field.amplitude(-1), p @ qubit.vector, atol=1e-14)
@@ -306,10 +311,7 @@ class TestFourierRoute:
     @pytest.mark.parametrize("case", FOURIER_CASES)
     def test_matches_banded_evolution_at_every_position(self, case, rng):
         coin, qubit = fourier_case(case, rng), random_qubit(rng)
-        field = initial_field(qubit)
-        for n in FOURIER_TIMES:
-            while field.n < n:
-                field = step(coin, field)
+        for n, field in zip(FOURIER_TIMES, fields_at(coin, qubit, FOURIER_TIMES)):
             banded = field.to_distribution()
             dist = distribution(coin, qubit, n)
             assert dist.n == n
@@ -340,10 +342,7 @@ class TestFourierRoute:
             return
         rows = ks_convergence(coin, qubit, times)
         assert [dist.n for dist in computed] == [1, 2, 7, 161, 800]
-        field = initial_field(qubit)
-        for dist in computed:
-            while field.n < dist.n:
-                field = step(coin, field)
+        for dist, field in zip(computed, fields_at(coin, qubit, [dist.n for dist in computed])):
             assert np.max(np.abs(dist.probs - field.to_distribution().probs)) <= 1e-13
         ld = LimitDensity(coin=coin, qubit=qubit)
         by_time = {dist.n: dist for dist in computed}
@@ -444,15 +443,24 @@ class TestExactLaw:
     def test_every_route_within_1e_14_up_to_n_120(self, case, rng):
         coin, qubit = fourier_case(case, rng), random_qubit(rng)
         params = WalkParams(coin=coin, qubit=qubit)
-        field = initial_field(qubit)
-        for n, exact in exact_laws(coin, qubit, EXACT_TIMES):
-            while field.n < n:
-                field = step(coin, field)
+        for (n, exact), field in zip(exact_laws(coin, qubit, EXACT_TIMES), fields_at(coin, qubit, EXACT_TIMES)):
             for route in (law(params, n), distribution(coin, qubit, n), field.to_distribution()):
                 assert np.max(np.abs(route.probs - exact)) <= 1e-14, n
 
+    @pytest.mark.parametrize("case", FOURIER_CASES)
+    def test_evolution_drift_is_the_stored_coins_own(self, case, rng):
+        # Both evolution routes follow the stored coin, so each total is the
+        # exact total of its law up to rounding (at most 2.7e-15 was seen),
+        # while that exact total drifts from 1 by up to 2.6e-14 here.  The
+        # closed-form law is not the stored coin's evolution: up to 2.5e-14 off.
+        coin, qubit = fourier_case(case, rng), random_qubit(rng)
+        for (n, exact), field in zip(exact_laws(coin, qubit, EXACT_TIMES), fields_at(coin, qubit, EXACT_TIMES)):
+            total = fsum(exact.tolist())
+            for route in (distribution(coin, qubit, n), field.to_distribution()):
+                assert abs(route.total() - total) <= 5e-15, n
 
-def test_step_builds_the_letters_once_per_coin(rng, monkeypatch):
+
+def test_one_sweep_builds_each_letter_once(rng, monkeypatch):
     coin, qubit = random_unitary_coin(rng), random_qubit(rng)
     built = []
     true_letter_matrix = engine.letter_matrix
@@ -462,10 +470,21 @@ def test_step_builds_the_letters_once_per_coin(rng, monkeypatch):
         return true_letter_matrix(coin, letter)
 
     monkeypatch.setattr(engine, "letter_matrix", counting)
-    engine._transposed_letters.cache_clear()
-    evolve(coin, qubit, 20)
-    evolve(coin, qubit, 5)
+    assert [field.n for field in sweep(coin, qubit, 20)] == list(range(21))
     assert sorted(built, key=lambda letter: letter.value) == [Letter.P, Letter.Q]
+
+
+@pytest.mark.parametrize("n", (-1, engine.SWEEP_TIME_CAP + 1))
+def test_sweeps_out_of_range_are_refused_before_any_field(hadamard, symmetric_qubit, monkeypatch, n):
+    def no_field(**kwargs):
+        raise AssertionError("a refused sweep must form no field")
+
+    monkeypatch.setattr(engine, "AmplitudeField", no_field)
+    error, match = (ValueError, "non-negative") if n < 0 else (CapExceededError, "exceeds the sweep cap")
+    with pytest.raises(error, match=match):
+        evolve(hadamard, symmetric_qubit, n)
+    with pytest.raises(error, match=match):
+        next(sweep(hadamard, symmetric_qubit, n))
 
 
 def test_dense_matrix_is_unitary(rng):
@@ -492,10 +511,8 @@ def test_dense_evolution_matches_banded(rng):
     cells = 2 * half_width + 1
     psi = np.zeros(2 * cells, dtype=complex)
     psi[2 * half_width : 2 * half_width + 2] = qubit.vector  # origin cell
-    field = initial_field(qubit)
-    for _ in range(half_width):
+    for field in islice(sweep(coin, qubit, half_width), 1, None):
         psi = u @ psi
-        field = step(coin, field)
         for k in range(-field.n, field.n + 1):
             cell = k + half_width
             np.testing.assert_allclose(

@@ -77,21 +77,21 @@ def envelope_peak(coin, n, x, i, spread=2):
 
 def count_engine_calls(monkeypatch):
     """Record, from now on, the time of every ``engine.distribution`` call and
-    the time of the field passed to every banded ``engine.step``."""
-    computed, steps = [], []
-    true_distribution, true_step = engine.distribution, engine.step
+    the ``n_max`` of every banded ``engine.sweep``."""
+    computed, sweeps = [], []
+    true_distribution, true_sweep = engine.distribution, engine.sweep
 
     def distribution(coin, qubit, n):
         computed.append(n)
         return true_distribution(coin, qubit, n)
 
-    def step(coin, field):
-        steps.append(field.n)
-        return true_step(coin, field)
+    def sweep(coin, qubit, n_max):
+        sweeps.append(n_max)
+        return true_sweep(coin, qubit, n_max)
 
     monkeypatch.setattr(engine, "distribution", distribution)
-    monkeypatch.setattr(engine, "step", step)
-    return computed, steps
+    monkeypatch.setattr(engine, "sweep", sweep)
+    return computed, sweeps
 
 
 class TestDensity:
@@ -296,13 +296,13 @@ class TestConvergence:
             ks_convergence(hadamard, symmetric_qubit, [engine.LAW_TIME_CAP + 1])
 
     def test_times_checked_before_evolving(self, hadamard, symmetric_qubit, monkeypatch):
-        computed, steps = count_engine_calls(monkeypatch)
+        computed, sweeps = count_engine_calls(monkeypatch)
         with pytest.raises(CapExceededError):
             ks_convergence(hadamard, symmetric_qubit, [400, engine.LAW_TIME_CAP + 1])
         with pytest.raises(ValueError):
             ks_convergence(hadamard, symmetric_qubit, [400, 0])
         assert computed == []
-        assert steps == []
+        assert sweeps == []
 
     def test_repeated_unordered_times_match_single_reports(self, rng):
         coin, qubit = random_unitary_coin(rng), random_qubit(rng)
@@ -350,10 +350,10 @@ class TestConvergence:
             parity_smoothed_ks(hadamard, symmetric_qubit, range(engine.LAW_TIME_CAP - 99, engine.LAW_TIME_CAP, 2))
 
     def test_parity_smoothed_evolves_once(self, hadamard, symmetric_qubit, monkeypatch):
-        computed, steps = count_engine_calls(monkeypatch)
+        computed, sweeps = count_engine_calls(monkeypatch)
         parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100])
         assert computed == [50, 51, 100, 101]
-        assert steps == []
+        assert sweeps == []
 
     def test_parity_smoothed_monotone(self, hadamard, symmetric_qubit):
         smoothed = parity_smoothed_ks(hadamard, symmetric_qubit, [50, 100, 200, 400])
@@ -370,6 +370,12 @@ class TestEnvelope:
     def test_window_guard(self, hadamard):
         with pytest.raises(OutOfWindowError):
             asymptotics_envelope(hadamard, 40, 2, 0)
+
+    @pytest.mark.parametrize("n, k, i", [(0, 1, 0), (0, 0, 0), (40, 0, 0), (40, 21, 0), (40, 16, 2)])
+    def test_argument_guard(self, hadamard, n, k, i):
+        # checked before k / n is formed, so n = 0 is a ValueError too
+        with pytest.raises(ValueError, match="1 <= k <= n//2"):
+            asymptotics_envelope(hadamard, n, k, i)
 
     def test_matches_exact_jacobi_value(self, hadamard):
         # rho_value sums the terminating 2F1 exactly in rational arithmetic.

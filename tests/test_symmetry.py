@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import qwalk1d.engine as engine
 from qwalk1d.analytic import WalkParams
 from qwalk1d.coin import (
     coin_from_angles,
@@ -14,11 +13,10 @@ from qwalk1d.coin import (
     random_unitary_coin,
     validate_coin,
 )
-from qwalk1d.engine import distribution
+from qwalk1d.engine import SWEEP_TIME_CAP, distribution
 from qwalk1d.errors import CapExceededError
 from qwalk1d.symmetry import (
     MEMBERSHIP_TOL,
-    SWEEP_TIME_CAP,
     is_symmetric_state,
     mean_zero_check,
     symmetry_evidence,
@@ -160,10 +158,6 @@ def test_members_at_the_tolerance_pass_both_verdicts(rng):
             assert report.symmetric and report.zero_mean
 
 
-def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit, monkeypatch):
-    def no_step(coin, field):
-        raise AssertionError("an over-cap sweep must be refused before its first step")
-
-    monkeypatch.setattr(engine, "step", no_step)
-    with pytest.raises(CapExceededError):
+def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit, fieldless_sweeps):
+    with pytest.raises(CapExceededError, match="exceeds the sweep cap"):
         symmetry_evidence(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
