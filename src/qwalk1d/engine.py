@@ -79,9 +79,14 @@ DENSE_CAP = 64
 #: the cap a law takes 25-60 ms on either route on a 2-vCPU VM.
 LAW_TIME_CAP = 20000
 
-#: Largest ``n_max`` of a :func:`sweep`, so of :func:`evolve`.  A sweep is O(n_max^2):
-#: 0.3-1.4 s at 2000 and 1.7-6.7 s at the cap (random and Hadamard coins, 2-vCPU VM).
-SWEEP_TIME_CAP = 4000
+#: Largest ``n_max`` of a :func:`sweep`, so of :func:`evolve` and of
+#: ``symmetry.symmetry_evidence``.  A sweep is O(n_max^2).  At the cap, on a
+#: 2-vCPU VM, ``evolve`` takes 0.2 s with a random coin and 0.5-0.7 s with
+#: Hadamard and the symmetric qubit, whose tails fall into subnormal numbers.
+#: ``qwalk1d symmetry`` at the cap takes 1.7-1.8 s end to end, printing
+#: included, with a random coin and 1.8-3.0 s with Hadamard; at 6000 the
+#: Hadamard case took 2.9-3.9 s.
+SWEEP_TIME_CAP = 5000
 
 #: Most products of arguments and positions that a table of sums forms at
 #: once (64 KB per float array); a longer table is formed in blocks of rows.
@@ -216,14 +221,18 @@ def _exact_sums(table: np.ndarray) -> list[float]:
       ``bound`` of ``hi + lo``.  ``hi`` is its correctly rounded value when
       that interval lies strictly inside the half gaps from ``hi`` to its
       neighbours, on both sides of ``hi``.
+    - A row with at most one nonzero ``e`` has an exact ``tau``, so ``hi`` is
+      its exact sum ``p[-1] + e`` rounded to nearest, ties to even, as
+      ``fsum`` rounds it.  That accepts an exact halfway tie, which no bound
+      can certify.
     - The rows left undecided run the cascade again on ``(e, p[-1])``, which
       has the same exact sum, up to :data:`_CASCADE_PASSES` passes in all.
 
-    ``fsum`` sums from the row's own terms every row that is still undecided
-    (an exact halfway tie stays so), every row with ``hi == 0`` and every row
-    with a partial that is not finite or is 2**1020 or more (``fsum``'s own
-    running sum may overflow there).  So signed zeros, NaN and infinities,
-    and ``fsum``'s exceptions, are ``fsum``'s.
+    ``fsum`` sums from the row's own terms every row that is still undecided,
+    every row with ``hi == 0`` and every row with a partial that is not
+    finite or is 2**1020 or more (``fsum``'s own running sum may overflow
+    there).  So signed zeros, NaN and infinities, and ``fsum``'s exceptions,
+    are ``fsum``'s.
     """
     if table.size < _CASCADE_TERMS:
         return list(map(fsum, table.tolist()))
@@ -250,13 +259,13 @@ def _exact_sums(table: np.ndarray) -> list[float]:
             z = hi - last
             lo = (last - (hi - z)) + (tau - z)
             usable &= hi != 0
-            certified = (
-                usable
-                & (lo + bound < (np.nextafter(hi, np.inf) - hi) / 2)
+            retry = usable & ~(
+                (lo + bound < (np.nextafter(hi, np.inf) - hi) / 2)
                 & (bound - lo < (hi - np.nextafter(hi, -np.inf)) / 2)
             )
+            retry[retry] = np.count_nonzero(e[retry], axis=1) > 1
+            certified = usable & ~retry
             sums[rows[certified]] = hi[certified]
-            retry = usable & ~certified
             if not retry.any():
                 break
             rows, x = rows[retry], np.column_stack([e[retry], last[retry]])

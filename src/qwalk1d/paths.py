@@ -106,7 +106,7 @@ class PqrsMatrix:
         p, q, r, s = self.p, self.q, self.r, self.s
         a, b, c, d = self.coin.a, self.coin.b, self.coin.c, self.coin.d
         matrix = np.array([[p * a + r * c, p * b + r * d], [s * a + q * c, s * b + q * d]])
-        return np.moveaxis(matrix, (0, 1), (-2, -1))
+        return matrix if matrix.ndim == 2 else np.moveaxis(matrix, (0, 1), (-2, -1))
 
 
 def cluster_count(gamma: int, l: int, m: int) -> int:

@@ -207,6 +207,20 @@ EXACT_SUM_ROWS = {
 }
 
 
+def tie_rows(rng, width=4096) -> np.ndarray:
+    """Rows of integers that sum to 0 exactly, then ``x`` and half an ulp of
+    ``x``: each row's one rounding error is a halfway tie.  Ties round down
+    and up to even, at both signs and at scales from 2**-600 to 2**600."""
+    heads = [(1.0, 2.0**-53), (1.0 + 2.0**-52, 2.0**-53), (3.0, 2.0**-52), (3.0 + 2.0**-51, 2.0**-52)]
+    rows = []
+    for x, half in heads:
+        for sign in (1.0, -1.0):
+            ints = rng.integers(-(2**20), 2**20, size=width - 3).astype(float)
+            scale = 2.0 ** int(rng.integers(-600, 601))
+            rows.append([*ints, -ints.sum(), sign * scale * x, sign * scale * half])
+    return np.array(rows)
+
+
 class TestExactSums:
     """``engine._exact_sums`` is ``math.fsum`` of each row, bit for bit."""
 
@@ -252,6 +266,42 @@ class TestExactSums:
             calls.clear()
             assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
             assert len(calls) == fsums
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The passes of the cascade (its ``np.cumsum`` calls) and the rows sent to ``fsum``."""
+        calls = {"cumsum": 0, "fsum": 0}
+        true_cumsum = np.cumsum
+
+        def cumsum(x, axis):
+            calls["cumsum"] += 1
+            return true_cumsum(x, axis=axis)
+
+        def counted_fsum(row):
+            calls["fsum"] += 1
+            return fsum(row)
+
+        monkeypatch.setattr(np, "cumsum", cumsum)
+        monkeypatch.setattr(engine, "fsum", counted_fsum)
+        return calls
+
+    def test_a_tie_row_ends_after_one_pass(self, rng, passes):
+        # one nonzero error: tau is exact, and hi is the tie rounded to even
+        table = tie_rows(rng)
+        expected = [fsum(row) for row in table.tolist()]
+        assert bits(engine._exact_sums(table)) == bits(expected)
+        assert passes == {"cumsum": 1, "fsum": 0}
+        # the ties round down and up, at both signs
+        rounded_up = np.abs(expected) > np.abs(table[:, -2])
+        assert {(math.copysign(1.0, s), up) for s, up in zip(expected, rounded_up.tolist())} == {
+            (1.0, False), (1.0, True), (-1.0, False), (-1.0, True)}
+
+    def test_the_moments_of_a_symmetric_law_need_no_fsum(self, hadamard, symmetric_qubit, passes):
+        # the order-9 row ties in the cascade's third pass; no row goes to fsum
+        dist = law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 63)
+        table = dist.positions.astype(float) ** np.arange(1, 71).reshape(-1, 1) * dist.probs
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+        assert passes["fsum"] == 0
 
     def test_law_tables_take_the_cascade(self, hadamard, symmetric_qubit, monkeypatch):
         # 64 rows of 161 terms; only the xi = 0 sine row, all ±0, goes to fsum

@@ -1,9 +1,12 @@
 import cmath
 import math
+import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from qwalk1d import engine, symmetry
 from qwalk1d.analytic import WalkParams
 from qwalk1d.coin import (
     coin_from_angles,
@@ -161,3 +164,53 @@ def test_members_at_the_tolerance_pass_both_verdicts(rng):
 def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit, fieldless_sweeps):
     with pytest.raises(CapExceededError, match="exceeds the sweep cap"):
         symmetry_evidence(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
+
+
+def reference_rows(coin, qubit, n_max):
+    """The rows of :func:`symmetry_evidence`, from each field's own ``to_distribution()``."""
+    rows = []
+    for field in islice(engine.sweep(coin, qubit, n_max), 1, None):
+        dist = field.to_distribution()
+        rows.append((dist.n, float(np.max(np.abs(dist.probs - dist.probs[::-1]))), dist.mean()))
+    return rows
+
+
+def block_cases(rng):
+    """Hadamard and a random coin, and the a = 0 and b = 0 coins, each from the
+    symmetric qubit and from a random one."""
+    coins = [hadamard_coin(), random_unitary_coin(rng),
+             validate_coin([[0, cmath.exp(2.1j)], [cmath.exp(0.4j), 0]]),
+             validate_coin([[cmath.exp(1.3j), 0], [0, cmath.exp(-0.7j)]])]
+    symmetric = make_qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+    return [(coin, qubit) for coin in coins for qubit in (symmetric, random_qubit(rng))]
+
+
+# One block up to n_max = 255; two at 256, the second of one time; three at 400,
+# of 163, 163 and 74 times.
+@pytest.mark.parametrize("n_max", (1, 2, 3, 255, 256, 400))
+def test_block_rows_equal_the_per_field_rows_bit_for_bit(n_max, rng):
+    for coin, qubit in block_cases(rng):
+        report = symmetry_evidence(coin, qubit, n_max)
+        reference = reference_rows(coin, qubit, n_max)
+        assert [row[0] for row in report.rows] == list(range(1, n_max + 1))
+        assert np.array(report.rows).tobytes() == np.array(reference).tobytes()
+
+
+def test_no_field_outlives_its_block(rng, monkeypatch):
+    coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+    n_max = 400
+    block = symmetry._BLOCK_CELLS // (n_max + 1)
+    fields = []
+    true_sweep = engine.sweep
+
+    def watched(*args):
+        for field in true_sweep(*args):
+            alive = [ref().n for ref in fields if ref() is not None]
+            assert all((n - 1) // block == (field.n - 1) // block for n in alive), (field.n, alive)
+            fields.append(weakref.ref(field))
+            yield field
+
+    monkeypatch.setattr(engine, "sweep", watched)
+    report = symmetry_evidence(coin, qubit, n_max)
+    assert len(report.rows) == n_max and len(fields) == n_max + 1
+    assert (n_max - 1) // block == 2
