@@ -254,13 +254,12 @@ def _cmd_converge(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 
 def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
-    rows = []
-    for n, ls, exhaustive, closed, coefficients in path_sums_by_time(coin, args.n_cap):
-        # per row: the largest entry of |enumeration - closed| and of |coefficients - closed|
-        diffs = np.abs(np.stack([exhaustive - closed, coefficients - closed])).max(axis=(2, 3))
-        rows += ([l, n - l, *d] for l, d in zip(ls, diffs.T.tolist()))
+    l, m, exhaustive, closed, coefficients = path_sums_by_time(coin, args.n_cap)
+    # per row: the largest entry of |enumeration - closed| and of |coefficients - closed|
+    diffs = np.abs(np.stack([exhaustive - closed, coefficients - closed])).max(axis=(2, 3))
+    rows = [list(row) for row in zip(l.tolist(), m.tolist(), *diffs.tolist())]
     return ({"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, rows,
-            {"n_cap": args.n_cap, **_gate("max_abs_diff", [d for row in rows for d in row[2:]], ORACLE_TOL)})
+            {"n_cap": args.n_cap, **_gate("max_abs_diff", diffs, ORACLE_TOL)})
 
 
 @functools.cache

@@ -4,13 +4,13 @@ The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
 amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
 compute ``Xi`` by enumeration and by the explicit binomial sums.  The
-enumeration forms each time's ``2^n`` words, each from the last time's by one
-letter, and keeps of each product only the row that its first letter leaves
-nonzero.  The words are grouped by their number of P's, and each group is
-summed with ``math.fsum``, so each entry is correctly rounded.  The binomial
-sums read every power of a coin entry from one list per time.  The production
-route is the closed form over the cluster count, where each letter coordinate
-is a unit phase times a combination of
+enumeration is the definition, and it runs one time after another: it forms
+each time's ``2^n`` words, each from the last time's by one letter, and keeps
+of each product only the row that its first letter leaves nonzero.  The words
+are grouped by their number of P's, and each group is summed with
+``math.fsum``, so each entry is correctly rounded.  The production route is
+the closed form over the cluster count, where each letter coordinate is a unit
+phase times a combination of
 
     T_i = sum_(g=1..kk) (-|b|^2/|a|^2)^g C(l-1, g-1) C(m-1, g-1) / g^i,
 
@@ -20,17 +20,23 @@ is a unit phase times a combination of
 term by term, but read from the table of the array kernel
 :func:`qwalk1d.special._scaled_jacobi`, cached for one time and ``|a|^2``.  One
 function, :func:`_letter_coordinates`, gives the phase-free coordinates of
-``Xi(n - m, m)`` for an array of ``m`` in one array expression over that
-table; the pure words are its ``kk = 0`` case.  The law in
-:mod:`qwalk1d.analytic` contracts these coordinates with the initial state,
-and the path sums here multiply them by the unit phase.
+``Xi(n - m, m)`` for an array of ``m``, and of one time or a time per ``m``, in
+one array expression over those tables; the pure words are its ``kk = 0``
+case.  The law in :mod:`qwalk1d.analytic` contracts these coordinates with the
+initial state, and the path sums here multiply them by the unit phase.
 
-:func:`path_sums_by_time` is the ``oracle`` command's pass: for each time up
-to ``n_max`` it gives ``Xi(l, n - l)`` for every ``l`` by all three routes.
-It enumerates each time's words once, forms each time's closed forms as one
-array and each time's coin powers once.  Its rows equal the per-entry
-functions bit for bit, because both run the same array or scalar code.  The
-per-entry enumeration caches the last coin and time's sums, not the words.
+Everything but the enumeration is one array pass over all the ``(l, m)`` it
+is asked for: the closed forms are one coordinate array, and the binomial sums
+one table of terms by pair and summation index, with the coin's powers formed
+once.  numpy's complex multiply may fuse multiply-adds (it does on x86-64
+with FMA), so the binomial sums, their matrices and the unit phases take their
+products from :func:`_python_products`, which rounds each as Python rounds a
+product of complex scalars: they keep the bits of the scalar code they
+replace, which ``tests/test_paths_reference.py`` keeps as the reference.
+:func:`path_sums_by_time` is the ``oracle`` command's pass,
+``Xi(l, m)`` by all three routes for every ``l + m <= n_max``.  Its rows equal
+the per-entry functions bit for bit, because both run the same array code.
+The per-entry enumeration caches the last coin and time's sums, not the words.
 """
 
 from __future__ import annotations
@@ -208,42 +214,82 @@ def _require_generic(coin: Coin) -> None:
         )
 
 
-def _powers(coin: Coin, n: int) -> tuple:
-    """The lists ``[x ** j for j < n]`` for each coin entry ``x`` in ``(a, b, c, d)``:
-    every power the binomial sums of time ``n`` read."""
-    return tuple([x**j for j in range(n)] for x in (coin.a, coin.b, coin.c, coin.d))
+def _powers(x: complex, exponents: np.ndarray) -> np.ndarray:
+    """``x ** e`` for each ``e`` of the int array ``exponents``, each power Python's;
+    each distinct power is formed once."""
+    distinct = sorted(set(exponents.tolist()))
+    values = np.array([x**e for e in distinct])
+    table = np.empty(distinct[-1] - distinct[0] + 1, dtype=values.dtype)
+    table[np.array(distinct) - distinct[0]] = values
+    return table[exponents - distinct[0]]
 
 
-def _coefficients(coin: Coin, l: int, m: int, powers: tuple) -> PqrsMatrix:
-    """The binomial sums of :func:`path_sum_coefficients`, ``l + m >= 1``, with the
-    coin's powers read from the :func:`_powers` lists of time ``l + m``."""
-    pa, pb, pc, pd = powers
-    zero = complex(0.0)
-    if m == 0:
-        return PqrsMatrix(p=pa[l - 1], q=zero, r=zero, s=zero, coin=coin)
-    if l == 0:
-        return PqrsMatrix(p=zero, q=pd[m - 1], r=zero, s=zero, coin=coin)
-    _require_generic(coin)
+def _python_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` for broadcastable complex arrays, each product rounded as Python
+    rounds one of two complex scalars: ``(xr yr - xi yi, xr yi + xi yr)``.  numpy's
+    own complex multiply may fuse multiply-adds (it does on x86-64 with FMA), which
+    rounds some products differently."""
+    real = x.real * y.real - x.imag * y.imag
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real, out.imag = real, x.real * y.imag + x.imag * y.real
+    return out
 
-    p_sum = sum(
-        math.comb(l - 1, g) * math.comb(m - 1, g - 1) * pa[l - g - 1] * pb[g] * pc[g] * pd[m - g]
-        for g in range(1, min(l - 1, m) + 1)
-    )
-    q_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g) * pa[l - g] * pb[g] * pc[g] * pd[m - g - 1]
-        for g in range(1, min(l, m - 1) + 1)
-    )
-    r_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1) * pa[l - g] * pb[g] * pc[g - 1] * pd[m - g]
-        for g in range(1, min(l, m) + 1)
-    )
-    s_sum = sum(
-        math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1) * pa[l - g] * pb[g - 1] * pc[g] * pd[m - g]
-        for g in range(1, min(l, m) + 1)
-    )
-    return PqrsMatrix(
-        p=complex(p_sum), q=complex(q_sum), r=complex(r_sum), s=complex(s_sum), coin=coin
-    )
+
+def _materialize_as_scalars(xi: PqrsMatrix) -> np.ndarray:
+    """:meth:`PqrsMatrix.materialize` of coordinate arrays, one ``(2, 2)`` matrix per
+    entry along the leading axis, with every product and sum rounded as the scalar
+    matrix of each entry rounds it."""
+    coordinates = np.array([[xi.p, xi.r], [xi.s, xi.q]])
+    terms = _python_products(coordinates[:, :, None], xi.coin.matrix[:, :, None])
+    return np.moveaxis(terms[:, 0] + terms[:, 1], -1, 0)
+
+
+#: The terms of the binomial sums ``p, q, r, s`` (one row each) are
+#: ``C(l-1, g-i) C(m-1, g-j) a^(l-g-e_a) b^(g-e_b) c^(g-e_c) d^(m-g-e_d)``; the
+#: columns are ``i, j, e_a, e_b, e_c, e_d``.
+_SUM_OFFSETS = np.array([[0, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0], [1, 1, 0, 1, 0, 0]])
+
+
+def _binomial_sums(powers: np.ndarray, l: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The binomial sums ``(p, q, r, s)`` for the int arrays ``l, m >= 1``, as a
+    ``(4, len(l))`` array; ``powers[e, j]`` is the ``j``-th power of coin entry ``e``.
+
+    One ``(4, g, len(l))`` table holds every term, ``g = 1..max(min(l, m))``, and
+    each stage is one array operation over it, rounded as Python rounds the scalar
+    sum: the product of the binomials times the four powers from left to right,
+    then the terms added in order of ``g`` to ``0.0``.  A term past its sum's
+    range has a zero binomial, so it is a signed zero, which leaves the sum
+    unchanged: the sum starts at ``+0.0``, so it is never ``-0.0``.  While ``l``
+    and ``m`` are at most 57 the binomials are exact floats, so their product is
+    rounded once, as the scalar sum rounds the product of two ints.
+    """
+    g = np.arange(1, int(np.minimum(l, m).max()) + 1)[:, None]
+    i, j, *e = _SUM_OFFSETS.T[:, :, None, None]
+    rows = sorted(set((l - 1).tolist()) | set((m - 1).tolist()))  # the binomial rows the terms read
+    binomials = np.zeros((rows[-1] + 1, len(g) + 1))
+    binomials[rows] = [[math.comb(k, h) for h in range(len(g) + 1)] for k in rows]
+    terms = (binomials[l - 1, g - i] * binomials[m - 1, g - j]).astype(np.complex128)
+    for entry, exponent in zip(powers, (l - g - e[0], g - e[1], g - e[2], m - g - e[3])):
+        # a term past its range may ask for a negative power; its weight is 0
+        terms = _python_products(terms, entry[np.maximum(exponent, 0)])
+    # one running sum along g from +0.0 (np.sum would add pairwise, in another order)
+    return np.cumsum(np.concatenate([np.zeros((4, 1, len(l))), terms], axis=1), axis=1)[:, -1]
+
+
+def _coefficients(coin: Coin, l: np.ndarray, m: np.ndarray) -> PqrsMatrix:
+    """The binomial sums of :func:`path_sum_coefficients` for the int arrays ``l`` and
+    ``m``, ``l + m >= 1``, as coordinate arrays; the coin's powers are formed once,
+    up to the largest ``l + m``."""
+    top = int((l + m).max())
+    powers = np.array([_powers(x, np.arange(top)) for x in (coin.a, coin.b, coin.c, coin.d)])
+    coordinates = np.zeros((4, len(l)), dtype=np.complex128)
+    coordinates[0, m == 0] = powers[0, l[m == 0] - 1]
+    coordinates[1, l == 0] = powers[3, m[l == 0] - 1]
+    mixed = (l > 0) & (m > 0)
+    if mixed.any():
+        _require_generic(coin)
+        coordinates[:, mixed] = _binomial_sums(powers, l[mixed], m[mixed])
+    return PqrsMatrix(*coordinates, coin=coin)
 
 
 def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
@@ -254,47 +300,62 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     """
     if sc.n < 1:
         raise ValueError("path sums are defined for l + m >= 1")
-    return _coefficients(coin, sc.l, sc.m, _powers(coin, sc.n))
+    xi = _coefficients(coin, np.array([sc.l]), np.array([sc.m]))
+    return PqrsMatrix(*(complex(x[0]) for x in (xi.p, xi.q, xi.r, xi.s)), coin=coin)
 
 
-def _letter_coordinates(coin: Coin, n: int, m: np.ndarray) -> np.ndarray:
+def _letter_coordinates(coin: Coin, n, m: np.ndarray) -> np.ndarray:
     """Letter coordinates ``(p, q, r, s)`` of ``Xi(n - m, m)`` for the int array ``m``
     and a generic coin, divided by the unit phase ``(a/|a|)^(l-m) det^m``, as a
-    ``(4, len(m))`` array.
+    ``(4, len(m))`` array.  ``n`` is one time, or an int array of a time per ``m``.
 
     With ``l = n - m``, ``kk = min(l, m)`` and ``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)``
     they are ``|a| (l tau_1 - tau_0) / a``, ``|a| (m tau_1 - tau_0) / (det conj(a))``,
     ``-|a| tau_0 / (det conj(b))`` and ``|a| tau_0 / b``.  The taus of ``kk >= 1``
-    are read from the cached Jacobi table of time ``n``; the pure words are the
-    case ``kk = 0``, with ``tau_0 = 0`` and ``n tau_1 = |a|^(n-1)``.  For small
-    ``|a|``, ``kk tau_1 - tau_0`` loses its leading term (the ``g = kk`` terms of
-    ``kk T_1`` and ``T_0`` are equal) and ``1/|a|`` scales up what is left: the
-    law at ``n = 2000`` was 1e-11 to 1e-10 off for ``|a|`` from 1e-3 to 1e-7.
+    are read from the cached Jacobi table of each time; the pure words are the
+    case ``kk = 0``, with ``tau_0 = 0`` and ``n tau_1 = |a|^(n-1)``, one Python
+    power per time.  So an array of times gives each entry the bits of a call
+    for its time alone.  For small ``|a|``, ``kk tau_1 - tau_0`` loses its
+    leading term (the ``g = kk`` terms of ``kk T_1`` and ``T_0`` are equal) and
+    ``1/|a|`` scales up what is left: the law at ``n = 2000`` was 1e-11 to
+    1e-10 off for ``|a|`` from 1e-3 to 1e-7.
     """
     a, b, det = coin.a, coin.b, coin.delta
     abs_a = abs(a)
     l, kk = n - m, np.minimum(m, n - m)
     mixed = kk > 0
-    t0, t1 = np.zeros(m.shape), np.full(m.shape, abs_a ** (n - 1) / n)
-    u = -coin.abs_b_sq / math.sqrt(coin.abs_a_sq) * _jacobi_table(n, coin.abs_a_sq)[:, kk[mixed] - 1]
+    scale = -coin.abs_b_sq / math.sqrt(coin.abs_a_sq)
+    if isinstance(n, np.ndarray):
+        # where each time's table starts, indexed by time (np.unique would load
+        # numpy's sorting code, 1.6 MB of RSS, for no gain)
+        times = sorted(set(n.tolist()))
+        tables = [_jacobi_table(time, coin.abs_a_sq) for time in times]
+        start = np.zeros(times[-1] + 1, dtype=int)
+        start[times] = np.cumsum([0] + [table.shape[1] for table in tables[:-1]])
+        t0, t1 = np.zeros(m.shape), _powers(abs_a, n - 1) / n
+        u = scale * np.concatenate(tables, axis=1)[:, start[n[mixed]] + kk[mixed] - 1]
+    else:
+        t0, t1 = np.zeros(m.shape), np.full(m.shape, abs_a ** (n - 1) / n)
+        u = scale * _jacobi_table(n, coin.abs_a_sq)[:, kk[mixed] - 1]
     t0[mixed], t1[mixed] = u[0], u[1] / kk[mixed]
     return np.array([abs_a * (l * t1 - t0) / a, abs_a * (m * t1 - t0) / (det * a.conjugate()),
                      -abs_a * t0 / (det * b.conjugate()), abs_a * t0 / b])
 
 
-def _closed_forms(coin: Coin, n: int, m: np.ndarray) -> PqrsMatrix:
-    """``Xi(n - m, m)`` for the int array ``m``, ``n >= 1``: the :func:`_letter_coordinates`
-    times the unit phase.  A degenerate coin has only its pure words."""
-    if n < 1:
+def _closed_forms(coin: Coin, n: np.ndarray, m: np.ndarray) -> PqrsMatrix:
+    """``Xi(n - m, m)`` for the equal-length int arrays ``n >= 1`` and ``m``: the
+    :func:`_letter_coordinates` times the unit phase, each phase a product of two
+    of Python's powers.  A degenerate coin has only its pure words."""
+    if np.any(n < 1):
         raise ValueError("path sums are defined for l + m >= 1")
     a, det = coin.a, coin.delta
     if coin.is_degenerate:
         if np.any((m > 0) & (m < n)):
             _require_generic(coin)
         zero = np.zeros(m.shape, dtype=complex)
-        return PqrsMatrix(np.where(m == 0, a ** (n - 1), zero), np.where(m == n, (det * a.conjugate()) ** (n - 1), zero),
-                          zero, zero, coin)
-    phase = np.array([(a / abs(a)) ** (n - 2 * j) * det**j for j in m.tolist()])
+        return PqrsMatrix(np.where(m == 0, _powers(a, n - 1), zero),
+                          np.where(m == n, _powers(det * a.conjugate(), n - 1), zero), zero, zero, coin)
+    phase = _python_products(_powers(a / abs(a), n - 2 * m), _powers(det, m))
     return PqrsMatrix(*(phase * _letter_coordinates(coin, n, m)), coin=coin)
 
 
@@ -302,7 +363,7 @@ def closed_form_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     """Letter-basis coordinates via the closed form over the cluster count: ``p = a^(l-1)``
     for pure-left words, ``q = (det conj(a))^(m-1)`` for pure-right words; mixed words
     need all coin entries nonzero and read their alternating sums from the Jacobi kernel."""
-    xi = _closed_forms(coin, sc.n, np.array([sc.m]))
+    xi = _closed_forms(coin, np.array([sc.n]), np.array([sc.m]))
     return PqrsMatrix(*(complex(x[0]) for x in (xi.p, xi.q, xi.r, xi.s)), coin=coin)
 
 
@@ -310,33 +371,29 @@ def path_sum(coin: Coin, sc: StepCount) -> np.ndarray:
     """The path-sum operator as a 2x2 matrix, via the closed form, formed from one-element
     arrays as the rows of :func:`path_sums_by_time` are: the two agree bit for bit, where
     numpy's scalars would round some products differently from its arrays."""
-    return _closed_forms(coin, sc.n, np.array([sc.m])).materialize()[0]
+    return _closed_forms(coin, np.array([sc.n]), np.array([sc.m])).materialize()[0]
 
 
-def path_sums_by_time(coin: Coin, n_max: int) -> list[tuple]:
-    """``Xi(l, n - l)`` by all three routes of this module, one pass per time.
+def path_sums_by_time(coin: Coin, n_max: int) -> tuple:
+    """``Xi(l, m)`` by all three routes of this module, for every ``1 <= l + m <= n_max``.
 
-    One ``(n, ls, exhaustive, closed, coefficients)`` per time ``n = 1..n_max``:
-    the three are ``(len(ls), 2, 2)`` arrays whose row ``j`` is the path sum of
-    ``l = ls[j]`` by :func:`path_sum_exhaustive`, :func:`path_sum` and
-    :func:`path_sum_coefficients`, bit for bit.  ``ls`` runs over ``0..n``,
-    or is ``[0, n]`` for a degenerate coin, which has no mixed path sums.
-    Each time's words extend the last time's by one letter, its closed forms
-    are one array and its coin powers are formed once; the words are dropped
-    as the pass moves on.  Refuses ``n_max`` beyond
+    Returns ``(l, m, exhaustive, closed, coefficients)``: the int arrays ``l`` and
+    ``m``, by time ``l + m`` and then by ``l``, and three ``(len(l), 2, 2)`` arrays
+    whose row ``j`` is the path sum of ``(l[j], m[j])`` by :func:`path_sum_exhaustive`,
+    :func:`path_sum` and :func:`path_sum_coefficients`, bit for bit.  ``l`` runs over
+    ``0..n`` at each time ``n``, or over ``0, n`` for a degenerate coin, which has no
+    mixed path sums.  Each time's words extend the last time's by one letter and
+    are dropped as the enumeration moves on; the closed forms and the binomial
+    sums are one array pass each over all the pairs.  Refuses ``n_max`` beyond
     :data:`ENUMERATION_CAP` before any work.
     """
     if n_max > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {n_max}")
-    out = []
-    for n, rows in zip(range(1, n_max + 1), _word_rows(coin)):
-        ls = [0, n] if coin.is_degenerate else list(range(n + 1))
-        powers = _powers(coin, n)
-        out.append((
-            n,
-            ls,
-            _block_sums(rows)[ls],
-            _closed_forms(coin, n, n - np.array(ls)).materialize(),
-            np.array([_coefficients(coin, l, n - l, powers).materialize() for l in ls]),
-        ))
-    return out
+    if n_max < 1:
+        raise ValueError("path sums are defined for l + m >= 1")
+    ls = [[0, n] if coin.is_degenerate else list(range(n + 1)) for n in range(1, n_max + 1)]
+    exhaustive = np.concatenate([_block_sums(rows)[time] for time, rows in zip(ls, _word_rows(coin))])
+    l = np.concatenate(ls)
+    n = np.repeat(np.arange(1, n_max + 1), [len(time) for time in ls])
+    closed = _closed_forms(coin, n, n - l).materialize()
+    return l, n - l, exhaustive, closed, _materialize_as_scalars(_coefficients(coin, l, n - l))

@@ -135,8 +135,9 @@ def _terminating_sum(a: float, b: float, c: float, z: float, stop: int) -> float
         )
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     (cn, cd), (zn, zd) = c.as_integer_ratio(), z.as_integer_ratio()
+    den_scale, num_scale = ad * bd * zd, zn * cd
     # bounds every step denominator (c_n + j c_d)(j+1) a_d b_d z_d, j < stop
-    size = (stop + 1) * ((abs(cn) + stop * cd) * stop * ad * bd * zd).bit_length()
+    size = (stop + 1) * ((abs(cn) + stop * cd) * stop * den_scale).bit_length()
     if size > _TERMINATING_BITS_CAP:
         raise CapExceededError(
             f"terminating series of {stop + 1} terms would carry {size} bits, "
@@ -145,9 +146,8 @@ def _terminating_sum(a: float, b: float, c: float, z: float, stop: int) -> float
     # r_j = (a+j)(b+j)z / ((c+j)(j+1)) = N_j / D_j, innermost term first.
     num = den = 1
     for j in range(stop - 1, -1, -1):
-        step_den = (cn + j * cd) * (j + 1) * ad * bd * zd
-        step_num = (an + j * ad) * (bn + j * bd) * zn * cd
-        num, den = den * step_den + step_num * num, den * step_den
+        den *= (cn + j * cd) * (j + 1) * den_scale
+        num = den + (an + j * ad) * (bn + j * bd) * num_scale * num
     return num / den
 
 

@@ -503,7 +503,7 @@ def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_v
     # max(worst, nan) keeps worst, so a NaN must fail the gate explicitly.  The
     # charfn and moments tables take all their points or orders in one call,
     # so there the closed column gets one NaN per entry.  The oracle takes
-    # each closed form from the per-time pass in paths.
+    # every closed form from the one pass in paths.
     table = command in ("charfn", "moments")
     target = paths if command == "oracle" else cli
     monkeypatch.setattr(target, name, lambda *args: np.full(len(args[-1]), nan_value) if table else nan_value)

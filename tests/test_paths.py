@@ -133,15 +133,18 @@ class TestPathSumsByTime:
         coins = [hadamard_coin(), random_unitary_coin(rng), random_unitary_coin(rng),
                  validate_coin([[0, 1], [1, 0]]), validate_coin([[1j, 0], [0, cmath.exp(0.3j)]])]
         for coin in coins:
-            times = paths.path_sums_by_time(coin, 10)
-            assert [t[0] for t in times] == list(range(1, 11))
-            for n, ls, exhaustive, closed, coefficients in times:
-                assert ls == ([0, n] if coin.is_degenerate else list(range(n + 1)))
-                for j, l in enumerate(ls):
-                    sc = StepCount(l=l, m=n - l)
-                    assert exhaustive[j].tobytes() == path_sum_exhaustive(coin, sc).tobytes()
-                    assert closed[j].tobytes() == path_sum(coin, sc).tobytes()
-                    assert coefficients[j].tobytes() == path_sum_coefficients(coin, sc).materialize().tobytes()
+            ls, ms, exhaustive, closed, coefficients = paths.path_sums_by_time(coin, 10)
+            assert list(zip(ls.tolist(), ms.tolist())) == [
+                (l, n - l) for n in range(1, 11) for l in ([0, n] if coin.is_degenerate else range(n + 1))]
+            for j, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
+                sc = StepCount(l=l, m=m)
+                assert exhaustive[j].tobytes() == path_sum_exhaustive(coin, sc).tobytes()
+                assert closed[j].tobytes() == path_sum(coin, sc).tobytes()
+                assert coefficients[j].tobytes() == path_sum_coefficients(coin, sc).materialize().tobytes()
+
+    def test_refuses_an_empty_pass(self):
+        with pytest.raises(ValueError):
+            paths.path_sums_by_time(hadamard_coin(), 0)
 
 
 class TestCoefficients:
@@ -217,9 +220,9 @@ class TestClosedForm:
         # l + m <= 14 against the word enumeration
         coins = [hadamard_coin(), coin_from_angles(1.4706, 2.0, 0.1, 0.5), coin_from_angles(0.1002, 5.0, 3.0, 1.0)]
         for coin in coins + [random_unitary_coin(rng) for _ in range(5)]:
-            for _, _, exhaustive, closed, coefficients in paths.path_sums_by_time(coin, 14):
-                assert np.max(np.abs(closed - exhaustive)) < 1e-14
-                assert np.max(np.abs(coefficients - exhaustive)) < 1e-14
+            _, _, exhaustive, closed, coefficients = paths.path_sums_by_time(coin, 14)
+            assert np.max(np.abs(closed - exhaustive)) < 1e-14
+            assert np.max(np.abs(coefficients - exhaustive)) < 1e-14
 
     def test_p_coefficient_index_shift(self, rng):
         # The gamma-shifted single-sum p coordinate equals the direct p sum.
