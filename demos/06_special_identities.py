@@ -11,18 +11,15 @@ import math
 
 from qwalk1d import (
     asymptotics_envelope,
-    gamma_value,
     hadamard_coin,
     hyp2f1,
     jacobi_p,
     jacobi_sum_identity,
-    oscillation_scales,
     pfaff_residual,
     real_coin,
 )
 
 print("building blocks:")
-print(f"  gamma(1/2)^2 / pi          = {gamma_value(0.5) ** 2 / math.pi:.15f}")
 print(f"  2F1(1/2, 1; 1; 1/2)        = {hyp2f1(0.5, 1.0, 1.0, 0.5):.15f}  (sqrt(2))")
 print(f"  2F1(1/2, 1; 1; z) vs (1-z)^-1/2 at z=0.9: "
       f"{abs(hyp2f1(0.5, 1.0, 1.0, 0.9) - (1 - 0.9) ** -0.5):.1e}")
@@ -53,8 +50,6 @@ for abs_a_sq in (0.2, 0.5, 0.8):
 # 1/sqrt(n); multiplied back by sqrt(n) they hover around a constant.
 print("\nscaled Jacobi values at ratio k/n = 0.4 (local max over nearby k):")
 coin = hadamard_coin()
-scales = oscillation_scales(coin, 0.4)
-print(f"  local scales: lam = {scales.lam:+.4f}, theta = {scales.theta:.4f} rad")
 for i in (0, 1):
     row = []
     for n in (40, 80, 160, 320):

@@ -9,7 +9,7 @@ sums over step words (:mod:`qwalk1d.paths`), the exact evolution engine
 (:mod:`qwalk1d.limit`), and a command-line surface (:mod:`qwalk1d.cli`).
 """
 
-from .analytic import WalkParams, characteristic_function, law, moment, position_probability, reduced_mean
+from .analytic import WalkParams, characteristic_function, law, moment, position_probability
 from .coin import (
     Coin,
     Letter,
@@ -29,7 +29,6 @@ from .engine import (
     AmplitudeField,
     Distribution,
     dense_step_matrix,
-    dense_unitary_check,
     distribution,
     evolve,
     sweep,
@@ -43,7 +42,6 @@ from .errors import (
     OutOfWindowError,
     ParityViolationError,
     PoleAtCError,
-    PreconditionError,
     QWalkError,
 )
 from .limit import (
@@ -54,7 +52,6 @@ from .limit import (
     ks_convergence,
     limit_cdf,
     limit_moment,
-    oscillation_scales,
     parity_smoothed_ks,
     two_point_limit,
 )
@@ -67,7 +64,7 @@ from .paths import (
     path_sum_coefficients,
     path_sum_exhaustive,
 )
-from .special import gamma_value, hyp2f1, jacobi_p, jacobi_sum_identity, pfaff_residual, rho_value
+from .special import hyp2f1, jacobi_p, jacobi_sum_identity, pfaff_residual, rho_value
 from .symmetry import SymmetryReport, is_symmetric_state, mean_zero_check, symmetry_evidence
 
 __version__ = "0.1.0"

@@ -40,15 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum
 
 import numpy as np
 
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .engine import LAW_TIME_CAP, Distribution
-from .errors import CapExceededError, NumericalHealthError, ParityViolationError, PreconditionError
-from .paths import _letter_coordinates, _require_generic
-from .special import _jacobi_table
+from .errors import CapExceededError, NumericalHealthError, ParityViolationError
+from .paths import _letter_coordinates
 
 __all__ = [
     "WalkParams",
@@ -56,7 +54,6 @@ __all__ = [
     "position_probability",
     "characteristic_function",
     "moment",
-    "reduced_mean",
 ]
 
 @dataclass(frozen=True)
@@ -162,17 +159,3 @@ def moment(params: WalkParams, n: int, m):
         raise ValueError(f"need m >= 1, got m={m}")
     return law(params, n).moment(m)
 
-
-def reduced_mean(params: WalkParams, n: int) -> float:
-    """Mean of the walk via the reduced single-weight form, valid when the
-    drift parameter ``mu`` vanishes (then the mean is proportional to
-    ``|alpha|^2 - |beta|^2``)."""
-    _require_generic(params.coin)
-    if abs(params.mu) > 1e-12:
-        raise PreconditionError(f"reduced mean requires mu = 0, got {params.mu!r}")
-    if n < 3:
-        raise ValueError(f"reduced mean needs n >= 3, got {n}")
-    u0, u1 = _jacobi_table(n, params.coin.abs_a_sq)[:, : (n - 1) // 2]
-    kk = np.arange(1, u0.size + 1)  # tau_0 tau_1 = (|b|^4 / |a|^2) u_0 u_1 / kk
-    body = fsum(((n - 2 * kk) ** 2 * (u0 * u1 / kk)).tolist())
-    return -params.weight_gap * params.coin.abs_b_sq / params.coin.abs_a_sq * body

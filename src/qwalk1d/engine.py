@@ -69,7 +69,6 @@ __all__ = [
     "evolve",
     "distribution",
     "dense_step_matrix",
-    "dense_unitary_check",
 ]
 
 #: Largest half-width N for the dense ring-evolution matrix (size 4N+2).
@@ -360,8 +359,8 @@ def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:
 
     Cell ``k`` (block index ``k + half_width``) receives ``P`` from cell
     ``k+1`` and ``Q`` from cell ``k-1``, cyclically.  Size ``4N+2`` for
-    ``N = half_width``; used as a small-scale unitarity oracle, not for
-    production evolution.
+    ``N = half_width``; a small-scale reference for the banded recurrence,
+    not for production evolution.
     """
     if half_width > DENSE_CAP:
         raise CapExceededError(f"dense matrix capped at half_width = {DENSE_CAP}")
@@ -378,9 +377,3 @@ def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:
         out[2 * i : 2 * i + 2, 2 * j_q : 2 * j_q + 2] = q
     return out
 
-
-def dense_unitary_check(coin: Coin, half_width: int) -> float:
-    """Max-norm deviation of the dense step matrix from unitarity."""
-    u = dense_step_matrix(coin, half_width)
-    gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))

@@ -21,10 +21,6 @@ class ParityViolationError(QWalkError, ValueError):
     """A position is unreachable at the given time (n + k odd or |k| > n)."""
 
 
-class PreconditionError(QWalkError, ValueError):
-    """An operation-specific precondition does not hold."""
-
-
 class NonConvergentError(QWalkError, ArithmeticError):
     """A series failed to converge within the iteration cap."""
 

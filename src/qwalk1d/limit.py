@@ -28,7 +28,6 @@ from .special import _jacobi_table
 __all__ = [
     "LimitDensity",
     "TwoPointLimit",
-    "OscillationScales",
     "KS_CELLS_CAP",
     "density",
     "limit_cdf",
@@ -38,7 +37,6 @@ __all__ = [
     "ks_convergence",
     "parity_smoothed_ks",
     "asymptotics_envelope",
-    "oscillation_scales",
 ]
 
 #: Most cells, the sum of ``n + 1`` over the distinct times, that one
@@ -87,18 +85,6 @@ class TwoPointLimit:
 
     def moment(self, m: int) -> float:
         return (-1.0) ** m * self.p_minus + self.p_plus
-
-
-@dataclass(frozen=True)
-class OscillationScales:
-    """Local scales of the oscillatory regime at interior ratio ``x = k/n``.
-
-    ``lam`` is ``(1-|a|^2)((2x-1)^2 - |a|^2)`` (negative inside the window);
-    ``theta`` solves ``cos(theta) = sqrt((1-|a|^2) / (4x(1-x)))``.
-    """
-
-    lam: float
-    theta: float
 
 
 def density(ld: LimitDensity, x) -> float | np.ndarray:
@@ -245,13 +231,3 @@ def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
         raise OutOfWindowError(f"x = k/n = {x} outside the oscillatory window ({lo}, {hi})")
     return abs(_jacobi_table(n, coin.abs_a_sq)[i, k - 1]) * math.sqrt(n)
 
-
-def oscillation_scales(coin: Coin, x: float) -> OscillationScales:
-    """Evaluate the local oscillation scales at interior ratio ``x``."""
-    lo, hi = _window(coin)
-    if not lo < x < hi:
-        raise OutOfWindowError(f"x = {x} outside the oscillatory window ({lo}, {hi})")
-    a_sq = coin.abs_a_sq
-    lam = (1.0 - a_sq) * ((2.0 * x - 1.0) ** 2 - a_sq)
-    theta = math.acos(math.sqrt((1.0 - a_sq) / (4.0 * x * (1.0 - x))))
-    return OscillationScales(lam=lam, theta=theta)

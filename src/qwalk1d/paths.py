@@ -3,7 +3,11 @@
 The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
 amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
-compute ``Xi`` by enumeration and by the explicit binomial sums.  The
+compute ``Xi`` by enumeration and by the explicit binomial sums.  The binomial
+sums alternate in sign: against the exact ``Xi`` their worst relative error per
+matrix for Hadamard was 1.0e-12 at ``l + m = 30``, 3.8e-11 at 40, 1.8e-9 at 50
+and 4.9e-8 at 60 (up to 1.1e-10 at 40 for ``|a|^2 ~ 0.5``), so
+:func:`path_sum_coefficients` refuses ``l + m`` past :data:`BINOMIAL_SUM_CAP`.  The
 enumeration is the definition, and it runs one time after another: it forms
 each time's ``2^n`` words, each from the last time's by one letter, and keeps
 of each product only the row that its first letter leaves nonzero.  The words
@@ -56,6 +60,7 @@ __all__ = [
     "StepCount",
     "PqrsMatrix",
     "ENUMERATION_CAP",
+    "BINOMIAL_SUM_CAP",
     "cluster_count",
     "path_sum_exhaustive",
     "path_sum_coefficients",
@@ -66,6 +71,9 @@ __all__ = [
 
 #: Largest l+m the brute-force oracle will enumerate (C(14,7) = 3432 words).
 ENUMERATION_CAP = 14
+
+#: Largest l+m of the binomial sums of :func:`path_sum_coefficients`.
+BINOMIAL_SUM_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -296,10 +304,13 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     """Letter-basis coordinates of the path sum via the explicit binomial sums.
 
     Branches: pure-left words give ``p = a^(l-1)`` only, pure-right words give
-    ``q = d^(m-1)`` only; mixed words need all coin entries nonzero.
+    ``q = d^(m-1)`` only; mixed words need all coin entries nonzero.  Refuses
+    ``l + m`` beyond :data:`BINOMIAL_SUM_CAP` before any sum is formed.
     """
     if sc.n < 1:
         raise ValueError("path sums are defined for l + m >= 1")
+    if sc.n > BINOMIAL_SUM_CAP:
+        raise CapExceededError(f"binomial sums capped at l+m = {BINOMIAL_SUM_CAP}, got {sc.n}")
     xi = _coefficients(coin, np.array([sc.l]), np.array([sc.m]))
     return PqrsMatrix(*(complex(x[0]) for x in (xi.p, xi.q, xi.r, xi.s)), coin=coin)
 

@@ -35,7 +35,6 @@ from .coin import BRANCH_A_ZERO, Coin
 from .errors import CapExceededError, DegenerateCoinError, NonConvergentError, PoleAtCError
 
 __all__ = [
-    "gamma_value",
     "hyp2f1",
     "pfaff_residual",
     "jacobi_p",
@@ -58,17 +57,6 @@ _SERIES_RTOL = 1e-16
 _SCALE_BITS = 500
 _SCALE_LIMIT = np.ldexp(np.longdouble(1.0), _SCALE_BITS)
 _SCALE_DOWN = np.ldexp(np.longdouble(1.0), -_SCALE_BITS)
-
-
-def gamma_value(x: float) -> float:
-    """The gamma function on the positive real axis.
-
-    Delegates to the platform implementation (Lanczos-class accuracy, relative
-    error well under 1e-13 on the range used here).
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_value is restricted to x > 0, got {x}")
-    return math.gamma(x)
 
 
 def _termination_index(a: float, b: float) -> int | None:
@@ -165,18 +153,14 @@ def pfaff_residual(a: float, b: float, c: float, z: float) -> float:
 def jacobi_p(degree: int, nu: float, mu: float, x: float) -> float:
     """Jacobi polynomial ``P_degree^(nu, mu)(x)`` via its terminating 2F1 form.
 
-    ``P_n^(nu,mu)(x) = Gamma(n+nu+1) / (Gamma(n+1) Gamma(nu+1))
-    * 2F1(-n, n+nu+mu+1; nu+1; (1-x)/2)`` for ``nu > -1``.
+    ``P_n^(nu,mu)(x) = C(n+nu, n) 2F1(-n, n+nu+mu+1; nu+1; (1-x)/2)`` for an
+    integer ``nu >= 0``, the only ``nu`` of the walk's Jacobi values.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if nu <= -1.0:
-        raise ValueError(f"nu must be > -1, got {nu}")
-    if float(nu).is_integer():
-        prefactor = float(comb(degree + int(nu), degree))
-    else:
-        # Gamma(n+nu+1) / (Gamma(n+1) Gamma(nu+1)) without the overflowing gammas
-        prefactor = math.prod((nu + j) / j for j in range(1, degree + 1))
+    if nu < 0 or not float(nu).is_integer():
+        raise ValueError(f"nu must be an integer >= 0, got {nu}")
+    prefactor = float(comb(degree + int(nu), degree))
     return prefactor * hyp2f1(-degree, degree + nu + mu + 1.0, nu + 1.0, (1.0 - x) / 2.0)
 
 

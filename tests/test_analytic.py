@@ -12,11 +12,10 @@ from qwalk1d.analytic import (
     law,
     moment,
     position_probability,
-    reduced_mean,
 )
 from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import LAW_TIME_CAP, distribution
-from qwalk1d.errors import CapExceededError, ParityViolationError, PreconditionError
+from qwalk1d.errors import CapExceededError, ParityViolationError
 from qwalk1d.paths import StepCount, path_sum
 from qwalk1d.special import rho_value
 
@@ -371,28 +370,3 @@ class TestJacobiKernel:
             closed = law(WalkParams(coin=coin, qubit=qubit), n).probs
             assert np.max(np.abs(closed - distribution(coin, qubit, n).probs)) <= 1e-12
 
-
-class TestReducedMean:
-    def test_balanced_magnitudes_give_zero(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
-        assert reduced_mean(params, 5) == pytest.approx(0.0, abs=1e-13)
-
-    def test_agrees_with_first_moment(self, hadamard):
-        for t in (0.3, 0.6, 1.1):
-            qubit = make_qubit(math.cos(t), 1j * math.sin(t))
-            params = WalkParams(coin=hadamard, qubit=qubit)
-            assert abs(params.mu) < 1e-12
-            for n in (3, 5, 8):
-                assert reduced_mean(params, n) == pytest.approx(moment(params, n, 1), abs=1e-10)
-
-    def test_sign_flips_under_weight_swap(self, hadamard):
-        t = 0.4
-        params = WalkParams(coin=hadamard, qubit=make_qubit(math.cos(t), 1j * math.sin(t)))
-        swapped = WalkParams(coin=hadamard, qubit=make_qubit(math.sin(t), 1j * math.cos(t)))
-        for n in (5, 9):
-            assert reduced_mean(swapped, n) == pytest.approx(-reduced_mean(params, n), abs=1e-12)
-
-    def test_requires_vanishing_mu(self, hadamard):
-        params = WalkParams(coin=hadamard, qubit=make_qubit(1.0 / math.sqrt(2), 1.0 / math.sqrt(2)))
-        with pytest.raises(PreconditionError):
-            reduced_mean(params, 5)

@@ -24,7 +24,6 @@ from qwalk1d.limit import (
     ks_convergence,
     limit_cdf,
     limit_moment,
-    oscillation_scales,
     parity_smoothed_ks,
     two_point_limit,
 )
@@ -418,14 +417,3 @@ class TestEnvelope:
         coin = real_coin(0.6)
         values = [envelope_peak(coin, n, 0.5, 0) for n in (40, 80, 160)]
         assert max(values) / min(values) < 5.0
-
-    def test_scales_fields(self, hadamard):
-        scales = oscillation_scales(hadamard, 0.4)
-        a_sq = hadamard.abs_a_sq
-        assert scales.lam == pytest.approx((1 - a_sq) * ((2 * 0.4 - 1) ** 2 - a_sq), abs=1e-15)
-        assert scales.lam < 0.0
-        assert math.cos(scales.theta) == pytest.approx(
-            math.sqrt((1 - a_sq) / (4 * 0.4 * 0.6)), abs=1e-15
-        )
-        with pytest.raises(OutOfWindowError):
-            oscillation_scales(hadamard, 0.05)

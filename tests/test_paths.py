@@ -172,6 +172,15 @@ class TestCoefficients:
         assert coeffs.q == pytest.approx(coin.d**3, abs=1e-14)
         assert coeffs.p == coeffs.r == coeffs.s == 0
 
+    @pytest.mark.parametrize("l", [0, 20, paths.BINOMIAL_SUM_CAP + 1])
+    def test_cap(self, monkeypatch, l):
+        def no_sums(*args):
+            raise AssertionError("a refused pair must form no sum")
+
+        monkeypatch.setattr(paths, "_coefficients", no_sums)
+        with pytest.raises(CapExceededError, match="binomial sums capped"):
+            path_sum_coefficients(hadamard_coin(), StepCount(l=l, m=paths.BINOMIAL_SUM_CAP + 1 - l))
+
     def test_degenerate_mixed_word_refused(self):
         coin = validate_coin([[1, 0], [0, 1]])
         with pytest.raises(DegenerateCoinError):
