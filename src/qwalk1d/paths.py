@@ -3,18 +3,18 @@
 The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
 amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
-compute ``Xi`` by enumeration and by the explicit binomial sums.  The binomial
-sums alternate in sign: against the exact ``Xi`` their worst relative error per
-matrix for Hadamard was 1.0e-12 at ``l + m = 30``, 3.8e-11 at 40, 1.8e-9 at 50
-and 4.9e-8 at 60 (up to 1.1e-10 at 40 for ``|a|^2 ~ 0.5``), so
+compute ``Xi``: the sum over all its words, and the explicit binomial sums.  The
+binomial sums alternate in sign: against the exact ``Xi`` their worst relative
+error per matrix for Hadamard was 1.0e-12 at ``l + m = 30``, 3.8e-11 at 40,
+1.8e-9 at 50 and 4.9e-8 at 60 (up to 1.1e-10 at 40 for ``|a|^2 ~ 0.5``), so
 :func:`path_sum_coefficients` refuses ``l + m`` past :data:`BINOMIAL_SUM_CAP`.  The
-enumeration is the definition, and it runs one time after another: it forms
-each time's ``2^n`` words, each from the last time's by one letter, and keeps
-of each product only the row that its first letter leaves nonzero.  The words
-are grouped by their number of P's, and each group is summed with
-``math.fsum``, so each entry is correctly rounded.  The production route is
-the closed form over the cluster count, where each letter coordinate is a unit
-phase times a combination of
+word sum is the definition, and it is summed exactly.  Splitting each word at
+its first letter only regroups the sum, into the recurrence
+``Xi(l, m) = P Xi(l - 1, m) + Q Xi(l, m - 1)``; with the coin's entries as
+Gaussian integers over one power of two, that recurrence runs in integers, in
+O(n^2) steps where the words number ``2^n``, and each entry is the exact sum
+rounded once.  The production route is the closed form over the cluster count,
+where each letter coordinate is a unit phase times a combination of
 
     T_i = sum_(g=1..kk) (-|b|^2/|a|^2)^g C(l-1, g-1) C(m-1, g-1) / g^i,
 
@@ -29,7 +29,7 @@ one array expression over those tables; the pure words are its ``kk = 0``
 case.  The law in :mod:`qwalk1d.analytic` contracts these coordinates with the
 initial state, and the path sums here multiply them by the unit phase.
 
-Everything but the enumeration is one array pass over all the ``(l, m)`` it
+Everything but the word sums is one array pass over all the ``(l, m)`` it
 is asked for: the closed forms are one coordinate array, and the binomial sums
 one table of terms by pair and summation index, with the coin's powers formed
 once.  numpy's complex multiply may fuse multiply-adds (it does on x86-64
@@ -40,7 +40,7 @@ replace, which ``tests/test_paths_reference.py`` keeps as the reference.
 :func:`path_sums_by_time` is the ``oracle`` command's pass,
 ``Xi(l, m)`` by all three routes for every ``l + m <= n_max``.  Its rows equal
 the per-entry functions bit for bit, because both run the same array code.
-The per-entry enumeration caches the last coin and time's sums, not the words.
+The per-entry word sum caches the last coin and time's sums.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coin import BRANCH_GENERIC, Coin, Letter, letter_matrix
+from .coin import BRANCH_GENERIC, Coin
 from .errors import CapExceededError, DegenerateCoinError, ParityViolationError
 from .special import _jacobi_table
 
@@ -69,7 +69,10 @@ __all__ = [
     "path_sums_by_time",
 ]
 
-#: Largest l+m the brute-force oracle will enumerate (C(14,7) = 3432 words).
+#: Largest l+m of the word sums, and so of ``oracle``.  The exact word sums take
+#: O(n^2) integer steps, not 2^n products, so their cost no longer sets it: the
+#: float binomial sums of the ``coeff_vs_closed`` column, which lose digits as
+#: l+m grows, bound it now, and an exact reference for that column may raise it.
 ENUMERATION_CAP = 14
 
 #: Largest l+m of the binomial sums of :func:`path_sum_coefficients`.
@@ -137,66 +140,48 @@ def cluster_count(gamma: int, l: int, m: int) -> int:
     return math.comb(l - 1, gamma) * math.comb(m - 1, gamma - 1)
 
 
-def _block_edges(n: int) -> list[int]:
-    """Where each block of the words of length ``n`` starts, by P count, and where the last ends."""
-    return list(itertools.accumulate((math.comb(n, l) for l in range(n + 1)), initial=0))
+def _dyadic(coin: Coin) -> tuple[int, list[tuple[int, int]]]:
+    """``(E, [(re, im) of x 2^E for x = a, b, c, d])``: the coin's entries as Gaussian
+    integers over one power of two, ``E >= 0`` the smallest that makes every part
+    an integer."""
+    ratios = [part.as_integer_ratio() for x in (coin.a, coin.b, coin.c, coin.d) for part in (x.real, x.imag)]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num * (1 << e) // den for num, den in ratios]  # each den is a power of two
+    return e, list(zip(ints[::2], ints[1::2]))
 
 
-def _word_rows(coin: Coin):
-    """Yield, for time 1, 2, 3, ..., the products of all its ``2^n`` words, as the
-    ``(2, 2, 2^(n-1))`` array of their nonzero rows.
+def _exact_word_sums(coin: Coin):
+    """Yield, for time 0, 1, 2, ..., the ``(n + 1, 2, 2)`` array whose slot ``l`` is
+    ``Xi(l, n - l)``, the sum of all the words with ``l`` P's, exact and rounded once.
 
-    A word's first letter leaves one row of its product nonzero: row 0 for P,
-    row 1 for Q.  Entry ``[0, :, w]`` is row 0 of ``P t_w`` and ``[1, :, w]``
-    row 1 of ``Q t_w``, for the tails ``t_w`` of length ``n - 1``.  Each
-    time's tails are the last time's with one letter appended on the right,
-    each row computed as the full product's row would be.  The tails with
-    ``j`` P's fill one contiguous block, the blocks in order of ``j``: block
-    ``j`` of the next time is block ``j`` times Q, then block ``j - 1`` times P.
+    The recurrence ``Xi(l, m) = P Xi(l - 1, m) + Q Xi(l, m - 1)`` splits each word
+    at its first letter: ``P X`` has row 0 ``a X[0] + b X[1]`` and row 1 zero,
+    ``Q X`` row 0 zero and row 1 ``c X[0] + d X[1]``.  Over the coin's ``2^E``
+    (:func:`_dyadic`) every sum of time ``n`` is a Gaussian integer over
+    ``2^(E n)``, each part rounded once by the correctly rounded true division.
     """
-    letters = (letter_matrix(coin, Letter.P), letter_matrix(coin, Letter.Q))
-    identity = np.eye(2, dtype=np.complex128)[:, :, None]
-    p_word, q_word = (identity[:, :1] * x[0, :, None] + identity[:, 1:] * x[1, :, None] for x in letters)
-    rows = np.stack([p_word[0], q_word[1]])
-    for n in itertools.count(1):
-        yield rows
-        with_p, with_q = (rows[:, :1] * x[0, :, None] + rows[:, 1:] * x[1, :, None] for x in letters)
-        edges = _block_edges(n - 1)
-        rows = np.concatenate(
-            [part[:, :, lo:hi] for lo, hi in zip(edges, edges[1:]) for part in (with_q, with_p)], axis=2
-        )
+    e, (a, b, c, d) = _dyadic(coin)
 
+    def row(x, y, xi):  # x xi[0] + y xi[1]; a row is (re, im) of column 0, then of column 1
+        (xr, xm), (yr, ym), (t0, t1, t2, t3), (u0, u1, u2, u3) = x, y, *xi
+        return (xr * t0 - xm * t1 + yr * u0 - ym * u1, xr * t1 + xm * t0 + yr * u1 + ym * u0,
+                xr * t2 - xm * t3 + yr * u2 - ym * u3, xr * t3 + xm * t2 + yr * u3 + ym * u2)
 
-def _block_sums(rows: np.ndarray) -> np.ndarray:
-    """Slot ``l`` is the sum of the products of all the words with ``l`` P's of
-    one :func:`_word_rows` time, each entry correctly rounded, as an
-    ``(n + 1, 2, 2)`` array.
-
-    Tail block ``j`` gives row 0 of slot ``j + 1`` (words ``P t``) and row 1 of
-    slot ``j`` (words ``Q t``).  The other rows are exact zeros, which leave a
-    ``math.fsum`` unchanged, so they are not summed.
-    """
-    n = rows.shape[2].bit_length()
-    edges = _block_edges(n - 1)
-    # re and im of each entry of row 0 of the P words, then of row 1 of the Q words;
-    # fsum reads a memoryview's floats one at a time, with no list of them
-    parts = [memoryview(part) for part in np.stack([rows.real, rows.imag], axis=2).reshape(8, -1)]
-    block = np.array([[math.fsum(part[lo:hi]) for part in parts] for lo, hi in zip(edges, edges[1:])])
-    block = block.view(np.complex128).reshape(n, 2, 2)
-    sums = np.zeros((n + 1, 2, 2), dtype=np.complex128)
-    sums[1:, 0] = block[:, 0]
-    sums[:-1, 1] = block[:, 1]
-    return sums
+    zero = (0, 0, 0, 0)
+    xis = [((1, 0, 0, 0), (0, 0, 1, 0))]  # the identity at time 0, by rows
+    for n in itertools.count():
+        scale = 1 << e * n
+        parts = [part / scale for xi in xis for r in xi for part in r]
+        yield np.array(parts).view(np.complex128).reshape(n + 1, 2, 2)
+        xis = [(row(a, b, xis[l - 1]) if l else zero, row(c, d, xis[l]) if l <= n else zero)
+               for l in range(n + 2)]
 
 
 @lru_cache(maxsize=1)
 def _word_sums(coin: Coin, n: int) -> np.ndarray:
-    """:func:`_block_sums` of time ``n`` (the identity at ``n = 0``), read-only and
-    cached for the next entry of that coin and time; the words are not kept."""
-    if n == 0:
-        sums = np.eye(2, dtype=np.complex128)[None]
-    else:
-        sums = _block_sums(next(itertools.islice(_word_rows(coin), n - 1, None)))
+    """The :func:`_exact_word_sums` of time ``n``, read-only and cached for the next
+    entry of that coin and time."""
+    sums = next(itertools.islice(_exact_word_sums(coin), n, None))
     sums.flags.writeable = False
     return sums
 
@@ -204,11 +189,12 @@ def _word_sums(coin: Coin, n: int) -> np.ndarray:
 def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
-    Forms every word's product on its own, one letter at a time; all ``2^n``
-    words of time ``n = l + m`` are enumerated together, and their sums by P
-    count, each entry correctly rounded, are cached, so the next entry of the
-    same coin and time reads them.  Exponential in ``n``; refuses beyond
-    :data:`ENUMERATION_CAP`.  Returns a fresh, writeable array.
+    The sum over all words, exact and rounded once per entry: splitting each
+    word at its first letter only regroups it, into the recurrence of
+    :func:`_exact_word_sums`, which runs in Gaussian integers.  The sums of
+    every P count of time ``n = l + m`` are cached, so the next entry of the
+    same coin and time reads them.  Refuses beyond :data:`ENUMERATION_CAP`.
+    Returns a fresh, writeable array.
     """
     if sc.n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")
@@ -393,9 +379,9 @@ def path_sums_by_time(coin: Coin, n_max: int) -> tuple:
     whose row ``j`` is the path sum of ``(l[j], m[j])`` by :func:`path_sum_exhaustive`,
     :func:`path_sum` and :func:`path_sum_coefficients`, bit for bit.  ``l`` runs over
     ``0..n`` at each time ``n``, or over ``0, n`` for a degenerate coin, which has no
-    mixed path sums.  Each time's words extend the last time's by one letter and
-    are dropped as the enumeration moves on; the closed forms and the binomial
-    sums are one array pass each over all the pairs.  Refuses ``n_max`` beyond
+    mixed path sums.  The word sums of each time come from the last time's, one
+    step of the exact recurrence; the closed forms and the binomial sums are one
+    array pass each over all the pairs.  Refuses ``n_max`` beyond
     :data:`ENUMERATION_CAP` before any work.
     """
     if n_max > ENUMERATION_CAP:
@@ -403,7 +389,8 @@ def path_sums_by_time(coin: Coin, n_max: int) -> tuple:
     if n_max < 1:
         raise ValueError("path sums are defined for l + m >= 1")
     ls = [[0, n] if coin.is_degenerate else list(range(n + 1)) for n in range(1, n_max + 1)]
-    exhaustive = np.concatenate([_block_sums(rows)[time] for time, rows in zip(ls, _word_rows(coin))])
+    word_sums = itertools.islice(_exact_word_sums(coin), 1, None)
+    exhaustive = np.concatenate([sums[time] for time, sums in zip(ls, word_sums)])
     l = np.concatenate(ls)
     n = np.repeat(np.arange(1, n_max + 1), [len(time) for time in ls])
     closed = _closed_forms(coin, n, n - l).materialize()

@@ -12,20 +12,22 @@ The public functions are its exact references: 2F1 summed from its series,
 Jacobi values through it, the Pfaff transformation as a residual diagnostic,
 and the combinatorial-sum/Jacobi-value identities.
 
-The exact references take floats as the rationals they are.  A terminating
-series or binomial sum is carried as one integer numerator over one integer
-denominator, never reduced, and rounded once by the correctly rounded integer
-true division; the result is the float nearest the exact sum.  A terminating
-2F1 is limited to 10,000 terms and to integers of the size 10,000 terms reach
-at ``z = 0.3``.  The last exact terminating series is memoised on its
-arguments (errors are not stored).  ``jacobi_sum_identity`` and then the left
-side of ``pfaff_residual`` ask for the same series at the same ``(n, k, i)``,
-so a Jacobi/Pfaff sweep sums each of those series once.
+The exact references take floats, and the identity's ratio ``-|b|^2/|a|^2`` as
+a :class:`fractions.Fraction`, as the rationals they are.  A terminating series
+is carried as one integer numerator over one integer denominator, never
+reduced, and rounded once by the correctly rounded integer true division; the
+result is the float nearest the exact sum.  A terminating 2F1 is limited to
+10,000 terms and to integers of the size 10,000 terms reach at ``z = 0.3``.
+The last exact terminating series is memoised on its arguments (errors are not
+stored).  The right side of ``jacobi_sum_identity`` and then the left side of
+``pfaff_residual`` ask for the same series at the same ``(n, k, i)``, so a
+Jacobi/Pfaff sweep sums each of those series once; the identity's left side,
+asked for by nothing else, bypasses the memo.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -114,9 +116,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _terminating_sum(a: float, b: float, c: float, z: float, stop: int) -> float:
+def _terminating_sum(a: float, b: float, c: float, z: float | Fraction, stop: int) -> float:
     """The exact terminating series of :func:`hyp2f1`, last nonzero term ``stop``,
-    memoised on its floats (a raised cap is not stored, so it is raised again)."""
+    memoised on its arguments, each read by ``as_integer_ratio()`` (``z`` may be a
+    ``Fraction``); a raised cap is not stored, so it is raised again."""
     if stop >= _TERMINATING_CAP:
         raise CapExceededError(
             f"terminating series of {stop + 1} terms exceeds the cap of {_TERMINATING_CAP}"
@@ -177,9 +180,10 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     """Both sides of the binomial-sum/Jacobi-value identity.
 
     lhs: ``sum_(g=1..k) (-|b|^2/|a|^2)^(g-1) C(k-1,g-1) C(n-k-1,g-1) / g^i``
-    (the ``1/g`` weight present only for ``i = 1``), summed exactly: with the
-    ratio as integers ``rn/rd`` and ``L = lcm(1..k)`` carrying the weight, the
-    sum is one integer over ``rd^(k-1) L``, rounded once.
+    (the ``1/g`` weight present only for ``i = 1``), which is the terminating
+    ``2F1(-(k-1), -(n-k-1); 1+i; r)`` at the exact ratio ``r = -|b|^2/|a|^2``,
+    a :class:`fractions.Fraction`: summed exactly by the series of
+    :func:`hyp2f1`, under its term and bit caps, and rounded once.
 
     rhs: ``|a|^(-2(k-1)) * rho(n,k,i) / k^i`` with the Jacobi value evaluated
     through :func:`jacobi_p`.
@@ -188,6 +192,8 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     ------
     DegenerateCoinError
         If ``a = 0`` (the ratio is undefined); ``b = 0`` is fine.
+    CapExceededError
+        If either side's series passes the caps of :func:`hyp2f1`.
     """
     if i not in (0, 1):
         raise ValueError(f"i must be 0 or 1, got {i}")
@@ -197,15 +203,9 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
         raise DegenerateCoinError("the binomial-sum identity needs a != 0")
     abs_a_sq = coin.abs_a_sq
     (bn, bd), (an, ad) = coin.abs_b_sq.as_integer_ratio(), abs_a_sq.as_integer_ratio()
-    rn, rd = -bn * ad, bd * an
-    # Horner in rn/rd from g = k inward, num/den being the sum over g..k
-    # times the weight; weight / g^i is an integer.
-    weight = math.lcm(*range(1, k + 1)) ** i
-    num, den = comb(n - k - 1, k - 1) * weight // k**i, 1
-    for g in range(k - 1, 0, -1):
-        den *= rd
-        num = rn * num + comb(k - 1, g - 1) * comb(n - k - 1, g - 1) * weight // g**i * den
-    lhs = num / (den * weight)
+    # no other call asks for this series, so it bypasses the memo
+    lhs = _terminating_sum.__wrapped__(-(k - 1.0), -(n - k - 1.0), 1.0 + i,
+                                       Fraction(-bn * ad, bd * an), k - 1)
     rhs = abs_a_sq ** (-(k - 1)) * rho_value(n, k, i, abs_a_sq)
     if i == 1:
         rhs /= k

@@ -370,8 +370,8 @@ def test_oracle_checks_binomial_sums(capsys, monkeypatch):
 
 
 def test_oracle_checks_enumeration(capsys, monkeypatch):
-    true_sums = paths._block_sums
-    monkeypatch.setattr(paths, "_block_sums", lambda rows: true_sums(rows) + 1e-6)
+    true_sums = paths._exact_word_sums
+    monkeypatch.setattr(paths, "_exact_word_sums", lambda coin: (sums + 1e-6 for sums in true_sums(coin)))
     code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
     assert code == 3
     doc = json.loads(out)
@@ -407,10 +407,10 @@ def test_oracle_rows_equal_the_per_entry_routes_bit_for_bit(capsys):
 
 
 def test_oracle_refuses_n_cap_over_the_enumeration_cap(capsys, monkeypatch):
-    def no_letters(*args):
-        raise AssertionError("an over-cap oracle must be refused before any word is formed")
+    def no_sums(*args):
+        raise AssertionError("an over-cap oracle must be refused before any word sum is formed")
 
-    monkeypatch.setattr(paths, "letter_matrix", no_letters)
+    monkeypatch.setattr(paths, "_exact_word_sums", no_sums)
     code, out, err = run_cli(capsys, ["oracle", "--n-cap", str(paths.ENUMERATION_CAP + 1)])
     assert code == 2
     assert out == ""

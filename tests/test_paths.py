@@ -120,11 +120,11 @@ class TestExhaustive:
 
     def test_cap(self, monkeypatch):
         paths._word_sums.cache_clear()
-        letters = []
-        monkeypatch.setattr(paths, "letter_matrix", lambda *args: letters.append(args))
+        calls = []
+        monkeypatch.setattr(paths, "_exact_word_sums", lambda *args: calls.append(args))
         with pytest.raises(CapExceededError):
             path_sum_exhaustive(hadamard_coin(), StepCount(l=8, m=8))
-        assert letters == []
+        assert calls == []
         assert paths._word_sums.cache_info().misses == 0
 
 

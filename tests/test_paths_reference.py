@@ -4,8 +4,10 @@
 forms and binomial sums became one array pass each: one time after another,
 each time's closed forms one array with a Python phase per entry, and each
 binomial sum a scalar generator over one time's lists of coin powers, its
-matrix formed from Python complex scalars.  The enumeration is the module's
-own.  Every row must come out byte-identical to it.
+matrix formed from Python complex scalars.  The word sums are
+``exact_path_sums`` of ``tests/test_engine.py``, the exact recurrence written
+apart from the module's, so that the module's word sums are not checked against
+themselves.  Every row must come out byte-identical to it.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 
 import qwalk1d.paths as paths
 from qwalk1d.coin import hadamard_coin, random_unitary_coin, validate_coin
+from test_engine import exact_path_sums
 
 
 def _powers(coin, n):
@@ -60,13 +63,13 @@ def _closed_forms(coin, n, m):
 def reference_pass(coin, n_max):
     """One ``(n, ls, exhaustive, closed, coefficients)`` per time ``n = 1..n_max``."""
     out = []
-    for n, rows in zip(range(1, n_max + 1), paths._word_rows(coin)):
+    for n, xis in exact_path_sums(coin, n_max):
         ls = [0, n] if coin.is_degenerate else list(range(n + 1))
         powers = _powers(coin, n)
         out.append((
             n,
             ls,
-            paths._block_sums(rows)[ls],
+            xis[[n - l for l in ls]],
             _closed_forms(coin, n, n - np.array(ls)).materialize(),
             np.array([_coefficients(coin, l, n - l, powers).materialize() for l in ls]),
         ))
@@ -91,3 +94,6 @@ def test_pass_rows_equal_the_per_time_reference_bit_for_bit(index):
         expected = np.concatenate([time[column] for time in times])
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+    for n, pairs, word_sums, *_ in times:
+        for l, expected in zip(pairs, word_sums):
+            assert paths.path_sum_exhaustive(coin, paths.StepCount(l=l, m=n - l)).tobytes() == expected.tobytes()

@@ -118,6 +118,14 @@ class TestExactSeries:
                         lhs, _ = jacobi_sum_identity(coin, n, k, i)
                         assert lhs == fraction_sum_lhs(coin, n, k, i)
 
+    def test_sum_identity_lhs_is_capped_before_it_is_summed(self, monkeypatch):
+        def no_comb(*args):
+            raise AssertionError("an over-cap left side must be refused before any binomial is formed")
+
+        monkeypatch.setattr(special, "comb", no_comb)
+        with pytest.raises(CapExceededError):
+            jacobi_sum_identity(hadamard_coin(), 20002, 10001, 0)
+
     def test_terminating_series_capped_at_ten_thousand_terms(self):
         assert hyp2f1(-9999.0, 1.0, 1.0, 0.0) == 1.0
         with pytest.raises(CapExceededError):
