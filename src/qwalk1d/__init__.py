@@ -6,7 +6,8 @@ sums over step words (:mod:`qwalk1d.paths`), the exact evolution engine
 / moments (:mod:`qwalk1d.analytic`), symmetry classification
 (:mod:`qwalk1d.symmetry`), hypergeometric and Jacobi machinery
 (:mod:`qwalk1d.special`), the rescaled-position limit law
-(:mod:`qwalk1d.limit`), and a command-line surface (:mod:`qwalk1d.cli`).
+(:mod:`qwalk1d.limit`), and a command-line surface (:mod:`qwalk1d.cli`) with
+its writer of large tables (:mod:`qwalk1d.render`).
 """
 
 from .analytic import WalkParams, characteristic_function, law, moment, position_probability

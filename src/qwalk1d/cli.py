@@ -6,12 +6,16 @@ verdict, the head's last field ``ok``; :func:`main` alone refuses bad input,
 writes the table and maps the verdict to the exit code.  Output is CSV (a
 header row of the column names, none of which needs quoting) or JSON (one
 object per invocation).  Each command declares its columns' formats next to
-their names, ``INT`` or ``REAL`` (17 significant digits), and each table's
-rows are rendered by one ``%`` template applied to all their cells at once,
-so identical invocations are byte-identical and JSON round-trips bit-exactly
-(``-0.0`` reads back as ``0``).  Non-finite JSON values are spelled ``NaN``,
-``Infinity`` and ``-Infinity``, as ``json.loads`` reads them; CSV spells them
-``nan``, ``inf`` and ``-inf``.
+their names, ``INT`` or ``REAL`` (17 significant digits), and hands its
+columns to :func:`_emit`.  A table of fewer than :data:`_WRITER_CELLS` cells
+is rendered by one ``%`` template applied to all its cells at once; a larger
+one by :mod:`qwalk1d.render`, which forms each cell's digits in float64
+double-double, certifies them, and leaves every cell it cannot certify to
+Python's own ``"%.17g"``.  Both write the bytes of ``"%d"`` and ``"%.17g"``
+per cell, so identical invocations are byte-identical and JSON round-trips
+bit-exactly (``-0.0`` reads back as ``0``).  Non-finite JSON values are
+spelled ``NaN``, ``Infinity`` and ``-Infinity``, as ``json.loads`` reads
+them; CSV spells them ``nan``, ``inf`` and ``-inf``.
 """
 
 from __future__ import annotations
@@ -51,16 +55,18 @@ COUNT_OPTIONS = {
     "n_cap": "--n-cap",
 }
 #: Most rows a row-count option may ask for, and most values a row-list option
-#: (``--xi``, ``--n-list``) may name.  Each row is held in memory until the
-#: table is written: at the cap, ``limit`` peaks near 70 MB and ``charfn -n 4``
-#: near 100 MB.
+#: (``--xi``, ``--n-list``) may name.  At the cap, end to end through the
+#: console script on a 2-vCPU VM, printing included, ``limit`` took 0.28-0.29 s
+#: and peaked at 38 MB, and ``charfn -n 4`` took 0.5-0.75 s and peaked at 49
+#: MB, in CSV and in JSON.
 GRID_POINTS_CAP = 100_000
 ROW_OPTIONS = ("xi_points", "max_order", "grid_points")
 #: Most cells, points x (n + 1) positions, that a ``charfn`` table may have.
 #: Each route sums one exactly rounded row of n + 1 terms per point and part,
 #: so the cells bound the time, which the grid cap does not: at the cap the
-#: command took 0.35-0.45 s at n = 100 and 0.2-0.36 s at n = 2692, 5000 and
-#: 20000 on a 2-vCPU VM, in-process with both laws cached.
+#: command took 0.24-0.31 s at n = 100 and 0.15-0.33 s at n = 2692, 5000 and
+#: 20000 on a 2-vCPU VM, in-process with both laws cached, printing included;
+#: end to end it peaked at 35 MB (n = 100) and 43 MB (n = 20000).
 CHARFN_CELLS_CAP = 1_500_000
 
 QUBIT_PRESETS = {
@@ -114,6 +120,14 @@ def _dump_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+#: Fewest cells of a table that :func:`qwalk1d.render.write_columns` writes;
+#: a smaller table is one ``%`` template.  On a 2-vCPU VM the two broke even
+#: near 400 cells (three REAL columns) and 500 (an INT and three REAL
+#: columns); the writer took 0.57-0.65 of the template's time at 1024 cells
+#: and 0.5-0.6 from 1536 cells on.
+_WRITER_CELLS = 1024
+
+
 def _parse_floats(text: str, count: int, flag: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",")]
@@ -151,23 +165,36 @@ def _qubit_from_args(args) -> Qubit:
     return make_qubit(alpha, beta)
 
 
-def _emit(args, command: str, columns: dict[str, str], rows, extra: dict) -> None:
-    """Write one table; ``columns`` maps each column's name to its format."""
-    cells = tuple(itertools.chain.from_iterable(rows))
-    if args.format == "json":
-        table = ",".join(["[" + ",".join(columns.values()) + "]"] * len(rows)) % cells
+def _emit(args, command: str, columns: dict[str, str], data, extra: dict) -> None:
+    """Write one table; ``columns`` maps each column's name to its format and
+    ``data`` holds one sequence of values per column."""
+    json_rows = args.format == "json"
+    if json_rows:
         head = _dump_json({"command": command, **extra, "columns": list(columns)})
-        sys.stdout.write(head[:-1] + ',"rows":[' + _json_numbers(table) + "]}\n")  # head without its "}"
-        return
-    sys.stdout.write(",".join(columns) + "\n" + (",".join(columns.values()) + "\n") * len(rows) % cells)
+        sys.stdout.write(head[:-1] + ',"rows":[')  # head without its "}"
+    else:
+        sys.stdout.write(",".join(columns) + "\n")
+    formats, rows = list(columns.values()), len(data[0])
+    if rows * len(formats) >= _WRITER_CELLS:
+        from . import render  # imported on first use: a command with a small table never loads it
+
+        render.write_columns(sys.stdout.write, formats, data, json_rows)
+    else:
+        cells = tuple(itertools.chain.from_iterable(zip(*(np.asarray(column).tolist() for column in data))))
+        if json_rows:
+            sys.stdout.write(_json_numbers(",".join(["[" + ",".join(formats) + "]"] * rows) % cells))
+        else:
+            sys.stdout.write((",".join(formats) + "\n") * rows % cells)
+    if json_rows:
+        sys.stdout.write("]}\n")
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
     dist = engine.distribution(coin, qubit, args.steps)
     diffs = np.abs(dist.probs - closed)
-    rows = [list(row) for row in zip(dist.positions.tolist(), dist.probs.tolist(), closed.tolist(), diffs.tolist())]
-    return ({"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL}, rows,
+    return ({"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL},
+            [dist.positions, dist.probs, closed, diffs],
             {"n": args.steps, **_gate("max_abs_diff", diffs, DIST_TOL)})
 
 
@@ -194,9 +221,9 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     direct = engine.distribution(coin, qubit, args.steps).characteristic_function(xis)
     delta = closed - direct
     diffs = np.hypot(delta.real, delta.imag)  # libm's hypot, as abs(complex) rounds
-    rows = np.column_stack([xis, closed.real, closed.imag, direct.real, direct.imag, diffs]).tolist()
     return ({"xi": REAL, "re_closed": REAL, "im_closed": REAL, "re_direct": REAL, "im_direct": REAL,
-             "abs_diff": REAL}, rows, {"n": args.steps, **_gate("max_abs_diff", diffs, CHARFN_TOL)})
+             "abs_diff": REAL}, [xis, closed.real, closed.imag, direct.real, direct.imag, diffs],
+            {"n": args.steps, **_gate("max_abs_diff", diffs, CHARFN_TOL)})
 
 
 def _cmd_moments(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
@@ -205,8 +232,7 @@ def _cmd_moments(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     direct = engine.distribution(coin, qubit, args.steps).moment(orders)
     scales = [max(1.0, float(args.steps) ** m) for m in orders.tolist()]
     diffs = np.abs(closed - direct) / scales
-    rows = [list(row) for row in zip(orders.tolist(), closed.tolist(), direct.tolist(), diffs.tolist())]
-    return ({"m": INT, "closed": REAL, "direct": REAL, "rel_diff": REAL}, rows,
+    return ({"m": INT, "closed": REAL, "direct": REAL, "rel_diff": REAL}, [orders, closed, direct, diffs],
             {"n": args.steps, **_gate("max_rel_diff", diffs, MOMENT_TOL)})
 
 
@@ -214,7 +240,7 @@ def _cmd_symmetry(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     # Every law at n <= 2 is mirror-symmetric, so the verdicts look to n = 3.
     report = symmetry_evidence(coin, qubit, max(args.n_max, 3))
     member = is_symmetric_state(coin, qubit)
-    return ({"n": INT, "max_asymmetry": REAL, "mean": REAL}, report.rows[: args.n_max], {
+    return ({"n": INT, "max_asymmetry": REAL, "mean": REAL}, list(zip(*report.rows[: args.n_max])), {
         "n_max": args.n_max,
         "algebraic_member": member,
         "empirically_symmetric": report.symmetric,
@@ -228,14 +254,13 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     a = ld.a_abs
     xs = np.linspace(-a, a, args.grid_points)
     cdf = limit.limit_cdf(ld, xs)
-    rows = np.column_stack([xs, limit.density(ld, xs), cdf]).tolist()
     norm = limit.limit_cdf(ld, a)
     m1 = limit.limit_moment(ld, 1)
     m2 = limit.limit_moment(ld, 2)
     # the norm is 1 by construction, so check that the emitted column is a CDF
     # (NaN fails the range test)
     cdf_valid = np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
-    return ({"x": REAL, "density": REAL, "cdf": REAL}, rows, {
+    return ({"x": REAL, "density": REAL, "cdf": REAL}, [xs, limit.density(ld, xs), cdf], {
         "slope": ld.slope,
         "support": [-a, a],
         "mean": m1,
@@ -247,9 +272,9 @@ def _cmd_limit(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 def _cmd_converge(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     n_list = _parse_rows(args.n_list, int, "--n-list")
-    rows = limit.ks_convergence(coin, qubit, n_list)
-    worst_drift = _worst([abs(total - 1.0) for _, _, total in rows])
-    return ({"n": INT, "ks_distance": REAL, "total_probability": REAL}, rows,
+    times, distances, totals = zip(*limit.ks_convergence(coin, qubit, n_list))
+    worst_drift = _worst([abs(total - 1.0) for total in totals])
+    return ({"n": INT, "ks_distance": REAL, "total_probability": REAL}, [times, distances, totals],
             {"max_probability_drift": worst_drift, "ok": worst_drift <= 1e-9})
 
 
@@ -257,8 +282,7 @@ def _cmd_oracle(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     l, m, exhaustive, closed, coefficients = path_sums_by_time(coin, args.n_cap)
     # per row: the largest entry of |word sum - closed| and of |coefficients - closed|
     diffs = np.abs(np.stack([exhaustive - closed, coefficients - closed])).max(axis=(2, 3))
-    rows = [list(row) for row in zip(l.tolist(), m.tolist(), *diffs.tolist())]
-    return ({"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, rows,
+    return ({"l": INT, "m": INT, "enum_vs_closed": REAL, "coeff_vs_closed": REAL}, [l, m, *diffs],
             {"n_cap": args.n_cap, **_gate("max_abs_diff", diffs, ORACLE_TOL)})
 
 
