@@ -2,15 +2,14 @@
 
 The package splits into: the coin/letter algebra (:mod:`qwalk1d.coin`), path
 sums over step words (:mod:`qwalk1d.paths`), the exact evolution engine
-(:mod:`qwalk1d.engine`), closed-form probabilities / characteristic functions
-/ moments (:mod:`qwalk1d.analytic`), symmetry classification
-(:mod:`qwalk1d.symmetry`), hypergeometric and Jacobi machinery
-(:mod:`qwalk1d.special`), the rescaled-position limit law
+(:mod:`qwalk1d.engine`), the closed-form law (:mod:`qwalk1d.analytic`),
+symmetry classification (:mod:`qwalk1d.symmetry`), hypergeometric and Jacobi
+machinery (:mod:`qwalk1d.special`), the rescaled-position limit law
 (:mod:`qwalk1d.limit`), and a command-line surface (:mod:`qwalk1d.cli`) with
 its writer of large tables (:mod:`qwalk1d.render`).
 """
 
-from .analytic import WalkParams, characteristic_function, law, moment, position_probability
+from .analytic import law
 from .coin import (
     Coin,
     Letter,

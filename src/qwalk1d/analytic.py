@@ -16,11 +16,15 @@ double scalar steps.  That is about 2-4 ms at ``n = 2000`` and 25-40 ms at
 ``n = 20000`` on a 2-vCPU VM; ``engine.LAW_TIME_CAP`` bounds ``n``.
 
 For every coin and every time ``0 <= n <= engine.LAW_TIME_CAP``,
-``law(params, n)`` builds the law at time ``n`` and returns it as an
-``engine.Distribution``, the type the evolution route returns too, cached by
-the one rule of :mod:`qwalk1d.engine`; the position probabilities are its
-entries, and the characteristic function and the moments are its sums.  The
-sum above is the law of a coin with all entries nonzero.  A coin with
+``law(coin, qubit, n)`` builds the law at time ``n`` and returns it as an
+``engine.Distribution``, as ``engine.distribution(coin, qubit, n)`` does on
+the evolution route.  Both are plain functions over a private one-entry memo
+(here ``_law``), the one cache rule of :mod:`qwalk1d.engine`.  The position
+probabilities are the law's entries, and the characteristic function and the
+moments are its sums (``probability``, ``characteristic_function`` and
+``moment`` of the ``Distribution``).
+
+The sum above is the law of a coin with all entries nonzero.  A coin with
 ``a = 0`` or ``b = 0`` never mixes the two directions, so its law is atoms
 (Konno, QIP 2002): for ``b = 0`` the walk keeps its direction,
 ``P(X_n = -n) = |alpha|^2`` and ``P(X_n = n) = |beta|^2``; for ``a = 0`` it
@@ -38,58 +42,20 @@ is plain double, the gap at ``|a|^2 = 0.01`` was measured up to 4.1e-13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
 from .engine import LAW_TIME_CAP, Distribution
-from .errors import CapExceededError, NumericalHealthError, ParityViolationError
+from .errors import CapExceededError, NumericalHealthError
 from .paths import _letter_coordinates
 
-__all__ = [
-    "WalkParams",
-    "law",
-    "position_probability",
-    "characteristic_function",
-    "moment",
-]
-
-@dataclass(frozen=True)
-class WalkParams:
-    """A (coin, qubit) pair with the derived scalar parameters.
-
-    ``cross`` is the real interference term ``a*alpha*conj(b*beta) + conj``;
-    ``mu`` is the drift parameter ``(|a|^2-|b|^2)(|alpha|^2-|beta|^2) + 2*cross``.
-    """
-
-    coin: Coin
-    qubit: Qubit
-
-    @property
-    def z_cross(self) -> complex:
-        """The half cross term ``a*alpha*conj(b*beta)`` (cross = 2*Re of this)."""
-        return self.coin.a * self.qubit.alpha * (self.coin.b * self.qubit.beta).conjugate()
-
-    @property
-    def cross(self) -> float:
-        return 2.0 * self.z_cross.real
-
-    @property
-    def weight_gap(self) -> float:
-        """``|alpha|^2 - |beta|^2``."""
-        return abs(self.qubit.alpha) ** 2 - abs(self.qubit.beta) ** 2
-
-    @property
-    def mu(self) -> float:
-        gap_coin = self.coin.abs_a_sq - self.coin.abs_b_sq
-        return gap_coin * self.weight_gap + 2.0 * self.cross
+__all__ = ["law"]
 
 
-@lru_cache(maxsize=1)
-def law(params: WalkParams, n: int) -> Distribution:
-    """The closed-form law at time ``n >= 0``, for every coin, cached and read-only.
+def law(coin: Coin, qubit: Qubit, n: int) -> Distribution:
+    """The closed-form law at time ``n >= 0``, for every coin, shared and read-only.
 
     Raises
     ------
@@ -104,7 +70,12 @@ def law(params: WalkParams, n: int) -> Distribution:
         raise ValueError(f"time must be >= 0, got {n}")
     if n > LAW_TIME_CAP:
         raise CapExceededError(f"time {n} exceeds the closed-form cap {LAW_TIME_CAP}")
-    coin, qubit = params.coin, params.qubit
+    return _law(coin, qubit, n)
+
+
+@lru_cache(maxsize=1)
+def _law(coin: Coin, qubit: Qubit, n: int) -> Distribution:
+    """The memo of :func:`law`, which has refused a time out of range."""
     alpha_sq, beta_sq = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
     probs = np.zeros(n + 1)
     if n == 0 or (coin.branch == BRANCH_A_ZERO and n % 2 == 0):
@@ -124,38 +95,3 @@ def law(params: WalkParams, n: int) -> Distribution:
         raise NumericalHealthError(f"probability {probs[j]} escapes [0, 1] at n={n}, k={2 * j - n}")
     probs.flags.writeable = False
     return Distribution(n=n, probs=probs)
-
-
-def position_probability(params: WalkParams, n: int, k: int) -> float:
-    """Closed-form ``P(X_n = k)`` for every coin and every ``n >= 0``.
-
-    A read of :func:`law`, which builds the law at time ``n`` once.
-
-    Raises
-    ------
-    NumericalHealthError
-        If a value of the law leaves ``[0, 1]`` (it is never clamped).
-    """
-    if abs(k) > n or (n + k) % 2 != 0:
-        raise ParityViolationError(f"position {k} unreachable at time {n}")
-    return law(params, n).probability(k)
-
-
-def characteristic_function(params: WalkParams, n: int, xi):
-    """``E(exp(i xi X_n))``, the sum over the closed-form :func:`law`.
-
-    ``xi`` is one point or a sequence of points, as for
-    ``Distribution.characteristic_function``: a sequence gives the table.
-    """
-    return law(params, n).characteristic_function(xi)
-
-
-def moment(params: WalkParams, n: int, m):
-    """``E((X_n)^m)`` for ``m >= 1``, the sum over the closed-form :func:`law`.
-
-    ``m`` is one order or a sequence of orders, as for ``Distribution.moment``.
-    """
-    if np.any(np.asarray(m) < 1):
-        raise ValueError(f"need m >= 1, got m={m}")
-    return law(params, n).moment(m)
-

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import engine, limit
-from .analytic import WalkParams, characteristic_function, law, moment
+from .analytic import law
 from .coin import Coin, Qubit, hadamard_coin, make_qubit, validate_coin
 from .errors import NumericalHealthError, QWalkError
 from .paths import path_sums_by_time
@@ -190,7 +190,7 @@ def _emit(args, command: str, columns: dict[str, str], data, extra: dict) -> Non
 
 
 def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
-    closed = law(WalkParams(coin=coin, qubit=qubit), args.steps).probs
+    closed = law(coin, qubit, args.steps).probs
     dist = engine.distribution(coin, qubit, args.steps)
     diffs = np.abs(dist.probs - closed)
     return ({"k": INT, "p_engine": REAL, "p_closed": REAL, "abs_diff": REAL},
@@ -200,11 +200,7 @@ def _cmd_dist(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 def _xi_grid(args) -> list[float]:
     if args.xi is not None:
-        xis = _parse_rows(args.xi, float, "--xi")
-        # xi * n bounds every phase xi * k, so this also refuses inf and NaN
-        if not all(math.isfinite(xi * args.steps) for xi in xis):
-            raise CliInputError(f"--xi: expected finite reals with finite phases xi * n, got {args.xi!r}")
-        return xis
+        return _parse_rows(args.xi, float, "--xi")
     count = args.xi_points
     return [-math.pi + 2.0 * math.pi * j / count for j in range(count)]
 
@@ -217,7 +213,11 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
             f"charfn table of {len(xis)} points x {args.steps + 1} positions = {cells} cells "
             f"exceeds the cap of {CHARFN_CELLS_CAP}"
         )
-    closed = characteristic_function(WalkParams(coin=coin, qubit=qubit), args.steps, xis)
+    # The cells cap has refused every n that no float holds.  xi * n bounds
+    # every phase xi * k, so this also refuses inf and NaN.
+    if args.xi is not None and not all(math.isfinite(xi * args.steps) for xi in xis):
+        raise CliInputError(f"--xi: expected finite reals with finite phases xi * n, got {args.xi!r}")
+    closed = law(coin, qubit, args.steps).characteristic_function(xis)
     direct = engine.distribution(coin, qubit, args.steps).characteristic_function(xis)
     delta = closed - direct
     diffs = np.hypot(delta.real, delta.imag)  # libm's hypot, as abs(complex) rounds
@@ -228,7 +228,7 @@ def _cmd_charfn(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
 
 def _cmd_moments(args, coin: Coin, qubit: Qubit) -> tuple[dict, list, dict]:
     orders = np.arange(1, args.max_order + 1)
-    closed = moment(WalkParams(coin=coin, qubit=qubit), args.steps, orders)
+    closed = law(coin, qubit, args.steps).moment(orders)
     direct = engine.distribution(coin, qubit, args.steps).moment(orders)
     scales = [max(1.0, float(args.steps) ** m) for m in orders.tolist()]
     diffs = np.abs(closed - direct) / scales

@@ -31,6 +31,7 @@ __all__ = [
     "random_unitary_coin",
     "make_qubit",
     "random_qubit",
+    "state_terms",
     "letter_matrix",
     "letter_product",
     "basis_decompose",
@@ -92,6 +93,18 @@ class Qubit:
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=np.complex128)
+
+
+def state_terms(coin: Coin, qubit: Qubit) -> tuple[float, float]:
+    """``(weight_gap, cross)``, the two terms through which the initial state
+    enters the symmetry test and the limit law.
+
+    ``weight_gap = |alpha|^2 - |beta|^2``, and ``cross`` is the real
+    interference term ``a*alpha*conj(b*beta) + conj``.
+    """
+    weight_gap = abs(qubit.alpha) ** 2 - abs(qubit.beta) ** 2
+    cross = 2.0 * (coin.a * qubit.alpha * (coin.b * qubit.beta).conjugate()).real
+    return weight_gap, cross
 
 
 class Letter(enum.Enum):

@@ -20,8 +20,9 @@ corrected.  It is the stored coin's own non-unitarity, from its rounded
 entries: at ``n <= 120`` each route's total is within 3e-15 of the exact total
 of the stored coin's law, and that exact total is up to about 3e-14 off 1.
 
-Both routes hand out the law as a :class:`Distribution` (here, and from
-``analytic.law(params, n)``); its methods are the package's only sums over a law.
+Both routes hand out the law as a :class:`Distribution`, with one signature:
+``distribution(coin, qubit, n)`` here and ``analytic.law(coin, qubit, n)``; its
+methods are the package's only sums over a law.
 The returned ``Distribution`` is shared, and its ``probs`` are read-only.  Its
 sums take one argument or a sequence of them: a sequence gives the whole table
 in one array pass, each entry bit-identical to the one-argument call.
@@ -29,10 +30,12 @@ in one array pass, each entry bit-identical to the one-argument call.
 One cap and one cache rule hold for every law.  :data:`LAW_TIME_CAP` bounds
 the time on both routes and in ``limit.ks_convergence``, and each refuses a
 larger one before it builds an array; :data:`SWEEP_TIME_CAP` bounds a sweep
-the same way.  Every ``lru_cache`` of the package keeps one entry (the two
-laws, ``paths._word_sums``, ``special._jacobi_table`` and
+the same way.  Every ``lru_cache`` of the package is private and keeps one
+entry (the memos of the two laws, ``_distribution`` and ``analytic._law``,
+then ``paths._word_sums``, ``special._jacobi_table`` and
 ``special._terminating_sum``), because every reuse is of the entry used just
-before.  On the job lists of the
+before.  Each public law is a plain function that refuses a time out of range
+and then reads its memo.  On the job lists of the
 ``closed-form``, ``limit-converge`` and ``identities`` benchmarks (seeds 1-3)
 each had the hits and misses it had with 64 to 512 entries; at the cap a law
 cache holds 160 KB, where 512 entries could hold 82 MB.
@@ -301,11 +304,10 @@ def evolve(coin: Coin, qubit: Qubit, n: int) -> AmplitudeField:
     return field
 
 
-@lru_cache(maxsize=1)
 def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """Exact position distribution at time ``n``, by one transform (Fourier route).
 
-    Cached and read-only, like the closed-form ``analytic.law``; a time above
+    Shared and read-only, like the closed-form ``analytic.law``; a time above
     :data:`LAW_TIME_CAP` is refused before any array is built.
 
     With ``psi_hat(t) = sum_k psi_k e^{ikt}``, the field at time ``n`` is
@@ -334,6 +336,12 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
         raise ValueError(f"time must be non-negative, got {n}")
     if n > LAW_TIME_CAP:
         raise CapExceededError(f"time {n} exceeds the cap {LAW_TIME_CAP}")
+    return _distribution(coin, qubit, n)
+
+
+@lru_cache(maxsize=1)
+def _distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
+    """The memo of :func:`distribution`, which has refused a time out of range."""
     size = n + 1
     z = np.exp(2j * np.pi * np.arange(size) / size).astype(np.clongdouble)
     # the symbol [[p, q], [r, s]] = P + z Q and the state [u, v], per sample

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .analytic import WalkParams
-from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit
+from .coin import BRANCH_A_ZERO, BRANCH_B_ZERO, Coin, Qubit, state_terms
 from .errors import CapExceededError, DegenerateCoinError, OutOfWindowError
 from .special import _jacobi_table
 
@@ -72,8 +71,8 @@ class LimitDensity:
     @property
     def slope(self) -> float:
         """The state-dependence parameter: ``|alpha|^2 - |beta|^2 + cross/|a|^2``."""
-        params = WalkParams(coin=self.coin, qubit=self.qubit)
-        return params.weight_gap + params.cross / self.coin.abs_a_sq
+        weight_gap, cross = state_terms(self.coin, self.qubit)
+        return weight_gap + cross / self.coin.abs_a_sq
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -90,6 +90,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
     Raises
     ------
+    ValueError
+        If an argument is NaN or infinite; refused before any work.
     PoleAtCError
         If ``c`` is a non-positive integer reached before termination.
     CapExceededError
@@ -99,6 +101,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         If ``|z| >= 1`` (non-terminating) or the term cap is hit.
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
+    if not all(map(isfinite, (a, b, c, z))):
+        raise ValueError(f"2F1 needs finite arguments, got a={a}, b={b}, c={c}, z={z}")
     stop = _termination_index(a, b)
     _check_pole(c, stop)
     if stop is not None:
@@ -146,8 +150,12 @@ def pfaff_residual(a: float, b: float, c: float, z: float) -> float:
     """``|2F1(a,b;c;z) - (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))|``.
 
     A diagnostic: the transformation is an identity, so the residual measures
-    evaluation error.  Both sides must be evaluable.
+    evaluation error.  Both sides must be evaluable: ``z = 1`` is refused with
+    ``ValueError`` before any work, as :func:`hyp2f1` refuses a NaN or an
+    infinite argument.
     """
+    if z == 1.0:
+        raise ValueError("the Pfaff transformation needs z != 1")
     lhs = hyp2f1(a, b, c, z)
     rhs = (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, z / (z - 1.0))
     return abs(lhs - rhs)

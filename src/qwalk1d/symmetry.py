@@ -23,8 +23,8 @@ from itertools import islice
 import numpy as np
 
 from . import engine
-from .analytic import WalkParams, moment
-from .coin import Coin, Qubit
+from .analytic import law
+from .coin import Coin, Qubit, state_terms
 
 __all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
 
@@ -72,11 +72,8 @@ def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
     ``2*|cross| <= |a| * MEMBERSHIP_TOL`` keep both under :data:`GAP_TOL`
     (and ``cross`` is exactly 0 when ``a = 0``).
     """
-    params = WalkParams(coin=coin, qubit=qubit)
-    return (
-        abs(params.weight_gap) < MEMBERSHIP_TOL
-        and 2.0 * abs(params.cross) <= abs(coin.a) * MEMBERSHIP_TOL
-    )
+    weight_gap, cross = state_terms(coin, qubit)
+    return abs(weight_gap) < MEMBERSHIP_TOL and 2.0 * abs(cross) <= abs(coin.a) * MEMBERSHIP_TOL
 
 
 def symmetry_evidence(coin: Coin, qubit: Qubit, n_max: int) -> SymmetryReport:
@@ -130,5 +127,4 @@ def mean_zero_check(coin: Coin, qubit: Qubit, n_max: int) -> bool:
     value for all n <= n_max: the reference for ``SymmetryReport.zero_mean``."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    params = WalkParams(coin=coin, qubit=qubit)
-    return all(_mean_vanishes(n, moment(params, n, 1)) for n in range(1, n_max + 1))
+    return all(_mean_vanishes(n, law(coin, qubit, n).mean()) for n in range(1, n_max + 1))

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qwalk1d.analytic import WalkParams, characteristic_function, moment, position_probability
+from qwalk1d.analytic import law
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, real_coin, validate_coin
 from qwalk1d.engine import distribution
 from qwalk1d.limit import (
@@ -39,12 +39,11 @@ def report(number: int, ok: bool, detail: str) -> None:
 def test_criterion_1_hadamard_n4_exactness():
     coin = hadamard_coin()
     qubit = make_qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
-    params = WalkParams(coin=coin, qubit=qubit)
     expected = {-4: 0.0625, -2: 0.375, 0: 0.125, 2: 0.375, 4: 0.0625}
     distribution(coin, qubit, 4)  # warm imports and caches before timing
     start = time.perf_counter()
     dist = distribution(coin, qubit, 4)
-    closed = {k: position_probability(params, 4, k) for k in expected}
+    closed = {k: law(coin, qubit, 4).probability(k) for k in expected}
     elapsed = time.perf_counter() - start
     worst = max(
         max(abs(dist.probability(k) - p) for k, p in expected.items()),
@@ -73,21 +72,18 @@ def test_criterion_2_oracle_equivalence_sweep():
 
     worst_prob = worst_cf = worst_mom = 0.0
     for coin, qubit in itertools.product(coins, qubits):
-        params = WalkParams(coin=coin, qubit=qubit)
         for n in range(1, 13):
             dist = distribution(coin, qubit, n)
+            closed = law(coin, qubit, n)
             positions = dist.positions
             for k in positions:
-                worst_prob = max(
-                    worst_prob,
-                    abs(position_probability(params, n, int(k)) - dist.probability(int(k))),
-                )
+                worst_prob = max(worst_prob, abs(closed.probability(int(k)) - dist.probability(int(k))))
             phases = np.exp(1j * np.outer(xi_grid, positions.astype(float)))
             direct_cf = phases @ np.asarray(dist.probs)
             for xi, direct in zip(xi_grid, direct_cf):
-                worst_cf = max(worst_cf, abs(characteristic_function(params, n, float(xi)) - direct))
+                worst_cf = max(worst_cf, abs(closed.characteristic_function(float(xi)) - direct))
             for m in range(1, 5):
-                worst_mom = max(worst_mom, abs(moment(params, n, m) - dist.moment(m)))
+                worst_mom = max(worst_mom, abs(closed.moment(m) - dist.moment(m)))
     elapsed = time.perf_counter() - start
 
     ok = worst_paths < 1e-10 and worst_prob < 1e-10 and worst_cf < 1e-9 and worst_mom < 1e-8 and elapsed < 60.0
@@ -115,8 +111,8 @@ def test_criterion_3_degenerate_branch_tables():
         for n in range(1, 9):
             dist_b0 = distribution(diag, qubit, n)
             dist_a0 = distribution(antidiag, qubit, n)
-            pb = WalkParams(coin=diag, qubit=qubit)
-            pa = WalkParams(coin=antidiag, qubit=qubit)
+            law_b0 = law(diag, qubit, n)
+            law_a0 = law(antidiag, qubit, n)
             for xi in (0.0, 0.6, -2.3):
                 table_b0 = complex(math.cos(n * xi), (wb - wa) * math.sin(n * xi))
                 if n % 2 == 1:
@@ -131,8 +127,8 @@ def test_criterion_3_degenerate_branch_tables():
                 )
                 worst = max(
                     worst,
-                    abs(characteristic_function(pb, n, xi) - table_b0),
-                    abs(characteristic_function(pa, n, xi) - table_a0),
+                    abs(law_b0.characteristic_function(xi) - table_b0),
+                    abs(law_a0.characteristic_function(xi) - table_a0),
                     abs(engine_b0 - table_b0),
                     abs(engine_a0 - table_a0),
                 )
@@ -144,8 +140,8 @@ def test_criterion_3_degenerate_branch_tables():
                     table_a0 = (wa - wb) if m % 2 == 1 else 1.0
                 worst = max(
                     worst,
-                    abs(moment(pb, n, m) - table_b0) / max(1.0, float(n**m)),
-                    abs(moment(pa, n, m) - table_a0),
+                    abs(law_b0.moment(m) - table_b0) / max(1.0, float(n**m)),
+                    abs(law_a0.moment(m) - table_a0),
                     abs(dist_b0.moment(m) - table_b0) / max(1.0, float(n**m)),
                     abs(dist_a0.moment(m) - table_a0),
                 )

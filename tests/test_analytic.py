@@ -6,27 +6,26 @@ import pytest
 
 import qwalk1d.analytic as analytic
 import qwalk1d.special as special
-from qwalk1d.analytic import (
-    WalkParams,
-    characteristic_function,
-    law,
-    moment,
-    position_probability,
+from qwalk1d.analytic import law
+from qwalk1d.coin import (
+    coin_from_angles,
+    hadamard_coin,
+    make_qubit,
+    random_qubit,
+    random_unitary_coin,
+    state_terms,
+    validate_coin,
 )
-from qwalk1d.coin import coin_from_angles, hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 from qwalk1d.engine import LAW_TIME_CAP, distribution
-from qwalk1d.errors import CapExceededError, ParityViolationError
+from qwalk1d.errors import CapExceededError
 from qwalk1d.paths import StepCount, path_sum
 from qwalk1d.special import rho_value
 
 
 def worst_engine_gap(coin, qubit, n):
-    params = WalkParams(coin=coin, qubit=qubit)
+    closed = law(coin, qubit, n)
     dist = distribution(coin, qubit, n)
-    return max(
-        abs(position_probability(params, n, int(k)) - dist.probability(int(k)))
-        for k in dist.positions
-    )
+    return max(abs(closed.probability(int(k)) - dist.probability(int(k))) for k in dist.positions)
 
 
 def direct_characteristic(dist, xi):
@@ -34,95 +33,86 @@ def direct_characteristic(dist, xi):
     return complex(np.sum(np.exp(1j * xi * ks) * np.asarray(dist.probs)))
 
 
-class TestWalkParams:
+class TestStateTerms:
     def test_cross_is_real_combination(self, rng):
         for _ in range(20):
-            params = WalkParams(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
-            z = params.z_cross
-            assert params.cross == pytest.approx((z + z.conjugate()).real, abs=1e-15)
-            assert -1.0 - 1e-12 <= params.mu <= 1.0 + 1e-12
+            coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+            weight_gap, cross = state_terms(coin, qubit)
+            z = coin.a * qubit.alpha * (coin.b * qubit.beta).conjugate()
+            assert cross == pytest.approx((z + z.conjugate()).real, abs=1e-15)
+            assert weight_gap == pytest.approx(abs(qubit.alpha) ** 2 - abs(qubit.beta) ** 2, abs=1e-15)
+            mu = (coin.abs_a_sq - coin.abs_b_sq) * weight_gap + 2.0 * cross
+            assert -1.0 - 1e-12 <= mu <= 1.0 + 1e-12
 
 
 class TestPositionProbability:
     def test_hadamard_symmetric_n4(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
-        assert position_probability(params, 4, 2) == pytest.approx(6 / 16, abs=1e-12)
-        assert position_probability(params, 4, -2) == pytest.approx(6 / 16, abs=1e-12)
-        assert position_probability(params, 4, 0) == pytest.approx(2 / 16, abs=1e-12)
-        assert position_probability(params, 4, 4) == pytest.approx(1 / 16, abs=1e-12)
+        dist = law(hadamard, symmetric_qubit, 4)
+        assert dist.probability(2) == pytest.approx(6 / 16, abs=1e-12)
+        assert dist.probability(-2) == pytest.approx(6 / 16, abs=1e-12)
+        assert dist.probability(0) == pytest.approx(2 / 16, abs=1e-12)
+        assert dist.probability(4) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_extreme_position_closed_form(self, rng):
         for _ in range(10):
             coin = random_unitary_coin(rng)
             qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
             n = int(rng.integers(1, 12))
             a2, b2 = coin.abs_a_sq, coin.abs_b_sq
             wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
-            expected = a2 ** (n - 1) * (b2 * wa + a2 * wb - params.cross)
-            assert position_probability(params, n, n) == pytest.approx(expected, abs=1e-13)
+            expected = a2 ** (n - 1) * (b2 * wa + a2 * wb - state_terms(coin, qubit)[1])
+            assert law(coin, qubit, n).probability(n) == pytest.approx(expected, abs=1e-13)
 
     def test_matches_engine(self, rng):
         worst = 0.0
         for _ in range(5):
             coin = random_unitary_coin(rng)
             qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
             for n in (1, 2, 5, 9):
-                dist = distribution(coin, qubit, n)
-                for k in dist.positions:
-                    worst = max(
-                        worst,
-                        abs(position_probability(params, n, int(k)) - dist.probability(int(k))),
-                    )
+                worst = max(worst, worst_engine_gap(coin, qubit, n))
         assert worst < 1e-10
 
     def test_sums_to_one(self, rng):
         for _ in range(5):
-            params = WalkParams(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
+            coin, qubit = random_unitary_coin(rng), random_qubit(rng)
             for n in (3, 8, 12):
-                total = math.fsum(
-                    position_probability(params, n, k) for k in range(-n, n + 1, 2)
-                )
+                total = math.fsum(law(coin, qubit, n).probability(k) for k in range(-n, n + 1, 2))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_parity_guard(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
-        with pytest.raises(ParityViolationError):
-            position_probability(params, 4, 3)
+    def test_unreachable_positions_are_zero(self, hadamard, symmetric_qubit):
+        dist = law(hadamard, symmetric_qubit, 4)
+        assert [dist.probability(k) for k in (-5, -3, 3, 6)] == [0.0] * 4
 
     def test_degenerate_coin_atoms(self):
         qubit = make_qubit(0.6, 0.8j)
-        b_zero = WalkParams(coin=validate_coin([[1, 0], [0, 1]]), qubit=qubit)
-        a_zero = WalkParams(coin=validate_coin([[0, 1], [1, 0]]), qubit=qubit)
+        b_zero, a_zero = validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])
         wa, wb = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
-        assert [position_probability(b_zero, 4, k) for k in (-4, -2, 0, 2, 4)] == [wa, 0.0, 0.0, 0.0, wb]
-        assert [position_probability(a_zero, 5, k) for k in (-3, -1, 1, 3)] == [0.0, wb, wa, 0.0]
-        assert [position_probability(a_zero, 4, k) for k in (-2, 0, 2)] == [0.0, 1.0, 0.0]
-        assert position_probability(b_zero, 0, 0) == position_probability(a_zero, 0, 0) == 1.0
+        assert law(b_zero, qubit, 4).probs.tolist() == [wa, 0.0, 0.0, 0.0, wb]
+        assert [law(a_zero, qubit, 5).probability(k) for k in (-3, -1, 1, 3)] == [0.0, wb, wa, 0.0]
+        assert [law(a_zero, qubit, 4).probability(k) for k in (-2, 0, 2)] == [0.0, 1.0, 0.0]
+        assert law(b_zero, qubit, 0).probability(0) == law(a_zero, qubit, 0).probability(0) == 1.0
 
 
 class TestLaw:
     def test_probs_are_read_only(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
-        dist = law(params, 6)
+        dist = law(hadamard, symmetric_qubit, 6)
         assert dist.n == 6
         with pytest.raises(ValueError):
             dist.probs[0] = 0.5
-        assert dist.probability(-6) == position_probability(params, 6, -6)
+        assert dist.probability(-6) == dist.probs[0]
+        assert law(hadamard, symmetric_qubit, 6) is dist
 
     def test_refusals(self, hadamard, symmetric_qubit):
         for coin in (hadamard, validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])):
-            params = WalkParams(coin=coin, qubit=symmetric_qubit)
             with pytest.raises(ValueError):
-                law(params, -1)
-            assert law(params, 0).probs.tolist() == [1.0]
+                law(coin, symmetric_qubit, -1)
+            assert law(coin, symmetric_qubit, 0).probs.tolist() == [1.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 161])
     def test_is_the_squared_path_sum_at_every_position(self, rng, n):
         for coin in [hadamard_coin()] + [random_unitary_coin(rng) for _ in range(5)]:
             qubit = random_qubit(rng)
-            probs = law(WalkParams(coin=coin, qubit=qubit), n).probs
+            probs = law(coin, qubit, n).probs
             amps = np.array([path_sum(coin, StepCount(l=n - m, m=m)) @ qubit.vector for m in range(n + 1)])
             assert np.max(np.abs(probs - np.sum(np.abs(amps) ** 2, axis=1))) <= 1e-14
 
@@ -133,7 +123,7 @@ class TestLaw:
         monkeypatch.setattr(analytic, "_letter_coordinates", no_kernel)
         for coin in (hadamard, validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])):
             with pytest.raises(CapExceededError):
-                law(WalkParams(coin=coin, qubit=symmetric_qubit), LAW_TIME_CAP + 1)
+                law(coin, symmetric_qubit, LAW_TIME_CAP + 1)
 
     def test_degenerate_coins_match_engine(self, rng):
         coins = [
@@ -145,40 +135,37 @@ class TestLaw:
         ]
         for coin in coins:
             qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
             for n in [*range(65), 1000, 2001]:
-                gap = np.max(np.abs(law(params, n).probs - distribution(coin, qubit, n).probs))
+                gap = np.max(np.abs(law(coin, qubit, n).probs - distribution(coin, qubit, n).probs))
                 assert gap <= 1e-12, (coin.branch, n, gap)
 
 
 class TestCharacteristicFunction:
     def test_at_zero_is_one(self, rng):
         for _ in range(10):
-            params = WalkParams(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
-            assert characteristic_function(params, 7, 0.0) == pytest.approx(1.0, abs=1e-12)
+            dist = law(random_unitary_coin(rng), random_qubit(rng), 7)
+            assert dist.characteristic_function(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_b_zero_branch(self, left_qubit):
-        coin = validate_coin([[1, 0], [0, 1]])
-        params = WalkParams(coin=coin, qubit=left_qubit)
+        dist = law(validate_coin([[1, 0], [0, 1]]), left_qubit, 3)
         for xi in (0.3, -1.1, 2.7):
             expected = complex(math.cos(3 * xi), -math.sin(3 * xi))
-            assert characteristic_function(params, 3, xi) == pytest.approx(expected, abs=1e-14)
+            assert dist.characteristic_function(xi) == pytest.approx(expected, abs=1e-14)
 
     def test_a_zero_branch(self, rng):
         coin = validate_coin([[0, 1], [1, 0]])
         qubit = random_qubit(rng)
         gap = abs(qubit.alpha) ** 2 - abs(qubit.beta) ** 2
-        params = WalkParams(coin=coin, qubit=qubit)
         xi = 0.9
-        assert characteristic_function(params, 6, xi) == 1.0 + 0.0j
+        assert law(coin, qubit, 6).characteristic_function(xi) == 1.0 + 0.0j
         expected = complex(math.cos(xi), gap * math.sin(xi))
-        assert characteristic_function(params, 7, xi) == pytest.approx(expected, abs=1e-14)
+        assert law(coin, qubit, 7).characteristic_function(xi) == pytest.approx(expected, abs=1e-14)
 
     def test_hadamard_symmetric_n4_cosine_series(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
+        dist = law(hadamard, symmetric_qubit, 4)
         for xi in np.linspace(-3.0, 3.0, 7):
             expected = 0.125 + 0.75 * math.cos(2 * xi) + 0.125 * math.cos(4 * xi)
-            got = characteristic_function(params, 4, xi)
+            got = dist.characteristic_function(xi)
             assert got.real == pytest.approx(expected, abs=1e-12)
             assert got.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -187,19 +174,18 @@ class TestCharacteristicFunction:
         for _ in range(5):
             coin = random_unitary_coin(rng)
             qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
             for n in (1, 4, 9, 12):
                 dist = distribution(coin, qubit, n)
                 for xi in np.linspace(-math.pi, math.pi, 20, endpoint=False):
-                    diff = abs(characteristic_function(params, n, xi) - direct_characteristic(dist, xi))
+                    diff = abs(law(coin, qubit, n).characteristic_function(xi) - direct_characteristic(dist, xi))
                     worst = max(worst, diff)
         assert worst < 1e-9
 
     def test_conjugate_symmetry(self, rng):
-        params = WalkParams(coin=random_unitary_coin(rng), qubit=random_qubit(rng))
+        dist = law(random_unitary_coin(rng), random_qubit(rng), 9)
         for xi in (0.2, 1.4, 2.9):
-            lhs = characteristic_function(params, 9, -xi)
-            rhs = characteristic_function(params, 9, xi).conjugate()
+            lhs = dist.characteristic_function(-xi)
+            rhs = dist.characteristic_function(xi).conjugate()
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_central_probability_is_state_independent(self, rng):
@@ -207,10 +193,7 @@ class TestCharacteristicFunction:
             coin = random_unitary_coin(rng)
             qubits = [random_qubit(rng) for _ in range(10)]
             for n in (2, 6, 10):
-                central = [
-                    position_probability(WalkParams(coin=coin, qubit=qubit), n, 0)
-                    for qubit in qubits
-                ]
+                central = [law(coin, qubit, n).probability(0) for qubit in qubits]
                 assert max(central) - min(central) < 1e-15
                 for qubit, value in zip(qubits, central):
                     engine_value = distribution(coin, qubit, n).probability(0)
@@ -219,53 +202,46 @@ class TestCharacteristicFunction:
 
 class TestMoments:
     def test_hadamard_symmetric_n4_variance(self, hadamard, symmetric_qubit):
-        params = WalkParams(coin=hadamard, qubit=symmetric_qubit)
-        assert moment(params, 4, 2) == pytest.approx(5.0, abs=1e-12)
+        assert law(hadamard, symmetric_qubit, 4).moment(2) == pytest.approx(5.0, abs=1e-12)
 
     def test_b_zero_branch(self, rng):
         coin = validate_coin([[1, 0], [0, 1]])
         qubit = random_qubit(rng)
         gap = abs(qubit.beta) ** 2 - abs(qubit.alpha) ** 2
-        params = WalkParams(coin=coin, qubit=qubit)
         # relative to n^m: the atoms' masses add to 1 only to rounding
         for n, m in [(3, 2), (5, 4), (7, 6)]:
-            assert abs(moment(params, n, m) - n**m) / max(1, n**m) <= 1e-15
+            assert abs(law(coin, qubit, n).moment(m) - n**m) / max(1, n**m) <= 1e-15
         for n, m in [(3, 1), (5, 3)]:
-            assert abs(moment(params, n, m) - n**m * gap) / max(1, n**m) <= 1e-15
+            assert abs(law(coin, qubit, n).moment(m) - n**m * gap) / max(1, n**m) <= 1e-15
 
     def test_a_zero_branch_parity_table(self, rng):
         coin = validate_coin([[0, 1], [1, 0]])
         qubit = random_qubit(rng)
         gap = abs(qubit.alpha) ** 2 - abs(qubit.beta) ** 2
-        params = WalkParams(coin=coin, qubit=qubit)
         for n in (2, 4, 6):
             for m in (1, 2, 3):
-                assert moment(params, n, m) == 0.0
+                assert law(coin, qubit, n).moment(m) == 0.0
         # relative to max(1, n^m): the atoms' masses add to 1 only to rounding
         for n in (3, 5):
-            assert abs(moment(params, n, 1) - gap) / n <= 1e-15
-            assert abs(moment(params, n, 2) - 1.0) / n**2 <= 1e-15
+            assert abs(law(coin, qubit, n).moment(1) - gap) / n <= 1e-15
+            assert abs(law(coin, qubit, n).moment(2) - 1.0) / n**2 <= 1e-15
 
     def test_matches_direct_sums(self, rng):
         worst = 0.0
         for _ in range(5):
             coin = random_unitary_coin(rng)
             qubit = random_qubit(rng)
-            params = WalkParams(coin=coin, qubit=qubit)
             for n in (1, 5, 12):
                 dist = distribution(coin, qubit, n)
                 for m in (1, 2, 3, 4):
-                    worst = max(worst, abs(moment(params, n, m) - dist.moment(m)))
+                    worst = max(worst, abs(law(coin, qubit, n).moment(m) - dist.moment(m)))
         assert worst < 1e-8
 
     def test_even_moments_ignore_initial_state(self, rng):
         coin = random_unitary_coin(rng)
         for n in (4, 9):
             for m in (2, 4):
-                values = [
-                    moment(WalkParams(coin=coin, qubit=random_qubit(rng)), n, m)
-                    for _ in range(10)
-                ]
+                values = [law(coin, random_qubit(rng), n).moment(m) for _ in range(10)]
                 assert max(values) - min(values) < 1e-9
 
 
@@ -328,12 +304,7 @@ class TestJacobiKernel:
         # about 11 digits at n = 14.
         coin = coin_from_angles(1.45, 0.3, 1.1, 2.0)
         qubit = random_qubit(rng)
-        params = WalkParams(coin=coin, qubit=qubit)
-        dist = distribution(coin, qubit, 14)
-        for k in dist.positions:
-            assert position_probability(params, 14, int(k)) == pytest.approx(
-                dist.probability(int(k)), abs=1e-12
-            )
+        assert np.max(np.abs(law(coin, qubit, 14).probs - distribution(coin, qubit, 14).probs)) <= 1e-12
 
     @pytest.mark.parametrize("n", [40, 56, 60, 61, 62, 200, 1000])
     def test_hadamard_against_engine(self, hadamard, symmetric_qubit, n):
@@ -355,7 +326,7 @@ class TestJacobiKernel:
         ]
         for coin in coins:
             qubit = random_qubit(rng)
-            closed = law(WalkParams(coin=coin, qubit=qubit), n).probs
+            closed = law(coin, qubit, n).probs
             assert np.max(np.abs(closed - distribution(coin, qubit, n).probs)) <= 1e-12
 
     @pytest.mark.xfail(strict=True, reason="for small |a| the differences kk tau_1 - tau_0 of the "
@@ -367,6 +338,6 @@ class TestJacobiKernel:
         for abs_a in (1e-3, 1e-5, 1e-7):
             coin = coin_from_angles(math.acos(abs_a), *rng.uniform(0.0, 2.0 * math.pi, 3))
             qubit = random_qubit(rng)
-            closed = law(WalkParams(coin=coin, qubit=qubit), n).probs
+            closed = law(coin, qubit, n).probs
             assert np.max(np.abs(closed - distribution(coin, qubit, n).probs)) <= 1e-12
 

@@ -11,14 +11,14 @@ import qwalk1d.engine as engine
 import qwalk1d.limit as limit
 import qwalk1d.paths as paths
 import qwalk1d.special as special
-from qwalk1d.analytic import WalkParams, moment, position_probability
+from qwalk1d.analytic import law
 from qwalk1d.coin import hadamard_coin, make_qubit, random_qubit, random_unitary_coin, validate_coin
 
 
 def clear_law_caches():
-    analytic.law.cache_clear()
+    analytic._law.cache_clear()
     special._jacobi_table.cache_clear()
-    engine.distribution.cache_clear()
+    engine._distribution.cache_clear()
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def test_dist_ballistic_coin(capsys):
 
 def test_dist_gates_the_closed_form_on_a_ballistic_coin(capsys, monkeypatch):
     # the mirrored law is wrong by 0.28 at n = +-5
-    mirrored = lambda params, n: engine.Distribution(n=n, probs=analytic.law(params, n).probs[::-1])
+    mirrored = lambda coin, qubit, n: engine.Distribution(n=n, probs=law(coin, qubit, n).probs[::-1])
     monkeypatch.setattr(cli, "law", mirrored)
     code, out, err = run_cli(
         capsys, ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", "5", "--format", "json"]
@@ -161,10 +161,9 @@ def test_symmetry_mean_column_matches_closed_form(capsys, rng):
         ])
         assert code == 0
         rows = json.loads(out)["rows"]
-        params = WalkParams(coin=coin, qubit=qubit)
         assert [row[0] for row in rows] == list(range(1, 41))
         for n, _, mean in rows:
-            assert abs(mean - moment(params, n, 1)) <= 1e-12
+            assert abs(mean - law(coin, qubit, n).mean()) <= 1e-12
 
 
 @pytest.mark.parametrize("eps, n_max, verdict", [(3e-12, "200", True), (1e-3, "40", False)])
@@ -321,7 +320,7 @@ def test_closed_forms_share_one_law_per_time(capsys, monkeypatch, fresh_caches):
         assert code == 0
     assert calls == [40]
     # and one Fourier-route law: the other two commands read the cached one
-    info = engine.distribution.cache_info()
+    info = engine._distribution.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
@@ -329,7 +328,7 @@ def test_law_caches_keep_one_entry(capsys, fresh_caches):
     for n in ("40", "41"):
         code, _, _ = run_cli(capsys, ["dist", "-n", n])
         assert code == 0
-    for cache in (analytic.law, engine.distribution, special._jacobi_table):
+    for cache in (analytic._law, engine._distribution, special._jacobi_table):
         assert cache.cache_info().currsize == 1
 
 
@@ -338,8 +337,7 @@ def test_dist_builds_the_law_once_without_per_position_calls(capsys, monkeypatch
         raise AssertionError("dist must read the whole law, not one position at a time")
 
     calls = count_kernel_calls(monkeypatch)
-    monkeypatch.setattr(analytic, "position_probability", no_position_probability)
-    monkeypatch.setattr(cli, "position_probability", no_position_probability, raising=False)
+    monkeypatch.setattr(engine.Distribution, "probability", no_position_probability)
     code, out, _ = run_cli(capsys, ["dist", "-n", "40", "--format", "json"])
     assert code == 0
     assert json.loads(out)["ok"] is True
@@ -490,12 +488,22 @@ def test_non_finite_xi_exits_2(capsys, xi):
     assert "Traceback" not in err
 
 
+class NanSums:
+    """A closed-form law whose every sum is NaN, one per point or order."""
+
+    def characteristic_function(self, xis):
+        return np.full(len(xis), complex(math.nan, 0.0))
+
+    def moment(self, orders):
+        return np.full(len(orders), math.nan)
+
+
 @pytest.mark.parametrize(
     "command, name, nan_value",
     [
         ("dist", "law", engine.Distribution(n=4, probs=np.full(5, math.nan))),
-        ("charfn", "characteristic_function", complex(math.nan, 0.0)),
-        ("moments", "moment", math.nan),
+        ("charfn", "law", NanSums()),
+        ("moments", "law", NanSums()),
         ("oracle", "_closed_forms", paths.PqrsMatrix(*[complex(math.nan)] * 4, coin=hadamard_coin())),
     ],
 )
@@ -504,9 +512,8 @@ def test_nan_difference_fails_the_gate(capsys, monkeypatch, command, name, nan_v
     # charfn and moments tables take all their points or orders in one call,
     # so there the closed column gets one NaN per entry.  The oracle takes
     # every closed form from the one pass in paths.
-    table = command in ("charfn", "moments")
     target = paths if command == "oracle" else cli
-    monkeypatch.setattr(target, name, lambda *args: np.full(len(args[-1]), nan_value) if table else nan_value)
+    monkeypatch.setattr(target, name, lambda *args: nan_value)
     argv = [command, "--n-cap", "2"] if command == "oracle" else [command, "-n", "4"]
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 3
@@ -537,9 +544,9 @@ def test_json_round_trip_bit_exact(capsys):
     code, out, _ = run_cli(capsys, ["dist", "-n", "6", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
-    params = WalkParams(coin=hadamard_coin(), qubit=make_qubit(1 / math.sqrt(2), 1j / math.sqrt(2)))
+    closed = law(hadamard_coin(), make_qubit(1 / math.sqrt(2), 1j / math.sqrt(2)), 6)
     for k, _, p_closed, _ in doc["rows"]:
-        assert p_closed == position_probability(params, 6, k)
+        assert p_closed == closed.probability(k)
 
 
 def test_byte_identical_reruns(capsys):
@@ -604,13 +611,13 @@ class GridBuilt(Exception):
     ],
 )
 def test_grid_counts_over_the_cap_exit_2(capsys, monkeypatch, argv, flag):
-    # the grid builders and the moment route raise, so no count here builds a table
+    # the grid builders and the closed-form law raise, so no count here builds a table
     def no_grid(*args, **kwargs):
         raise GridBuilt
 
     monkeypatch.setattr(cli, "_xi_grid", no_grid)
     monkeypatch.setattr(np, "linspace", no_grid)
-    monkeypatch.setattr(cli, "moment", no_grid)
+    monkeypatch.setattr(cli, "law", no_grid)
     code, out, err = run_cli(capsys, argv + [str(cli.GRID_POINTS_CAP + 1)])
     assert code == 2
     assert out == ""
@@ -638,7 +645,7 @@ def test_charfn_tables_over_the_cell_cap_exit_2(capsys, monkeypatch, over, at):
     def no_table(*args):
         raise TableBuilt
 
-    monkeypatch.setattr(cli, "characteristic_function", no_table)
+    monkeypatch.setattr(cli, "law", no_table)
     monkeypatch.setattr(engine, "distribution", no_table)
     code, out, err = run_cli(capsys, ["charfn"] + over)
     assert code == 2
@@ -649,13 +656,21 @@ def test_charfn_tables_over_the_cell_cap_exit_2(capsys, monkeypatch, over, at):
         cli.main(["charfn"] + at)
 
 
+def test_charfn_refuses_a_time_no_float_holds(capsys):
+    # xi * n overflows a float for this n; the cells cap refuses it first
+    code, out, err = run_cli(capsys, ["charfn", "-n", str(10**400), "--xi", "0.5"])
+    assert (code, out) == (2, "")
+    assert f"exceeds the cap of {cli.CHARFN_CELLS_CAP}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["charfn", "-n", "0", "--xi"], ["converge", "--n-list"]], ids=["xi", "n-list"])
 def test_row_lists_over_the_cap_exit_2(capsys, monkeypatch, argv):
     # both table builders raise, so no list here builds a table
     def no_table(*args):
         raise TableBuilt
 
-    monkeypatch.setattr(cli, "characteristic_function", no_table)
+    monkeypatch.setattr(cli, "law", no_table)
     monkeypatch.setattr(limit, "ks_convergence", no_table)
     code, out, err = run_cli(capsys, argv + [",".join(["10"] * (cli.GRID_POINTS_CAP + 1))])
     assert code == 2

@@ -24,8 +24,9 @@ from qwalk1d.limit import KS_CELLS_CAP
 from qwalk1d.engine import SWEEP_TIME_CAP
 
 # Out-of-range and malformed tokens, mixed into the numeric fields (unbounded
-# st.floats() adds NaN and infinities).
-BAD_TOKENS = ["1e400", "-1e400", "-nan", "x", "", "1,", "0x1p3"]
+# st.floats() adds NaN and infinities).  The 400-digit integer parses as an
+# int that no float holds, and as an infinite real.
+BAD_TOKENS = ["1e400", "-1e400", "-nan", "x", "", "1,", "0x1p3", str(10**400)]
 
 
 def _coin_text(coin) -> str:

@@ -11,7 +11,7 @@ import pytest
 
 import qwalk1d.paths as paths
 from qwalk1d import engine
-from qwalk1d.analytic import WalkParams, law
+from qwalk1d.analytic import law
 from qwalk1d.coin import (
     Coin,
     Letter,
@@ -149,7 +149,7 @@ def test_tables_equal_the_per_element_sums_bit_for_bit(case, n, rng):
     qubit = random_qubit(rng)
     xis = [-math.pi + 2.0 * math.pi * j / 32 for j in range(32)]
     orders = np.arange(1, 5)
-    for dist in (distribution(coin, qubit, n), law(WalkParams(coin=coin, qubit=qubit), n)):
+    for dist in (distribution(coin, qubit, n), law(coin, qubit, n)):
         table = dist.characteristic_function(xis)
         assert table.shape == (32,)
         assert bits(table) == bits([reference_characteristic_function(dist, xi) for xi in xis])
@@ -184,7 +184,7 @@ def mirrored_rows(rng) -> np.ndarray:
 def symmetric_sine_rows(rng) -> np.ndarray:
     """The imaginary-part rows of the Hadamard law from the symmetric state,
     whose mirror symmetry cancels them to rounding noise (and to ±0 at xi = 0)."""
-    dist = law(WalkParams(coin=hadamard_coin(), qubit=make_qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))), 160)
+    dist = law(hadamard_coin(), make_qubit(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)), 160)
     xis = np.linspace(-math.pi, math.pi, 33).reshape(-1, 1)
     return np.sin(xis * dist.positions) * dist.probs
 
@@ -298,7 +298,7 @@ class TestExactSums:
 
     def test_the_moments_of_a_symmetric_law_need_no_fsum(self, hadamard, symmetric_qubit, passes):
         # the order-9 row ties in the cascade's third pass; no row goes to fsum
-        dist = law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 63)
+        dist = law(hadamard, symmetric_qubit, 63)
         table = dist.positions.astype(float) ** np.arange(1, 71).reshape(-1, 1) * dist.probs
         assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
         assert passes["fsum"] == 0
@@ -308,7 +308,7 @@ class TestExactSums:
         calls = []
         monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or fsum(row))
         xis = [-math.pi + 2.0 * math.pi * j / 32 for j in range(32)]
-        for dist in (distribution(hadamard, symmetric_qubit, 160), law(WalkParams(coin=hadamard, qubit=symmetric_qubit), 160)):
+        for dist in (distribution(hadamard, symmetric_qubit, 160), law(hadamard, symmetric_qubit, 160)):
             calls.clear()
             dist.characteristic_function(xis)
             assert len(calls) <= 2
@@ -519,10 +519,9 @@ class TestExactLaw:
         # 1.5e-14 at worst (Hadamard) and 2.7e-15 to 4.1e-15 on the random-phase
         # coins, down to probabilities of 1.9e-239.
         coin, qubit = fourier_case(case, rng), random_qubit(rng)
-        params = WalkParams(coin=coin, qubit=qubit)
         for (n, exact), field in zip(exact_laws(coin, qubit, EXACT_TIMES), fields_at(coin, qubit, EXACT_TIMES)):
             banded = field.to_distribution()
-            for route in (law(params, n), distribution(coin, qubit, n), banded):
+            for route in (law(coin, qubit, n), distribution(coin, qubit, n), banded):
                 assert np.max(np.abs(route.probs - exact)) <= 1e-14, n
             held = exact > 1e-300
             assert np.max(np.abs(banded.probs[held] - exact[held]) / exact[held]) <= 1e-13, n

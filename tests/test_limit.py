@@ -235,13 +235,13 @@ class TestMoments:
                 assert abs(limit_moment(ld, m)) <= 2.0 * ld.a_abs**m + 1e-9
 
     def test_finite_time_moments_approach_limit(self, hadamard, right_qubit):
-        from qwalk1d.analytic import WalkParams, moment
+        from qwalk1d.analytic import law
 
         n = 500
-        params = WalkParams(coin=hadamard, qubit=right_qubit)
+        dist = law(hadamard, right_qubit, n)
         ld = LimitDensity(coin=hadamard, qubit=right_qubit)
-        scaled_mean = moment(params, n, 1) / n
-        scaled_rms = math.sqrt(moment(params, n, 2)) / n
+        scaled_mean = dist.moment(1) / n
+        scaled_rms = math.sqrt(dist.moment(2)) / n
         assert scaled_mean == pytest.approx(limit_moment(ld, 1), abs=5e-3)
         assert scaled_rms == pytest.approx(math.sqrt(limit_moment(ld, 2)), abs=5e-3)
 

@@ -1,6 +1,7 @@
 """Guards on the package source that no runtime test would notice."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,12 @@ def test_the_package_imports_only_exported_names():
             if listed is not None:
                 unlisted += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in listed]
     assert unlisted == [], f"__init__.py imports {unlisted}, which no __all__ lists"
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=[path.name for path in EXPORTING])
+def test_no_export_is_a_memo_wrapper(path):
+    # a public name is a plain function over a private memo, so that callers
+    # and wrappers from outside see one function (``lru_cache`` wrappers have ``cache_info``)
+    module = importlib.import_module(f"qwalk1d.{path.stem}")
+    memos = [name for name in exports(parse(path)) if hasattr(getattr(module, name), "cache_info")]
+    assert memos == [], f"{path.name}: __all__ names the memo wrappers {memos}"

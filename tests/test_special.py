@@ -88,6 +88,25 @@ class TestHyp2f1:
         with pytest.raises(PoleAtCError):
             hyp2f1(-5.0, 1.0, -2.0, 0.3)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_argument_refused(self, position):
+        # unrefused, a NaN z ran the whole 10^6-term loop into NonConvergentError
+        for base in ((0.5, 1.0, 2.0, 0.3), (-2.0, 1.0, 1.0, 0.3)):
+            args = list(base)
+            args[position] = math.nan
+            with pytest.raises(ValueError, match="finite"):
+                hyp2f1(*args)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_infinite_argument_refused(self, position):
+        # unrefused, an infinite argument of a terminating series raised
+        # OverflowError from as_integer_ratio
+        for value in (math.inf, -math.inf):
+            args = [-2.0, 1.0, 1.0, 0.3]
+            args[position] = value
+            with pytest.raises(ValueError, match="finite"):
+                hyp2f1(*args)
+
     def test_pole_avoided_when_terminating_first(self):
         # series stops (a = -2) before the pole of c = -5 is reached
         value = hyp2f1(-2.0, 1.0, -5.0, 0.4)
@@ -197,6 +216,16 @@ class TestPfaff:
     def test_residual_grid(self, args):
         assert pfaff_residual(*args) < 1e-11
 
+    def test_z_one_refused(self):
+        # z / (z - 1) divided by zero after the left side was summed
+        with pytest.raises(ValueError, match="z != 1"):
+            pfaff_residual(-2.0, 1.0, 1.0, 1.0)
+
+    def test_non_finite_arguments_refused(self):
+        for args in ((-2.0, 1.0, 1.0, math.nan), (-2.0, math.inf, 1.0, 0.3), (0.5, 1.0, 2.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                pfaff_residual(*args)
+
     def test_specific_cases(self):
         assert pfaff_residual(-3.0, 5.0, 2.0, 0.3) < 1e-13
         assert pfaff_residual(0.5, 1.0, 1.0, 0.5) < 1e-12
@@ -229,6 +258,14 @@ class TestJacobi:
     def test_nu_domain(self, nu):
         with pytest.raises(ValueError):
             jacobi_p(3, nu, 0.5, 0.2)
+
+    def test_non_finite_arguments_refused(self):
+        for args in ((3, 0.0, 1.0, math.nan), (3, 0.0, math.inf, 0.2), (3, 1.0, 0.5, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                jacobi_p(*args)
+        for abs_a_sq in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                rho_value(10, 3, 1, abs_a_sq)
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):

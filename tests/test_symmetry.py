@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from qwalk1d import engine, symmetry
-from qwalk1d.analytic import WalkParams
 from qwalk1d.coin import (
     coin_from_angles,
     hadamard_coin,
     make_qubit,
     random_qubit,
     random_unitary_coin,
+    state_terms,
     validate_coin,
 )
 from qwalk1d.engine import SWEEP_TIME_CAP, distribution
@@ -153,9 +153,7 @@ def test_members_at_the_tolerance_pass_both_verdicts(rng):
             weight_gap = 0.99 * w_sign * MEMBERSHIP_TOL
             cross = 0.99 * c_sign * abs(coin.a) * MEMBERSHIP_TOL / 2.0
             qubit = qubit_with(coin, weight_gap, cross)
-            params = WalkParams(coin=coin, qubit=qubit)
-            assert params.weight_gap == pytest.approx(weight_gap, rel=1e-4)
-            assert params.cross == pytest.approx(cross, rel=1e-4)
+            assert state_terms(coin, qubit) == pytest.approx((weight_gap, cross), rel=1e-4)
             assert is_symmetric_state(coin, qubit)
             report = symmetry_evidence(coin, qubit, 300)
             assert report.symmetric and report.zero_mean
