@@ -221,9 +221,12 @@ def asymptotics_envelope(coin: Coin, n: int, k: int, i: int) -> float:
     """``|rho(n,k,i)| * |a|^(n-2k) * sqrt(n)``: bounded in ``n`` at fixed
     interior ratio ``x = k/n`` (a boundedness diagnostic, not an estimate).
     The scaled Jacobi value is read from the kernel's table for time ``n`` and
-    ``|a|``, built in O(n) long double scalar steps and kept for the next call."""
+    ``|a|``, built in O(n) long double scalar steps and kept for the next call.
+    ``n`` above ``engine.LAW_TIME_CAP`` is refused before the table is built."""
     if i not in (0, 1) or not 1 <= k <= n // 2:
         raise ValueError(f"need i in (0, 1) and 1 <= k <= n//2, got i={i}, k={k}, n={n}")
+    if n > engine.LAW_TIME_CAP:
+        raise CapExceededError(f"time {n} exceeds the cap {engine.LAW_TIME_CAP}")
     lo, hi = _window(coin)
     x = k / n
     if not lo < x < hi:

@@ -25,6 +25,7 @@ import numpy as np
 from . import engine
 from .analytic import law
 from .coin import Coin, Qubit, state_terms
+from .errors import CapExceededError
 
 __all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
 
@@ -124,7 +125,11 @@ def _block_rows(fields, times: np.ndarray):
 
 def mean_zero_check(coin: Coin, qubit: Qubit, n_max: int) -> bool:
     """True iff the closed-form mean is below ``MEAN_TOL * n`` in absolute
-    value for all n <= n_max: the reference for ``SymmetryReport.zero_mean``."""
+    value for all n <= n_max: the reference for ``SymmetryReport.zero_mean``.
+    ``n_max`` above ``engine.SWEEP_TIME_CAP``, the cap of
+    :func:`symmetry_evidence`, is refused before the first law."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
+    if n_max > engine.SWEEP_TIME_CAP:
+        raise CapExceededError(f"n_max {n_max} exceeds the sweep cap {engine.SWEEP_TIME_CAP}")
     return all(_mean_vanishes(n, law(coin, qubit, n).mean()) for n in range(1, n_max + 1))

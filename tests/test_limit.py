@@ -402,6 +402,15 @@ class TestEnvelope:
             assert asymptotics_envelope(coin, n, k, 0) == pytest.approx(exact, rel=1e-12)
         assert calls == [n]
 
+    def test_time_over_the_cap_refused_before_the_table(self, hadamard, monkeypatch):
+        def no_kernel(n, a2):
+            raise AssertionError("a time over the cap must build no kernel table")
+
+        monkeypatch.setattr(special, "_scaled_jacobi", no_kernel)
+        n = engine.LAW_TIME_CAP + 1
+        with pytest.raises(CapExceededError, match=f"exceeds the cap {engine.LAW_TIME_CAP}"):
+            asymptotics_envelope(hadamard, n, n // 4, 0)
+
     def test_large_n_small_amplitude(self):
         start = time.perf_counter()
         value = asymptotics_envelope(real_coin(0.3), 6000, 2700, 0)

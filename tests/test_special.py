@@ -127,23 +127,51 @@ class TestExactSeries:
                 for args in ((-float(stop), b, c, zz), (b, -float(stop), c, zz)):
                     assert hyp2f1(*args) == fraction_hyp2f1(*args, stop)
 
-    def test_sum_identity_lhs_matches_fraction_sum(self, rng):
-        coins = [hadamard_coin(), validate_coin([[1, 0], [0, 1]])]
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_sum_identity_lhs_matches_fraction_sum(self, rng, order):
+        coins = [hadamard_coin(), validate_coin([[1, 0], [0, 1]]), real_coin(0.1), real_coin(math.sqrt(0.99))]
         coins += [random_unitary_coin(rng) for _ in range(3)]
         for coin in coins:
-            for n in (20, 40, 60, 61):
-                for k in range(1, n // 2 + 1):
+            for n in (20, 21, 40, 60, 61):
+                ks = list(range(1, n // 2 + 1))
+                if order == "descending":
+                    ks.reverse()
+                elif order == "shuffled":
+                    rng.shuffle(ks)
+                for k in ks:
                     for i in (0, 1):
                         lhs, _ = jacobi_sum_identity(coin, n, k, i)
-                        assert lhs == fraction_sum_lhs(coin, n, k, i)
+                        assert lhs == fraction_sum_lhs(coin, n, k, i), (n, k, i)
 
-    def test_sum_identity_lhs_is_capped_before_it_is_summed(self, monkeypatch):
-        def no_comb(*args):
-            raise AssertionError("an over-cap left side must be refused before any binomial is formed")
+    def test_sum_identity_lhs_matches_exact_series_at_large_n(self, rng):
+        # the series it replaced, summed exactly: Fraction is too slow at n = 400
+        n = 400
+        for coin in (hadamard_coin(), random_unitary_coin(rng)):
+            (bn, bd), (an, ad) = coin.abs_b_sq.as_integer_ratio(), coin.abs_a_sq.as_integer_ratio()
+            ratio = Fraction(-bn * ad, bd * an)
+            for k in range(1, n // 2 + 1):
+                for i in (0, 1):
+                    lhs, _ = jacobi_sum_identity(coin, n, k, i)
+                    series = special._terminating_sum.__wrapped__(-(k - 1.0), -(n - k - 1.0), 1.0 + i, ratio, k - 1)
+                    assert lhs == series, (k, i)
 
-        monkeypatch.setattr(special, "comb", no_comb)
-        with pytest.raises(CapExceededError):
-            jacobi_sum_identity(hadamard_coin(), 20002, 10001, 0)
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((hadamard_coin(), 20002, 10001, 0), "exceeds the cap"),
+            # |b|^2 = 4e-24 puts 131 bits in the ratio's denominator
+            ((validate_coin([[1, 2e-12], [-2e-12, 1]]), 10800, 5400, 1), "bits"),
+        ],
+        ids=["terms", "bits"],
+    )
+    def test_sum_identity_lhs_is_capped_before_it_is_summed(self, monkeypatch, args, match):
+        def no_work(*args):
+            raise AssertionError("an over-cap left side must be refused before any binomial or step")
+
+        monkeypatch.setattr(special, "comb", no_work)
+        monkeypatch.setattr(special, "_lhs_step", no_work)
+        with pytest.raises(CapExceededError, match=match):
+            jacobi_sum_identity(*args)
 
     def test_terminating_series_capped_at_ten_thousand_terms(self):
         assert hyp2f1(-9999.0, 1.0, 1.0, 0.0) == 1.0
@@ -161,6 +189,72 @@ class TestExactSeries:
         with pytest.raises(CapExceededError):
             hyp2f1(-2000.0, 2.5, 1.5, z)
         assert time.perf_counter() - start < 0.1
+
+
+class TestSumRecurrence:
+    """The kept state of the identity's left side: reused by a call at the same
+    ``n`` and coin moduli and a ``k`` no smaller, restarted by any other."""
+
+    @pytest.fixture(autouse=True)
+    def no_state(self, monkeypatch):
+        monkeypatch.setattr(special, "_lhs_state", None)
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        taken = []
+        true_step = special._lhs_step
+
+        def counting(n, p, q, k, prev, cur):
+            taken.append((n, k))
+            return true_step(n, p, q, k, prev, cur)
+
+        monkeypatch.setattr(special, "_lhs_step", counting)
+        return taken
+
+    def test_ascending_sweep_takes_one_step_per_k(self, rng, steps):
+        coin, n = random_unitary_coin(rng), 60
+        for k in range(1, n // 2 + 1):
+            for i in (0, 1):
+                jacobi_sum_identity(coin, n, k, i)
+                # never restarted: the steps so far are exactly those from 1 to k
+                assert steps == [(n, kk) for kk in range(1, k)]
+        assert len(steps) == 29
+
+    def test_state_keeps_one_entry(self, rng):
+        coin = hadamard_coin()
+        jacobi_sum_identity(random_unitary_coin(rng), 40, 12, 0)
+        jacobi_sum_identity(coin, 30, 5, 1)
+        key, k, p, q = special._lhs_state[:4]
+        assert (key, k) == ((30, coin.abs_b_sq, coin.abs_a_sq), 5)
+        assert Fraction(p, q) == -Fraction(coin.abs_b_sq) / Fraction(coin.abs_a_sq)
+
+    def test_interleaved_coins_restart(self, rng, steps):
+        coins = [random_unitary_coin(rng), real_coin(0.1)]
+        n = 21
+        for k in range(1, n // 2 + 1):
+            for coin in coins:
+                for i in (0, 1):
+                    lhs, _ = jacobi_sum_identity(coin, n, k, i)
+                    assert lhs == fraction_sum_lhs(coin, n, k, i), (k, i)
+        # each coin's i = 0 call restarts from k = 1, and its i = 1 call reuses the state
+        assert len(steps) == 2 * sum(range(n // 2))
+
+    def test_interleaved_times_restart(self, rng, steps):
+        coin = random_unitary_coin(rng)
+        for k in range(1, 11):
+            for n in (20, 33):
+                for i in (0, 1):
+                    lhs, _ = jacobi_sum_identity(coin, n, k, i)
+                    assert lhs == fraction_sum_lhs(coin, n, k, i), (n, k, i)
+        assert len(steps) == 2 * sum(range(10))
+
+    def test_smaller_k_restarts(self, rng, steps):
+        coin, n = random_unitary_coin(rng), 40
+        for k in (15, 15, 20, 3, 3, 8):
+            for i in (0, 1):
+                lhs, _ = jacobi_sum_identity(coin, n, k, i)
+                assert lhs == fraction_sum_lhs(coin, n, k, i), (k, i)
+        assert len(steps) == 14 + 5 + 2 + 5
 
 
 class TestTerminatingMemo:

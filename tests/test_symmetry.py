@@ -164,6 +164,15 @@ def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit
         symmetry_evidence(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
 
 
+def test_mean_check_over_the_sweep_cap_is_refused_before_any_law(hadamard, symmetric_qubit, monkeypatch):
+    def no_law(coin, qubit, n):
+        raise AssertionError("a refused check must build no law")
+
+    monkeypatch.setattr(symmetry, "law", no_law)
+    with pytest.raises(CapExceededError, match="exceeds the sweep cap"):
+        mean_zero_check(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
+
+
 def reference_rows(coin, qubit, n_max):
     """The rows of :func:`symmetry_evidence`, from each field's own ``to_distribution()``."""
     rows = []
