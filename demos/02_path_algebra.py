@@ -15,7 +15,7 @@ import numpy as np
 from qwalk1d import (
     Letter,
     StepCount,
-    basis_decompose,
+    closed_form_coefficients,
     cluster_count,
     evolve,
     hadamard_coin,
@@ -49,12 +49,12 @@ sc = StepCount(l=3, m=1)
 word_sum = path_sum_exhaustive(coin, sc)
 print(f"\nsum over all words with (l, m) = (3, 1)  [{math.comb(4, 1)} words]:")
 print(np.round(word_sum, 4))
-p, q, r, s = basis_decompose(coin, word_sum)
-print(f"coordinates in the letter basis: p={p:.4f} q={q:.4f} r={r:.4f} s={s:.4f}")
 
-# The closed form produces the same operator without enumerating anything.
-closed = path_sum(coin, sc)
-print(f"closed form matches enumeration: max|diff| = {np.max(np.abs(closed - word_sum)):.2e}")
+# The closed form gives its four coordinates p, q, r, s without enumerating
+# anything, and pP + qQ + rR + sS is the same operator.
+xi = closed_form_coefficients(coin, sc)
+print(f"closed-form coordinates in the letter basis: p={xi.p:.4f} q={xi.q:.4f} r={xi.r:.4f} s={xi.s:.4f}")
+print(f"closed form matches enumeration: max|diff| = {np.max(np.abs(xi.materialize() - word_sum)):.2e}")
 
 # Behind the closed form: words grouped by their number of letter clusters.
 print("\nwords with l=5 P's, m=4 Q's that start and end with a P block,")

@@ -14,12 +14,13 @@ from qwalk1d import (
     distribution,
     hadamard_coin,
     is_symmetric_state,
+    law,
     make_qubit,
-    mean_zero_check,
     random_qubit,
     random_unitary_coin,
     symmetry_evidence,
 )
+from qwalk1d.symmetry import MEAN_TOL
 
 coin = hadamard_coin()
 
@@ -57,7 +58,7 @@ agreed = sum(
     if len({
         is_symmetric_state(c := random_unitary_coin(rng), q := random_qubit(rng)),
         symmetry_evidence(c, q, 8).symmetric,
-        mean_zero_check(c, q, 8),
+        all(abs(law(c, q, n).mean()) < MEAN_TOL * n for n in range(1, 9)),
     }) == 1
 )
 print(f"{agreed}/200")

@@ -14,7 +14,6 @@ from .coin import (
     Coin,
     Letter,
     Qubit,
-    basis_decompose,
     coin_from_angles,
     hadamard_coin,
     letter_matrix,
@@ -28,7 +27,6 @@ from .coin import (
 from .engine import (
     AmplitudeField,
     Distribution,
-    dense_step_matrix,
     distribution,
     evolve,
     sweep,
@@ -65,6 +63,6 @@ from .paths import (
     path_sum_exhaustive,
 )
 from .special import hyp2f1, jacobi_p, jacobi_sum_identity, pfaff_residual, rho_value
-from .symmetry import SymmetryReport, is_symmetric_state, mean_zero_check, symmetry_evidence
+from .symmetry import SymmetryReport, is_symmetric_state, symmetry_evidence
 
 __version__ = "0.1.0"

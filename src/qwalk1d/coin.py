@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoinError, NotUnitaryError
+from .errors import NotUnitaryError
 
 __all__ = [
     "Coin",
@@ -34,7 +34,6 @@ __all__ = [
     "state_terms",
     "letter_matrix",
     "letter_product",
-    "basis_decompose",
 ]
 
 #: Branch labels assigned by :func:`validate_coin`.
@@ -251,25 +250,3 @@ def letter_product(coin: Coin, x: Letter, y: Letter) -> tuple[complex, Letter]:
     (x_slot, x_row), (y_slot, y_row) = _SLOT_ROW[x], _SLOT_ROW[y]
     scalar = (coin.a, coin.b, coin.c, coin.d)[2 * x_row + y_slot]
     return scalar, next(letter for letter, key in _SLOT_ROW.items() if key == (x_slot, y_row))
-
-
-def basis_decompose(coin: Coin, m) -> tuple[complex, complex, complex, complex]:
-    """Coordinates ``(p, q, r, s)`` of a 2x2 matrix in the letter basis.
-
-    Uses the trace inner product ``<A|B> = tr(A^* B)``, under which the four
-    letters are orthonormal: each coordinate is conj(coin row) . M[slot].
-    Refused for degenerate coins (a = 0 or b = 0): callers en route to path
-    sums have no valid use for the coordinates there.
-
-    Raises
-    ------
-    DegenerateCoinError
-        If the coin has a zero entry.
-    """
-    if coin.is_degenerate:
-        raise DegenerateCoinError("letter-basis decomposition requires abcd != 0")
-    mat = np.asarray(m, dtype=np.complex128)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    u = coin.matrix
-    return tuple(complex(np.vdot(u[row], mat[slot])) for slot, row in _SLOT_ROW.values())

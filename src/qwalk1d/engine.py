@@ -30,18 +30,16 @@ in one array pass, each entry bit-identical to the one-argument call.
 One cap and one cache rule hold for every law.  :data:`LAW_TIME_CAP` bounds
 the time on both routes, in ``limit.ks_convergence`` and in
 ``limit.asymptotics_envelope``, and each refuses a larger one before it builds
-an array; :data:`SWEEP_TIME_CAP` bounds a sweep, and the times of its
-closed-form reference ``symmetry.mean_zero_check``, the same way.  Every cache
-of the package is private and keeps one entry (the memos of the two laws,
-``_distribution`` and ``analytic._law``, then ``paths._word_sums``,
-``special._jacobi_table``, ``special._terminating_sum`` and
-``special._lhs_state``, the last state of the identity's left-side
-recurrence), because every reuse is of the entry used just before.  Each
-public law is a plain function that refuses a time out of range and then
-reads its memo.  On the job lists of the
-``closed-form``, ``limit-converge`` and ``identities`` benchmarks (seeds 1-3)
-each had the hits and misses it had with 64 to 512 entries; at the cap a law
-cache holds 160 KB, where 512 entries could hold 82 MB.
+an array; :data:`SWEEP_TIME_CAP` bounds a sweep the same way.  Every cache of
+the package is private and keeps one entry (the memos of the two laws,
+``_distribution`` and ``analytic._law``, then ``special._jacobi_table``,
+``special._terminating_sum`` and ``special._lhs_state``, the last state of the
+identity's left-side recurrence), because every reuse is of the entry used
+just before.  Each public law is a plain function that refuses a time out of
+range and then reads its memo.  On the job lists of the ``closed-form``,
+``limit-converge`` and ``identities`` benchmarks (seeds 1-3) each had the hits
+and misses it had with 64 to 512 entries; at the cap a law cache holds 160 KB,
+where 512 entries could hold 82 MB.
 
 Every entry of those sums is exactly rounded: it is ``math.fsum`` of its row
 of terms, bit for bit.  A table of a few thousand terms or more is not summed
@@ -68,26 +66,20 @@ from .errors import CapExceededError
 __all__ = [
     "AmplitudeField",
     "Distribution",
-    "DENSE_CAP",
     "LAW_TIME_CAP",
     "SWEEP_TIME_CAP",
     "sweep",
     "evolve",
     "distribution",
-    "dense_step_matrix",
 ]
-
-#: Largest half-width N for the dense ring-evolution matrix (size 4N+2).
-DENSE_CAP = 64
 
 #: Largest time of a law, on both routes and in ``limit.ks_convergence``, and
 #: of the kernel table of ``limit.asymptotics_envelope``.  At the cap a law
 #: takes 25-60 ms on either route on a 2-vCPU VM.
 LAW_TIME_CAP = 20000
 
-#: Largest ``n_max`` of a :func:`sweep`, so of :func:`evolve`, of
-#: ``symmetry.symmetry_evidence`` and of its reference
-#: ``symmetry.mean_zero_check``.  A sweep is O(n_max^2).  At the cap, on a
+#: Largest ``n_max`` of a :func:`sweep`, so of :func:`evolve` and of
+#: ``symmetry.symmetry_evidence``.  A sweep is O(n_max^2).  At the cap, on a
 #: 2-vCPU VM, ``evolve`` takes 0.2 s with a random coin and 0.5-0.7 s with
 #: Hadamard and the symmetric qubit, whose tails fall into subnormal numbers.
 #: ``qwalk1d symmetry`` at the cap takes 1.7-1.8 s end to end, printing
@@ -365,28 +357,3 @@ def _distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     dist = AmplitudeField(n=n, amps=amps).to_distribution()
     dist.probs.flags.writeable = False
     return dist
-
-
-def dense_step_matrix(coin: Coin, half_width: int) -> np.ndarray:
-    """The one-step evolution matrix on a ring of ``2*half_width + 1`` cells.
-
-    Cell ``k`` (block index ``k + half_width``) receives ``P`` from cell
-    ``k+1`` and ``Q`` from cell ``k-1``, cyclically.  Size ``4N+2`` for
-    ``N = half_width``; a small-scale reference for the banded recurrence,
-    not for production evolution.
-    """
-    if half_width > DENSE_CAP:
-        raise CapExceededError(f"dense matrix capped at half_width = {DENSE_CAP}")
-    if half_width < 1:
-        raise ValueError("half_width must be >= 1")
-    cells = 2 * half_width + 1
-    p = letter_matrix(coin, Letter.P)
-    q = letter_matrix(coin, Letter.Q)
-    out = np.zeros((2 * cells, 2 * cells), dtype=np.complex128)
-    for i in range(cells):
-        j_p = (i + 1) % cells
-        j_q = (i - 1) % cells
-        out[2 * i : 2 * i + 2, 2 * j_p : 2 * j_p + 2] = p
-        out[2 * i : 2 * i + 2, 2 * j_q : 2 * j_q + 2] = q
-    return out
-

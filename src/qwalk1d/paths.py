@@ -40,7 +40,7 @@ replace, which ``tests/test_paths_reference.py`` keeps as the reference.
 :func:`path_sums_by_time` is the ``oracle`` command's pass,
 ``Xi(l, m)`` by all three routes for every ``l + m <= n_max``.  Its rows equal
 the per-entry functions bit for bit, because both run the same array code.
-The per-entry word sum caches the last coin and time's sums.
+The per-entry word sum runs the recurrence afresh up to its own time.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -177,28 +176,17 @@ def _exact_word_sums(coin: Coin):
                for l in range(n + 2)]
 
 
-@lru_cache(maxsize=1)
-def _word_sums(coin: Coin, n: int) -> np.ndarray:
-    """The :func:`_exact_word_sums` of time ``n``, read-only and cached for the next
-    entry of that coin and time."""
-    sums = next(itertools.islice(_exact_word_sums(coin), n, None))
-    sums.flags.writeable = False
-    return sums
-
-
 def path_sum_exhaustive(coin: Coin, sc: StepCount) -> np.ndarray:
     """Sum of all ordered products of ``sc.l`` P's and ``sc.m`` Q's (oracle).
 
     The sum over all words, exact and rounded once per entry: splitting each
     word at its first letter only regroups it, into the recurrence of
-    :func:`_exact_word_sums`, which runs in Gaussian integers.  The sums of
-    every P count of time ``n = l + m`` are cached, so the next entry of the
-    same coin and time reads them.  Refuses beyond :data:`ENUMERATION_CAP`.
-    Returns a fresh, writeable array.
+    :func:`_exact_word_sums`, which runs in Gaussian integers.  Refuses beyond
+    :data:`ENUMERATION_CAP` before any step.  Returns a fresh, writeable array.
     """
     if sc.n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {sc.n}")
-    return _word_sums(coin, sc.n)[sc.l].copy()
+    return next(itertools.islice(_exact_word_sums(coin), sc.n, None))[sc.l]
 
 
 def _require_generic(coin: Coin) -> None:

@@ -9,10 +9,10 @@ mirror positions, so each description reads ``|alpha| = |beta|``.
 
 The algebraic test is cheap.  Both empirical verdicts read the engine's law
 at each time, from one ``engine.sweep`` of the banded recurrence
-(:func:`symmetry_evidence`); the closed-form :func:`mean_zero_check` is the
-independent reference for the zero-mean verdict.  The laws of consecutive
-times are checked a block at a time, in whole-block array operations, not
-one law and one exactly rounded sum per time.
+(:func:`symmetry_evidence`); the independent reference for each mean it
+records is the closed-form ``analytic.law(coin, qubit, n).mean()``.  The laws
+of consecutive times are checked a block at a time, in whole-block array
+operations, not one law and one exactly rounded sum per time.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from itertools import islice
 import numpy as np
 
 from . import engine
-from .analytic import law
 from .coin import Coin, Qubit, state_terms
-from .errors import CapExceededError
 
-__all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence", "mean_zero_check"]
+__all__ = ["SymmetryReport", "is_symmetric_state", "symmetry_evidence"]
 
 #: Largest mirror gap ``max_k |P(X_n=k) - P(X_n=-k)|`` of a symmetric law.
 GAP_TOL = 1e-10
@@ -55,10 +53,6 @@ class SymmetryReport:
     symmetric: bool
     zero_mean: bool
     rows: tuple[tuple[int, float, float], ...]
-
-
-def _mean_vanishes(n: int, mean: float) -> bool:
-    return abs(mean) < MEAN_TOL * n
 
 
 def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
@@ -91,7 +85,7 @@ def symmetry_evidence(coin: Coin, qubit: Qubit, n_max: int) -> SymmetryReport:
         rows += _block_rows(islice(fields, block), np.arange(start, min(start + block, n_max + 1)))
     return SymmetryReport(
         symmetric=all(gap < GAP_TOL for _, gap, _ in rows),
-        zero_mean=all(_mean_vanishes(n, mean) for n, _, mean in rows),
+        zero_mean=all(abs(mean) < MEAN_TOL * n for n, _, mean in rows),
         rows=tuple(rows),
     )
 
@@ -121,15 +115,3 @@ def _block_rows(fields, times: np.ndarray):
     positions = 2.0 * cells - times[:, None]
     means = engine._exact_sums(np.where(inside, positions * probs, -0.0))
     return zip(times.tolist(), gaps.tolist(), means)
-
-
-def mean_zero_check(coin: Coin, qubit: Qubit, n_max: int) -> bool:
-    """True iff the closed-form mean is below ``MEAN_TOL * n`` in absolute
-    value for all n <= n_max: the reference for ``SymmetryReport.zero_mean``.
-    ``n_max`` above ``engine.SWEEP_TIME_CAP``, the cap of
-    :func:`symmetry_evidence`, is refused before the first law."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
-    if n_max > engine.SWEEP_TIME_CAP:
-        raise CapExceededError(f"n_max {n_max} exceeds the sweep cap {engine.SWEEP_TIME_CAP}")
-    return all(_mean_vanishes(n, law(coin, qubit, n).mean()) for n in range(1, n_max + 1))

@@ -9,7 +9,6 @@ from qwalk1d.coin import (
     BRANCH_GENERIC,
     Letter,
     Qubit,
-    basis_decompose,
     coin_from_angles,
     hadamard_coin,
     letter_matrix,
@@ -19,7 +18,7 @@ from qwalk1d.coin import (
     random_unitary_coin,
     validate_coin,
 )
-from qwalk1d.errors import DegenerateCoinError, NotUnitaryError
+from qwalk1d.errors import NotUnitaryError
 
 LETTERS = (Letter.P, Letter.Q, Letter.R, Letter.S)
 
@@ -118,51 +117,52 @@ def test_projector_relations(rng):
             np.testing.assert_allclose(m, zero, atol=1e-12)
 
 
-def test_basis_orthonormal(rng):
-    coin = random_unitary_coin(rng)
-    for x in LETTERS:
-        coords = basis_decompose(coin, letter_matrix(coin, x))
-        expected = [1.0 if y == x else 0.0 for y in LETTERS]
-        np.testing.assert_allclose(coords, expected, atol=1e-12)
+def test_letters_are_orthonormal_under_the_trace_inner_product(rng):
+    # the Gram matrix of P, Q, R, S under <A|B> = tr(A^* B) is the identity
+    for _ in range(25):
+        coin = random_unitary_coin(rng, corner_margin=0.0)
+        letters = [letter_matrix(coin, x) for x in LETTERS]
+        gram = [[np.trace(x.conj().T @ y) for y in letters] for x in letters]
+        np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
-def test_decompose_coin_is_p_plus_q(rng):
-    coin = random_unitary_coin(rng)
-    coords = basis_decompose(coin, coin.matrix)
-    np.testing.assert_allclose(coords, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+@pytest.mark.parametrize(
+    "matrix", [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1j, 0], [0, -1]], [[0, -1j], [1j, 0]]]
+)
+def test_letters_are_orthonormal_on_degenerate_coins(matrix):
+    # the rows of any unitary are orthonormal, so a zero entry leaves the basis intact
+    coin = validate_coin(matrix)
+    assert coin.is_degenerate
+    letters = [letter_matrix(coin, x) for x in LETTERS]
+    gram = [[np.trace(x.conj().T @ y) for y in letters] for x in letters]
+    np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
-def test_decompose_round_trip_random_matrices(rng):
+def trace_coordinates(coin, m):
+    """The coordinates ``tr(X^* m)`` of ``m`` on the letters P, Q, R, S."""
+    return [np.trace(letter_matrix(coin, x).conj().T @ m) for x in LETTERS]
+
+
+def test_trace_coordinates_rebuild_any_matrix(rng):
+    # four orthonormal letters span the 2x2 matrices
     for _ in range(25):
         coin = random_unitary_coin(rng)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        p, q, r, s = basis_decompose(coin, m)
-        rebuilt = (
-            p * letter_matrix(coin, Letter.P)
-            + q * letter_matrix(coin, Letter.Q)
-            + r * letter_matrix(coin, Letter.R)
-            + s * letter_matrix(coin, Letter.S)
-        )
+        rebuilt = sum(w * letter_matrix(coin, x) for w, x in zip(trace_coordinates(coin, m), LETTERS))
         assert np.max(np.abs(rebuilt - m)) < 1e-10
 
 
-def test_decompose_path_sum_matrix():
+def test_trace_coordinates_of_the_3_1_word_sum():
+    # the summed words of three left and one right steps are 2abc P + a^2 b R + a^2 c S
     from qwalk1d.paths import StepCount, path_sum_exhaustive
 
     coin = hadamard_coin()
     word_sum = path_sum_exhaustive(coin, StepCount(l=3, m=1))
-    p, q, r, s = basis_decompose(coin, word_sum)
     a, b, c = coin.a, coin.b, coin.c
     np.testing.assert_allclose(
-        [p, q, r, s], [2 * a * b * c, 0.0, a * a * b, a * a * c], atol=1e-12
+        trace_coordinates(coin, word_sum), [2 * a * b * c, 0.0, a * a * b, a * a * c], atol=1e-12
     )
-
-
-def test_decompose_refuses_degenerate_coin():
-    coin = validate_coin([[1, 0], [0, 1]])
-    with pytest.raises(DegenerateCoinError):
-        basis_decompose(coin, np.eye(2))
-
 
 def test_coin_from_angles_exactly_unitary(rng):
     for _ in range(50):

@@ -24,7 +24,6 @@ from qwalk1d.coin import (
     validate_coin,
 )
 from qwalk1d.engine import (
-    dense_step_matrix,
     distribution,
     evolve,
     sweep,
@@ -613,16 +612,36 @@ def test_sweeps_out_of_range_are_refused_before_any_field(hadamard, symmetric_qu
         next(sweep(hadamard, symmetric_qubit, n))
 
 
-def test_dense_cap():
-    with pytest.raises(CapExceededError):
-        dense_step_matrix(hadamard_coin(), 65)
+def ring_step_matrix(coin, half_width):
+    """The one-step matrix on a ring of ``2*half_width + 1`` cells: cell ``k``
+    receives ``P`` from cell ``k+1`` and ``Q`` from cell ``k-1``, cyclically."""
+    cells = 2 * half_width + 1
+    p = letter_matrix(coin, Letter.P)
+    q = letter_matrix(coin, Letter.Q)
+    out = np.zeros((2 * cells, 2 * cells), dtype=np.complex128)
+    for i in range(cells):
+        j_p, j_q = (i + 1) % cells, (i - 1) % cells
+        out[2 * i : 2 * i + 2, 2 * j_p : 2 * j_p + 2] = p
+        out[2 * i : 2 * i + 2, 2 * j_q : 2 * j_q + 2] = q
+    return out
 
 
-def test_dense_evolution_matches_banded(rng):
+@pytest.mark.parametrize(
+    "matrix",
+    [None, "hadamard", [[1, 0], [0, 1j]], [[0, 1], [-1j, 0]]],
+    ids=["random", "hadamard", "b_zero", "a_zero"],
+)
+def test_dense_evolution_matches_banded(rng, matrix):
+    # the ring is wide enough that no amplitude wraps round by time half_width
     half_width = 6
-    coin = random_unitary_coin(rng)
+    if matrix is None:
+        coin = random_unitary_coin(rng)
+    elif matrix == "hadamard":
+        coin = hadamard_coin()
+    else:
+        coin = validate_coin(matrix)
     qubit = random_qubit(rng)
-    u = dense_step_matrix(coin, half_width)
+    u = ring_step_matrix(coin, half_width)
     cells = 2 * half_width + 1
     psi = np.zeros(2 * cells, dtype=complex)
     psi[2 * half_width : 2 * half_width + 2] = qubit.vector  # origin cell

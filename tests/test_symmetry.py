@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qwalk1d import engine, symmetry
+from qwalk1d.analytic import law
 from qwalk1d.coin import (
     coin_from_angles,
     hadamard_coin,
@@ -21,7 +22,6 @@ from qwalk1d.errors import CapExceededError
 from qwalk1d.symmetry import (
     MEMBERSHIP_TOL,
     is_symmetric_state,
-    mean_zero_check,
     symmetry_evidence,
 )
 
@@ -54,9 +54,9 @@ def test_classification_on_degenerate_coins(rng):
     for coin in coins:
         for qubit, expected in cases:
             report = symmetry_evidence(coin, qubit, 10)
-            verdicts = (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean,
-                        mean_zero_check(coin, qubit, 10))
-            assert verdicts == (expected,) * 4
+            assert (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean) == (expected,) * 3
+            for n, _, mean in report.rows:
+                assert abs(mean - law(coin, qubit, n).mean()) <= 1e-12
 
 
 def test_global_phase_invariance(hadamard, rng):
@@ -89,17 +89,17 @@ def test_symmetry_evidence_degenerate_coin_balanced_state():
 
 
 def test_mean_zero_symmetric_case(hadamard, symmetric_qubit):
-    assert mean_zero_check(hadamard, symmetric_qubit, 10)
+    assert symmetry_evidence(hadamard, symmetric_qubit, 10).zero_mean
 
 
 def test_mean_zero_rejects_one_sided(hadamard, right_qubit):
-    assert not mean_zero_check(hadamard, right_qubit, 10)
+    assert not symmetry_evidence(hadamard, right_qubit, 10).zero_mean
 
 
 def test_mean_zero_rejects_balanced_drift_free_but_unequal_weights(hadamard):
     # mu vanishes yet |alpha| != |beta|: the mean reappears from n = 3 on.
     qubit = make_qubit(math.cos(0.5), 1j * math.sin(0.5))
-    assert not mean_zero_check(hadamard, qubit, 10)
+    assert not symmetry_evidence(hadamard, qubit, 10).zero_mean
 
 
 def member_qubit(coin, rng, offset=0.0):
@@ -117,10 +117,17 @@ def test_three_way_agreement(rng):
                  (random_qubit(rng), False)]
         for qubit, expected in cases:
             report = symmetry_evidence(coin, qubit, 10)
-            verdicts = (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean,
-                        mean_zero_check(coin, qubit, 10))
-            assert verdicts == (expected,) * 4
+            assert (is_symmetric_state(coin, qubit), report.symmetric, report.zero_mean) == (expected,) * 3
 
+
+
+def test_mean_column_matches_the_closed_form_law(rng):
+    # the swept means against the closed-form law, on the same three kinds of state
+    for _ in range(10):
+        coin = random_unitary_coin(rng)
+        for qubit in (member_qubit(coin, rng), member_qubit(coin, rng, 1e-3), random_qubit(rng)):
+            for n, _, mean in symmetry_evidence(coin, qubit, 10).rows:
+                assert abs(mean - law(coin, qubit, n).mean()) <= 1e-12
 
 def test_zero_mean_tolerance_scales_with_time(hadamard):
     # a rounding error away from a member: the mean grows like n * 1e-12, past
@@ -131,7 +138,8 @@ def test_zero_mean_tolerance_scales_with_time(hadamard):
     assert max(abs(mean) for _, _, mean in report.rows) > 1e-10
     assert is_symmetric_state(hadamard, qubit)
     assert report.symmetric and report.zero_mean
-    assert mean_zero_check(hadamard, qubit, 200)
+    for n, _, mean in report.rows:
+        assert abs(mean - law(hadamard, qubit, n).mean()) <= 1e-12
 
 
 def qubit_with(coin, weight_gap, cross):
@@ -162,15 +170,6 @@ def test_members_at_the_tolerance_pass_both_verdicts(rng):
 def test_sweep_over_the_cap_is_refused_before_any_step(hadamard, symmetric_qubit, fieldless_sweeps):
     with pytest.raises(CapExceededError, match="exceeds the sweep cap"):
         symmetry_evidence(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
-
-
-def test_mean_check_over_the_sweep_cap_is_refused_before_any_law(hadamard, symmetric_qubit, monkeypatch):
-    def no_law(coin, qubit, n):
-        raise AssertionError("a refused check must build no law")
-
-    monkeypatch.setattr(symmetry, "law", no_law)
-    with pytest.raises(CapExceededError, match="exceeds the sweep cap"):
-        mean_zero_check(hadamard, symmetric_qubit, SWEEP_TIME_CAP + 1)
 
 
 def reference_rows(coin, qubit, n_max):
