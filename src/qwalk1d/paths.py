@@ -2,19 +2,18 @@
 
 The amplitude operator ``Xi(l, m)`` is the sum of all ``C(l+m, l)`` ordered
 products of ``l`` P's and ``m`` Q's (leftmost letter acts last); the walk's
-amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  Two oracles
-compute ``Xi``: the sum over all its words, and the explicit binomial sums.  The
-binomial sums alternate in sign: against the exact ``Xi`` their worst relative
-error per matrix for Hadamard was 1.0e-12 at ``l + m = 30``, 3.8e-11 at 40,
-1.8e-9 at 50 and 4.9e-8 at 60 (up to 1.1e-10 at 40 for ``|a|^2 ~ 0.5``), so
-:func:`path_sum_coefficients` refuses ``l + m`` past :data:`BINOMIAL_SUM_CAP`.  The
-word sum is the definition, and it is summed exactly.  Splitting each word at
-its first letter only regroups the sum, into the recurrence
+amplitude at time ``l+m`` and position ``m-l`` is ``Xi(l, m) phi``.  The word
+sum is the definition, and it is the oracle, summed exactly.  Splitting each
+word at its first letter only regroups the sum, into the recurrence
 ``Xi(l, m) = P Xi(l - 1, m) + Q Xi(l, m - 1)``; with the coin's entries as
 Gaussian integers over one power of two, that recurrence runs in integers, in
 O(n^2) steps where the words number ``2^n``, and each entry is the exact sum
-rounded once.  The production route is the closed form over the cluster count,
-where each letter coordinate is a unit phase times a combination of
+rounded once.  The paper's combinatorial expression, the letter coordinates of
+``Xi`` as binomial sums (:func:`path_sum_coefficients`), alternates in sign,
+so it is summed exactly too, in the same Gaussian integers, and each
+coordinate rounded once.  The production route is the closed form over the
+cluster count, where each letter coordinate is a unit phase times a
+combination of
 
     T_i = sum_(g=1..kk) (-|b|^2/|a|^2)^g C(l-1, g-1) C(m-1, g-1) / g^i,
 
@@ -29,18 +28,16 @@ one array expression over those tables; the pure words are its ``kk = 0``
 case.  The law in :mod:`qwalk1d.analytic` contracts these coordinates with the
 initial state, and the path sums here multiply them by the unit phase.
 
-Everything but the word sums is one array pass over all the ``(l, m)`` it
-is asked for: the closed forms are one coordinate array, and the binomial sums
-one table of terms by pair and summation index, with the coin's powers formed
-once.  numpy's complex multiply may fuse multiply-adds (it does on x86-64
-with FMA), so the binomial sums, their matrices and the unit phases take their
+:func:`path_sums_by_time` is the ``oracle`` command's pass, ``Xi(l, m)`` by the
+word sums and the closed form for every ``l + m <= n_max``; the closed forms
+are one array pass over all the pairs.  numpy's complex multiply may fuse
+multiply-adds (it does on x86-64 with FMA), so the unit phases take their
 products from :func:`_python_products`, which rounds each as Python rounds a
 product of complex scalars: they keep the bits of the scalar code they
-replace, which ``tests/test_paths_reference.py`` keeps as the reference.
-:func:`path_sums_by_time` is the ``oracle`` command's pass,
-``Xi(l, m)`` by all three routes for every ``l + m <= n_max``.  Its rows equal
-the per-entry functions bit for bit, because both run the same array code.
-The per-entry word sum runs the recurrence afresh up to its own time.
+replace, which ``tests/test_paths_reference.py`` keeps as the reference.  The
+pass's rows equal the per-entry functions bit for bit, because both run the
+same array code.  The per-entry word sum runs the recurrence afresh up to its
+own time.
 """
 
 from __future__ import annotations
@@ -69,12 +66,17 @@ __all__ = [
 ]
 
 #: Largest l+m of the word sums, and so of ``oracle``.  The exact word sums take
-#: O(n^2) integer steps, not 2^n products, so their cost no longer sets it: the
-#: float binomial sums of the ``coeff_vs_closed`` column, which lose digits as
-#: l+m grows, bound it now, and an exact reference for that column may raise it.
+#: O(n^2) integer steps, not 2^n products, so only time bounds it: in-process on
+#: a 2-vCPU VM the pass to 14 took 1.2 ms (Hadamard) and 1.6 ms (a random coin),
+#: and 19 ms with imaginary parts of 1e-300 on the Hadamard coin's entries, whose
+#: integers are some 20 times longer; a larger cap would be affordable.
 ENUMERATION_CAP = 14
 
-#: Largest l+m of the binomial sums of :func:`path_sum_coefficients`.
+#: Largest l+m of the binomial sums of :func:`path_sum_coefficients`.  They are
+#: exact, so only time bounds it: at l = m = 20 a call took 0.2 ms (Hadamard) and
+#: 0.5 ms (a random coin), and 55 ms with imaginary parts of 1e-300 on all four
+#: entries of the Hadamard coin, whose powers run to some 42,000 bits (in-process,
+#: 2-vCPU VM).
 BINOMIAL_SUM_CAP = 40
 
 
@@ -217,66 +219,59 @@ def _python_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _materialize_as_scalars(xi: PqrsMatrix) -> np.ndarray:
-    """:meth:`PqrsMatrix.materialize` of coordinate arrays, one ``(2, 2)`` matrix per
-    entry along the leading axis, with every product and sum rounded as the scalar
-    matrix of each entry rounds it."""
-    coordinates = np.array([[xi.p, xi.r], [xi.s, xi.q]])
-    terms = _python_products(coordinates[:, :, None], xi.coin.matrix[:, :, None])
-    return np.moveaxis(terms[:, 0] + terms[:, 1], -1, 0)
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers, each an ``(re, im)`` pair."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-#: The terms of the binomial sums ``p, q, r, s`` (one row each) are
-#: ``C(l-1, g-i) C(m-1, g-j) a^(l-g-e_a) b^(g-e_b) c^(g-e_c) d^(m-g-e_d)``; the
-#: columns are ``i, j, e_a, e_b, e_c, e_d``.
-_SUM_OFFSETS = np.array([[0, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0], [1, 1, 0, 1, 0, 0]])
+def _binomial_integers(coin: Coin, l: int, m: int) -> tuple[int, list[tuple[int, int]]]:
+    """``(E, [(re, im) of x 2^(E (l + m - 1)) for x = p, q, r, s])``: the binomial
+    sums of :func:`path_sum_coefficients` as exact Gaussian integers, ``2^E`` the
+    coin's common denominator (:func:`_dyadic`).
 
-
-def _binomial_sums(powers: np.ndarray, l: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The binomial sums ``(p, q, r, s)`` for the int arrays ``l, m >= 1``, as a
-    ``(4, len(l))`` array; ``powers[e, j]`` is the ``j``-th power of coin entry ``e``.
-
-    One ``(4, g, len(l))`` table holds every term, ``g = 1..max(min(l, m))``, and
-    each stage is one array operation over it, rounded as Python rounds the scalar
-    sum: the product of the binomials times the four powers from left to right,
-    then the terms added in order of ``g`` to ``0.0``.  A term past its sum's
-    range has a zero binomial, so it is a signed zero, which leaves the sum
-    unchanged: the sum starts at ``+0.0``, so it is never ``-0.0``.  While ``l``
-    and ``m`` are at most 57 the binomials are exact floats, so their product is
-    rounded once, as the scalar sum rounds the product of two ints.
+    Every term has degree ``l + m - 1`` in the coin's entries, so every sum has
+    that one denominator.  ``b^g c^g = (bc)^g``, ``r`` and ``s`` are ``b`` and ``c``
+    times one sum, and each power of ``a``, ``bc`` and ``d`` is formed once.
     """
-    g = np.arange(1, int(np.minimum(l, m).max()) + 1)[:, None]
-    i, j, *e = _SUM_OFFSETS.T[:, :, None, None]
-    rows = sorted(set((l - 1).tolist()) | set((m - 1).tolist()))  # the binomial rows the terms read
-    binomials = np.zeros((rows[-1] + 1, len(g) + 1))
-    binomials[rows] = [[math.comb(k, h) for h in range(len(g) + 1)] for k in rows]
-    terms = (binomials[l - 1, g - i] * binomials[m - 1, g - j]).astype(np.complex128)
-    for entry, exponent in zip(powers, (l - g - e[0], g - e[1], g - e[2], m - g - e[3])):
-        # a term past its range may ask for a negative power; its weight is 0
-        terms = _python_products(terms, entry[np.maximum(exponent, 0)])
-    # one running sum along g from +0.0 (np.sum would add pairwise, in another order)
-    return np.cumsum(np.concatenate([np.zeros((4, 1, len(l))), terms], axis=1), axis=1)[:, -1]
+    e, (a, b, c, d) = _dyadic(coin)
 
+    def powers(x, top):  # x^0, ..., x^top
+        out = [(1, 0)]
+        for _ in range(top):
+            out.append(_times(out[-1], x))
+        return out
 
-def _coefficients(coin: Coin, l: np.ndarray, m: np.ndarray) -> PqrsMatrix:
-    """The binomial sums of :func:`path_sum_coefficients` for the int arrays ``l`` and
-    ``m``, ``l + m >= 1``, as coordinate arrays; the coin's powers are formed once,
-    up to the largest ``l + m``."""
-    top = int((l + m).max())
-    powers = np.array([_powers(x, np.arange(top)) for x in (coin.a, coin.b, coin.c, coin.d)])
-    coordinates = np.zeros((4, len(l)), dtype=np.complex128)
-    coordinates[0, m == 0] = powers[0, l[m == 0] - 1]
-    coordinates[1, l == 0] = powers[3, m[l == 0] - 1]
-    mixed = (l > 0) & (m > 0)
-    if mixed.any():
-        _require_generic(coin)
-        coordinates[:, mixed] = _binomial_sums(powers, l[mixed], m[mixed])
-    return PqrsMatrix(*coordinates, coin=coin)
+    zero = (0, 0)
+    pa, pd = powers(a, l - 1), powers(d, m - 1)
+    if m == 0:
+        return e, [pa[-1], zero, zero, zero]
+    if l == 0:
+        return e, [zero, pd[-1], zero, zero]
+    _require_generic(coin)
+    pbc = powers(_times(b, c), min(l, m))
+
+    def total(i, j, ea, ebc, ed):  # sum over g of C(l-1, g-i) C(m-1, g-j) a^(l-g-ea) (bc)^(g-ebc) d^(m-g-ed)
+        re = im = 0
+        for g in range(1, min(l, m) + 1):
+            weight = math.comb(l - 1, g - i) * math.comb(m - 1, g - j)
+            if weight:  # a term past its sum's range has weight 0 and may ask for a negative power
+                x = _times(_times(pa[l - g - ea], pbc[g - ebc]), pd[m - g - ed])
+                re, im = re + weight * x[0], im + weight * x[1]
+        return re, im
+
+    rs = total(1, 1, 0, 1, 0)
+    return e, [total(0, 1, 1, 0, 0), total(1, 0, 0, 0, 1), _times(b, rs), _times(c, rs)]
 
 
 def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
-    """Letter-basis coordinates of the path sum via the explicit binomial sums.
+    """Letter-basis coordinates of the path sum via the explicit binomial sums
 
+        p = sum_g C(l-1, g) C(m-1, g-1) a^(l-g-1) b^g c^g d^(m-g),
+        q = sum_g C(l-1, g-1) C(m-1, g) a^(l-g) b^g c^g d^(m-g-1),
+        r = sum_g C(l-1, g-1) C(m-1, g-1) a^(l-g) b^g c^(g-1) d^(m-g),
+        s = sum_g C(l-1, g-1) C(m-1, g-1) a^(l-g) b^(g-1) c^g d^(m-g),
+
+    summed exactly (:func:`_binomial_integers`), each coordinate rounded once.
     Branches: pure-left words give ``p = a^(l-1)`` only, pure-right words give
     ``q = d^(m-1)`` only; mixed words need all coin entries nonzero.  Refuses
     ``l + m`` beyond :data:`BINOMIAL_SUM_CAP` before any sum is formed.
@@ -285,8 +280,9 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
         raise ValueError("path sums are defined for l + m >= 1")
     if sc.n > BINOMIAL_SUM_CAP:
         raise CapExceededError(f"binomial sums capped at l+m = {BINOMIAL_SUM_CAP}, got {sc.n}")
-    xi = _coefficients(coin, np.array([sc.l]), np.array([sc.m]))
-    return PqrsMatrix(*(complex(x[0]) for x in (xi.p, xi.q, xi.r, xi.s)), coin=coin)
+    e, sums = _binomial_integers(coin, sc.l, sc.m)
+    scale = 1 << e * (sc.n - 1)
+    return PqrsMatrix(*(complex(re / scale, im / scale) for re, im in sums), coin=coin)
 
 
 def _letter_coordinates(coin: Coin, n, m: np.ndarray) -> np.ndarray:
@@ -360,17 +356,16 @@ def path_sum(coin: Coin, sc: StepCount) -> np.ndarray:
 
 
 def path_sums_by_time(coin: Coin, n_max: int) -> tuple:
-    """``Xi(l, m)`` by all three routes of this module, for every ``1 <= l + m <= n_max``.
+    """``Xi(l, m)`` by the word sums and by the closed form, for every ``1 <= l + m <= n_max``.
 
-    Returns ``(l, m, exhaustive, closed, coefficients)``: the int arrays ``l`` and
-    ``m``, by time ``l + m`` and then by ``l``, and three ``(len(l), 2, 2)`` arrays
-    whose row ``j`` is the path sum of ``(l[j], m[j])`` by :func:`path_sum_exhaustive`,
-    :func:`path_sum` and :func:`path_sum_coefficients`, bit for bit.  ``l`` runs over
-    ``0..n`` at each time ``n``, or over ``0, n`` for a degenerate coin, which has no
-    mixed path sums.  The word sums of each time come from the last time's, one
-    step of the exact recurrence; the closed forms and the binomial sums are one
-    array pass each over all the pairs.  Refuses ``n_max`` beyond
-    :data:`ENUMERATION_CAP` before any work.
+    Returns ``(l, m, exhaustive, closed)``: the int arrays ``l`` and ``m``, by time
+    ``l + m`` and then by ``l``, and two ``(len(l), 2, 2)`` arrays whose row ``j`` is
+    the path sum of ``(l[j], m[j])`` by :func:`path_sum_exhaustive` and by
+    :func:`path_sum`, bit for bit.  ``l`` runs over ``0..n`` at each time ``n``, or
+    over ``0, n`` for a degenerate coin, which has no mixed path sums.  The word
+    sums of each time come from the last time's, one step of the exact
+    recurrence; the closed forms are one array pass over all the pairs.  Refuses
+    ``n_max`` beyond :data:`ENUMERATION_CAP` before any work.
     """
     if n_max > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration capped at l+m = {ENUMERATION_CAP}, got {n_max}")
@@ -381,5 +376,4 @@ def path_sums_by_time(coin: Coin, n_max: int) -> tuple:
     exhaustive = np.concatenate([sums[time] for time, sums in zip(ls, word_sums)])
     l = np.concatenate(ls)
     n = np.repeat(np.arange(1, n_max + 1), [len(time) for time in ls])
-    closed = _closed_forms(coin, n, n - l).materialize()
-    return l, n - l, exhaustive, closed, _materialize_as_scalars(_coefficients(coin, l, n - l))
+    return l, n - l, exhaustive, _closed_forms(coin, n, n - l).materialize()

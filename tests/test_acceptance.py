@@ -21,7 +21,7 @@ from qwalk1d.limit import (
     limit_moment,
     parity_smoothed_ks,
 )
-from qwalk1d.paths import StepCount, closed_form_coefficients, path_sum, path_sum_exhaustive
+from qwalk1d.paths import path_sums_by_time
 from qwalk1d.special import hyp2f1, jacobi_sum_identity, pfaff_residual
 from qwalk1d.symmetry import is_symmetric_state, symmetry_evidence
 
@@ -64,11 +64,9 @@ def test_criterion_2_oracle_equivalence_sweep():
 
     worst_paths = 0.0
     for coin in coins:
-        for n in range(1, 13):
-            for l in range(n + 1):
-                sc = StepCount(l=l, m=n - l)
-                gap = np.max(np.abs(path_sum_exhaustive(coin, sc) - path_sum(coin, sc)))
-                worst_paths = max(worst_paths, float(gap))
+        # every l + m <= 12; the rows are the per-entry word sums and closed forms bit for bit
+        _, _, exhaustive, closed = path_sums_by_time(coin, 12)
+        worst_paths = max(worst_paths, float(np.max(np.abs(exhaustive - closed))))
 
     worst_prob = worst_cf = worst_mom = 0.0
     for coin, qubit in itertools.product(coins, qubits):

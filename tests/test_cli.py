@@ -352,21 +352,6 @@ def test_oracle_clean(capsys):
     assert doc["max_abs_diff"] < 1e-12
 
 
-def test_oracle_checks_binomial_sums(capsys, monkeypatch):
-    true_coefficients = paths._coefficients
-
-    def wrong(*args):
-        coeffs = true_coefficients(*args)
-        return replace(coeffs, p=coeffs.p + 1e-6)
-
-    monkeypatch.setattr(paths, "_coefficients", wrong)
-    code, out, _ = run_cli(capsys, ["oracle", "--n-cap", "4", "--format", "json"])
-    assert code == 3
-    doc = json.loads(out)
-    assert doc["ok"] is False
-    assert doc["max_abs_diff"] > cli.ORACLE_TOL
-
-
 def test_oracle_checks_enumeration(capsys, monkeypatch):
     true_sums = paths._exact_word_sums
     monkeypatch.setattr(paths, "_exact_word_sums", lambda coin: (sums + 1e-6 for sums in true_sums(coin)))
@@ -382,7 +367,7 @@ def _coin_reals(coin):
 
 
 def test_oracle_rows_equal_the_per_entry_routes_bit_for_bit(capsys):
-    # per coin, the two differences of every row from per-entry calls, up to the cap
+    # per coin, the difference of every row from per-entry calls, up to the cap
     rng = np.random.default_rng(17)
     coins = ["0,0,1,0,1,0,0,0", "1,0,0,0,0,0,1,0", _coin_reals(hadamard_coin())]
     coins += [_coin_reals(random_unitary_coin(rng)) for _ in range(5)]
@@ -396,8 +381,7 @@ def test_oracle_rows_equal_the_per_entry_routes_bit_for_bit(capsys):
                     continue
                 sc = paths.StepCount(l=l, m=n - l)
                 closed = paths.path_sum(coin, sc)
-                expected.append([l, n - l, float(np.max(np.abs(paths.path_sum_exhaustive(coin, sc) - closed))),
-                                 float(np.max(np.abs(paths.path_sum_coefficients(coin, sc).materialize() - closed)))])
+                expected.append([l, n - l, float(np.max(np.abs(paths.path_sum_exhaustive(coin, sc) - closed)))])
         for n_cap in (1, 2, 12, 14):
             code, out, err = run_cli(capsys, ["oracle", "--n-cap", str(n_cap), f"--coin={reals}", "--format", "json"])
             assert code == 0, err

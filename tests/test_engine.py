@@ -467,16 +467,17 @@ def combine(x, y, left, right):
             x[0] * left[1] + x[1] * left[0] + y[0] * right[1] + y[1] * right[0])
 
 
-def exact_path_sums(coin: Coin, n_max: int):
-    """Yield ``(n, xis)`` for ``n = 1..n_max``: row ``m`` of ``xis`` is ``Xi(n - m, m)``
-    of the coin as stored, each entry rounded once, as an ``(n + 1, 2, 2)`` array.
+def exact_path_integers(coin: Coin, n_max: int):
+    """Yield ``(n, xis)`` for ``n = 1..n_max``: item ``m`` of ``xis`` is ``Xi(n - m, m)``
+    of the coin as stored, times ``2^(E n)``, as two rows of two Gaussian integers,
+    with ``2^E`` the coin's common denominator.
 
     The operator recurrence ``Xi(l, m) = P Xi(l - 1, m) + Q Xi(l, m - 1)`` (the
-    leftmost letter acts last) runs in Gaussian integers over ``2^(E n)``, with
-    ``2^E`` the coin's common denominator.  ``P X`` has row 0 ``a X[0] + b X[1]``
-    and row 1 zero; ``Q X`` has row 0 zero and row 1 ``c X[0] + d X[1]``.
+    leftmost letter acts last) runs in Gaussian integers.  ``P X`` has row 0
+    ``a X[0] + b X[1]`` and row 1 zero; ``Q X`` has row 0 zero and row 1
+    ``c X[0] + d X[1]``.
     """
-    e, (a, b, c, d) = dyadic([coin.a, coin.b, coin.c, coin.d])
+    _, (a, b, c, d) = dyadic([coin.a, coin.b, coin.c, coin.d])
 
     def row(x, y, xi):  # x * xi[0] + y * xi[1], entry by entry
         return tuple(combine(x, y, top, bottom) for top, bottom in zip(*xi))
@@ -486,6 +487,15 @@ def exact_path_sums(coin: Coin, n_max: int):
     for n in range(1, n_max + 1):
         xis = [(zero if m == n else row(a, b, xis[m]), zero if m == 0 else row(c, d, xis[m - 1]))
                for m in range(n + 1)]
+        yield n, xis
+
+
+def exact_path_sums(coin: Coin, n_max: int):
+    """Yield ``(n, xis)`` for ``n = 1..n_max``: row ``m`` of ``xis`` is ``Xi(n - m, m)``
+    of the coin as stored, each entry of :func:`exact_path_integers` rounded once,
+    as an ``(n + 1, 2, 2)`` array."""
+    e, _ = dyadic([coin.a, coin.b, coin.c, coin.d])
+    for n, xis in exact_path_integers(coin, n_max):
         scale = 1 << e * n
         yield n, np.array([[[complex(re / scale, im / scale) for re, im in r] for r in xi] for xi in xis])
 
@@ -540,12 +550,10 @@ class TestExactLaw:
 
 #: Largest time of the exact path sums.  The recurrence's integers grow by
 #: about 55 bits a letter; on a 2-vCPU VM one coin to n = 60 takes about 0.07 s
-#: with both float routes.  The binomial sums are gated at 1e-11 only to
-#: n = 30, and at 1e-9 at their cap of 40: they are alternating sums, and for
-#: |a|^2 ~ 0.5 their error grows about 40-fold every ten steps (1.8e-12 at
-#: n = 30, 7.7e-11 at 40, 4.9e-8 at 60).
+#: with the closed form.  The binomial sums stop at their cap of 40: they are
+#: summed exactly and rounded once per coordinate, so their gate is a few eps
+#: at every time up to it.
 EXACT_PATH_TIME = 60
-BINOMIAL_PATH_TIME = 30
 
 
 def relative_errors(got, exact):
@@ -555,7 +563,7 @@ def relative_errors(got, exact):
 
 class TestExactPathSums:
     """The closed form and the binomial sums of ``Xi`` against the exact ``Xi`` of
-    the stored coin, every matrix of every time."""
+    the stored coin, every matrix of every time up to their caps."""
 
     def test_small_times(self, hadamard):
         times = dict(exact_path_sums(hadamard, 2))
@@ -563,9 +571,9 @@ class TestExactPathSums:
         assert times[1].tolist() == [p.tolist(), q.tolist()]
         np.testing.assert_allclose(times[2], [p @ p, p @ q + q @ p, q @ q], rtol=0, atol=1e-16)
 
-    # Measured (the worst over every matrix, as a multiple of n eps): Hadamard
-    # 1.1, |a|^2 ~ 0.01 1.5, ~0.5 0.8, ~0.99 9.1, so 25 n eps leaves a margin of
-    # 2.7; the small-|a| coin reaches 76 n eps.
+    # Measured for the closed form (the worst over every matrix, as a multiple
+    # of n eps): Hadamard 1.1, |a|^2 ~ 0.01 1.5, ~0.5 0.8, ~0.99 9.1, so 25 n eps
+    # leaves a margin of 2.7; the small-|a| coin reaches 76 n eps.
     @pytest.mark.parametrize("case", [
         "hadamard", "a_sq_0.01", "a_sq_0.5", "a_sq_0.99",
         pytest.param("a_sq_1e-06", marks=pytest.mark.xfail(
@@ -577,12 +585,28 @@ class TestExactPathSums:
             m = np.arange(n + 1)
             closed = paths._closed_forms(coin, np.full(n + 1, n), m).materialize()
             assert np.max(relative_errors(closed, exact)) <= 25 * n * np.finfo(float).eps, n
-            if n <= BINOMIAL_PATH_TIME or n == paths.BINOMIAL_SUM_CAP:
-                # measured 1.8e-12 at worst to n = 30 (|a|^2 ~ 0.5): a margin of 5.6;
-                # and 7.7e-11 at the cap of 40 (3.8e-11 for Hadamard): a margin of 13
-                binomial = paths._materialize_as_scalars(paths._coefficients(coin, n - m, m))
-                bound = 1e-11 if n <= BINOMIAL_PATH_TIME else 1e-9
-                assert np.max(relative_errors(binomial, exact)) <= bound, n
+            if n <= paths.BINOMIAL_SUM_CAP:
+                # the coordinates are exact sums rounded once, then materialized
+                # in floats: measured 1.95 eps at worst over 30 seeds of each
+                # case (|a|^2 ~ 0.01), so 4 eps leaves a margin of 2
+                binomial = np.array([paths.path_sum_coefficients(coin, StepCount(l=n - j, m=j)).materialize()
+                                     for j in range(n + 1)])
+                assert np.max(relative_errors(binomial, exact)) <= 4 * np.finfo(float).eps, n
+
+    @pytest.mark.parametrize("case", [
+        "hadamard", "a_sq_0.01", "a_sq_0.5", "a_sq_0.99", "a_sq_1e-06", "b_zero", "a_zero"])
+    def test_binomial_sums_are_the_exact_path_sums(self, case, rng):
+        # The paper's binomial sums, materialized in Gaussian integers, are the
+        # recurrence's integers at every pair up to their cap; the degenerate
+        # coins have only their pure words.
+        coin = fourier_case(case, rng)
+        e, (a, b, c, d) = dyadic([coin.a, coin.b, coin.c, coin.d])
+        for n, xis in exact_path_integers(coin, paths.BINOMIAL_SUM_CAP):
+            for m in [0, n] if coin.is_degenerate else range(n + 1):
+                exponent, (p, q, r, s) = paths._binomial_integers(coin, n - m, m)
+                assert exponent == e
+                rows = ((combine(p, r, a, c), combine(p, r, b, d)), (combine(s, q, a, c), combine(s, q, b, d)))
+                assert rows == xis[m], (n, m)
 
 
 def test_one_sweep_builds_each_letter_once(rng, monkeypatch):
