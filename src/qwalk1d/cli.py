@@ -3,10 +3,11 @@
 Exit codes: 0 = success and all self-checks pass, 2 = input/parse error,
 3 = a numerical self-check failed.  Each command returns its table and its
 verdict, the head's last field ``ok``; :func:`main` alone refuses bad input,
-writes the table and maps the verdict to the exit code.  Output is CSV (a
-header row of the column names, none of which needs quoting) or JSON (one
-object per invocation).  Each command declares its columns' formats next to
-their names, ``INT`` or ``REAL`` (17 significant digits), and hands its
+writes the table and maps the verdict to the exit code.  A reader that closes
+stdout before the table ends changes neither the code nor stderr.  Output is
+CSV (a header row of the column names, none of which needs quoting) or JSON
+(one object per invocation).  Each command declares its columns' formats next
+to their names, ``INT`` or ``REAL`` (17 significant digits), and hands its
 columns to :func:`_emit`.  A table of fewer than :data:`_WRITER_CELLS` cells
 is rendered by one ``%`` template applied to all its cells at once; a larger
 one by :mod:`qwalk1d.render`, which forms each cell's digits in float64
@@ -25,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -335,6 +337,20 @@ _HANDLERS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at devnull once its reader has closed, so
+    the interpreter's last flush of what is still buffered cannot raise
+    ``BrokenPipeError`` again (the "Note on SIGPIPE" of Python's ``signal``
+    documentation).  A stream without a descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -353,7 +369,10 @@ def main(argv=None) -> int:
         coin = _coin_from_args(args)
         qubit = _qubit_from_args(args)
         columns, rows, head = _HANDLERS[args.command](args, coin, qubit)
-        _emit(args, args.command, columns, rows, head)
+        try:
+            _emit(args, args.command, columns, rows, head)
+        except BrokenPipeError:
+            _discard_stdout()
         return EXIT_OK if head["ok"] else EXIT_SELF_CHECK
     except NumericalHealthError as exc:
         print(f"error: {exc}", file=sys.stderr)

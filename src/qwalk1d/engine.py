@@ -33,9 +33,10 @@ the time on both routes, in ``limit.ks_convergence`` and in
 an array; :data:`SWEEP_TIME_CAP` bounds a sweep the same way.  Every cache of
 the package is private and keeps one entry (the memos of the two laws,
 ``_distribution`` and ``analytic._law``, then ``special._jacobi_table``,
-``special._terminating_sum`` and ``special._lhs_state``, the last state of the
-identity's left-side recurrence), because every reuse is of the entry used
-just before.  Each public law is a plain function that refuses a time out of
+``special._terminating_sum``, ``special._lhs_state``, the last state of the
+identity's left-side recurrence, and ``special._family_state``, the last
+state of the same recurrence run for :func:`special.hyp2f1`), because every
+reuse is of the entry used just before.  Each public law is a plain function that refuses a time out of
 range and then reads its memo.  On the job lists of the ``closed-form``,
 ``limit-converge`` and ``identities`` benchmarks (seeds 1-3) each had the hits
 and misses it had with 64 to 512 entries; at the cap a law cache holds 160 KB,

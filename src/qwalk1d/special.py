@@ -21,7 +21,8 @@ result is the float nearest the exact sum.  A terminating 2F1 is limited to
 The last exact terminating series is memoised on its arguments (errors are not
 stored).  The right side of ``jacobi_sum_identity`` and then the left side of
 ``pfaff_residual`` ask for the same series at the same ``(n, k, i)``, so a
-Jacobi/Pfaff sweep sums each of those series once.
+Jacobi/Pfaff sweep sums each of those series once, and it is the only series
+such a sweep sums.
 
 The identity's left side is the terminating
 ``2F1(-(k-1), -(n-k-1); 1+i; r)`` at the exact ratio ``r = -|b|^2/|a|^2``, but
@@ -35,6 +36,23 @@ series terms, and a single cold call costs more than the series did (about 70
 against 16-19 us at ``k = 30``, ``n = 60`` on a 2-vCPU VM).  The series' caps
 (10,000 terms and its bit bound) refuse a left side before any step.  The
 right side stays the independent series through :func:`rho_value`.
+
+The same recurrence sums every ``2F1(-m, -M; 1+i; z)`` that :func:`hyp2f1` is
+given with both upper parameters non-positive integers and ``c = 1 + i`` in
+``{1, 2}``, the walk's two Jacobi rows: it is the left side's family at
+``k = min(m, M) + 1``, ``n = m + M + 2`` and ``r = z``, rounded once, so
+each value is the series' float bit for bit.  That route keeps its own last
+state, keyed on ``(n, z)``, since a sweep alternates the identity and the
+Pfaff residual and one shared entry would restart each from the other.  The
+Pfaff residual's right side, ``2F1(-(k-1), -(n-k-1); 1+i; z/(z-1))``, takes
+it; its left side (upper parameter ``n-k+i > 0``) stays the series.  So each
+identity still sets the series against the recurrence, at its own ratio, and
+an ascending Jacobi/Pfaff sweep sums one series per ``(k, i)`` and takes two
+O(1) steps.  Over 20 random coins in-process on a 2-vCPU VM (best of 5, four
+runs), a sweep took 0.23-0.26/0.53-0.62/0.98-1.09 ms at n = 20/40/60, where
+summing the Pfaff right side as a series took 0.22-0.26/0.60-0.69/1.19-1.35
+ms.  A cold family call costs more than the series: 7.4-8.7/23-27/55-63 us
+against 3.2-3.9/6.3-7.6/13-15 us at k = 5/15/30, n = 60.
 """
 
 from __future__ import annotations
@@ -96,7 +114,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     ``1 + r_0 (1 + r_1 (1 + ...))`` of the term ratios ``r_j`` is summed as
     one integer fraction and rounded once, so the result is the float nearest
     the exact polynomial value; at most 10,000 terms, and at most 830,000 for
-    terms x bits of the largest step denominator.  Otherwise requires
+    terms x bits of the largest step denominator.  When both ``a`` and ``b``
+    are non-positive integers and ``c`` is 1 or 2, the same value comes from
+    the Jacobi kernel's recurrence in exact integers instead (see the module
+    docstring): a call at the last call's ``a + b`` and ``z`` and a
+    ``min(-a, -b)`` no smaller takes only the steps between, under the same
+    caps and refusals.  Otherwise requires
     ``|z| < 1``; summation stops once a term drops below 1e-16 of the partial
     sum, with a 1e6-term cap.
 
@@ -118,6 +141,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     stop = _termination_index(a, b)
     _check_pole(c, stop)
     if stop is not None:
+        if c in (1.0, 2.0) and a <= 0.0 and b <= 0.0 and a.is_integer() and b.is_integer():
+            return _family_sum(int(-a), int(-b), int(c) - 1, z)
         return _terminating_sum(a, b, c, z, stop)
     if abs(z) >= 1.0:
         raise NonConvergentError(f"series does not converge for |z| = {abs(z)} >= 1")
@@ -171,7 +196,11 @@ def pfaff_residual(a: float, b: float, c: float, z: float) -> float:
     A diagnostic: the transformation is an identity, so the residual measures
     evaluation error.  Both sides must be evaluable: ``z = 1`` is refused with
     ``ValueError`` before any work, as :func:`hyp2f1` refuses a NaN or an
-    infinite argument.
+    infinite argument.  For the walk's Jacobi values,
+    ``(a, b, c) = (-(k-1), n-k+i, 1+i)``, the left side is summed as a series
+    (the one :func:`rho_value` sums, read from the memo in a sweep) and the
+    right side, whose upper parameters are both non-positive, by the exact
+    recurrence, so the residual still compares two independent routes.
     """
     if z == 1.0:
         raise ValueError("the Pfaff transformation needs z != 1")
@@ -243,10 +272,12 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     return lhs, rhs
 
 
-# Where the last call left the left side's recurrence: the key (n, |b|^2, |a|^2),
-# the cluster count k, the ratio r = p/q, q^(k-1), and both rows' numerators at
-# k - 1 and at k.
+# Where the last call left each exact recurrence: its key, the cluster count k,
+# the ratio r = p/q, q^(k-1), and both rows' numerators at k - 1 and at k.  The
+# identity's left side keys on (n, |b|^2, |a|^2), the family route of hyp2f1 on
+# (n, z); a Jacobi/Pfaff sweep alternates the two, so each keeps its own entry.
 _lhs_state: tuple | None = None
+_family_state: tuple | None = None
 
 
 def _lhs_step(n: int, p: int, q: int, k: int, prev: tuple[int, int], cur: tuple[int, int]) -> tuple[int, int]:
@@ -275,28 +306,49 @@ def _lhs_step(n: int, p: int, q: int, k: int, prev: tuple[int, int], cur: tuple[
     )
 
 
-def _sum_lhs(n: int, b2: float, a2: float, k: int, i: int) -> float:
-    """The left side of :func:`jacobi_sum_identity` for ``|b|^2 = b2`` and
-    ``|a|^2 = a2``: ``q^(k-1) v_i(k) / (q^(k-1) k^i)`` at ``r = -b2/a2 = p/q``,
-    rounded once by integer true division.  It starts from ``v_i(0) = 0`` and
-    ``v_i(1) = 1`` unless the kept state has the same ``(n, b2, a2)`` and a
-    ``k`` no larger, checks the series' caps before any step, and replaces the
-    state whole, so a call cut short never leaves it half advanced.
+def _advance(state: tuple | None, key: tuple, ratio, n: int, k: int, i: int) -> tuple[tuple, float]:
+    """The new state and the row-``i`` value ``q^(k-1) v_i(k) / (q^(k-1) k^i)``
+    at ``r = p/q``, rounded once by integer true division.
+
+    It starts from ``v_i(0) = 0`` and ``v_i(1) = 1``, with ``(p, q) = ratio()``,
+    unless ``state`` has the same ``key`` and a ``k`` no larger; it checks the
+    series' caps before any step and returns the state whole, so a call cut
+    short never leaves it half advanced.
     """
-    global _lhs_state
-    key = (n, b2, a2)
-    if _lhs_state is not None and _lhs_state[0] == key and _lhs_state[1] <= k:
-        _, at, p, q, den, prev, cur = _lhs_state
+    if state is not None and state[0] == key and state[1] <= k:
+        _, at, p, q, den, prev, cur = state
     else:
-        (bn, bd), (an, ad) = b2.as_integer_ratio(), a2.as_integer_ratio()
-        p, q = Fraction(-bn * ad, bd * an).as_integer_ratio()
+        p, q = ratio()
         at, den, prev, cur = 1, 1, (0, 0), (1, 1)
     _check_terminating_caps(k - 1, 1 + i, 1, q)
     while at < k:
         prev, cur = cur, _lhs_step(n, p, q, at, prev, cur)
         at, den = at + 1, den * q
-    _lhs_state = (key, at, p, q, den, prev, cur)
-    return cur[i] / (den * k if i else den)
+    return (key, at, p, q, den, prev, cur), cur[i] / (den * k if i else den)
+
+
+def _sum_lhs(n: int, b2: float, a2: float, k: int, i: int) -> float:
+    """The left side of :func:`jacobi_sum_identity` for ``|b|^2 = b2`` and
+    ``|a|^2 = a2``, at ``r = -b2/a2``, by :func:`_advance` on ``_lhs_state``;
+    the ratio is reduced only on a fresh start."""
+    global _lhs_state
+
+    def ratio() -> tuple[int, int]:
+        (bn, bd), (an, ad) = b2.as_integer_ratio(), a2.as_integer_ratio()
+        return Fraction(-bn * ad, bd * an).as_integer_ratio()
+
+    _lhs_state, value = _advance(_lhs_state, (n, b2, a2), ratio, n, k, i)
+    return value
+
+
+def _family_sum(m: int, big_m: int, i: int, z: float) -> float:
+    """``2F1(-m, -M; 1+i; z)`` for integers ``m, M >= 0`` and ``i`` in
+    ``{0, 1}``: the left side's family at ``k = min(m, M) + 1``,
+    ``n = m + M + 2`` and ``r = z``, by :func:`_advance` on ``_family_state``."""
+    global _family_state
+    n = m + big_m + 2
+    _family_state, value = _advance(_family_state, (n, z), z.as_integer_ratio, n, min(m, big_m) + 1, i)
+    return value
 
 
 def _power(x: np.longdouble, e: int) -> tuple[np.longdouble, int]:

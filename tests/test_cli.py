@@ -1,6 +1,11 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -696,3 +701,38 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("mirror, verdict", [(False, 0), (True, 3)])
+def test_closed_stdout_keeps_the_verdict_code(capsys, monkeypatch, mirror, verdict):
+    if mirror:  # the mirrored law fails the closed-form gate, as on the ballistic coin above
+        monkeypatch.setattr(
+            cli, "law", lambda coin, qubit, n: engine.Distribution(n=n, probs=law(coin, qubit, n).probs[::-1])
+        )
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    # n = 5 goes through the one-template writer, n = 2000 through render
+    for n in ("5", "2000"):
+        argv = ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", n]
+        assert cli.main(argv) == verdict
+        assert cli.main(argv + ["--format", "json"]) == verdict
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_stdout_early_exits_0():
+    # 1.2 MB of table cannot fit in the pipe, so the writes after the close fail
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "qwalk1d.cli", "dist", "-n", "20000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"k,p_engine,p_closed,abs_diff\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err

@@ -127,6 +127,55 @@ class TestExactSeries:
                 for args in ((-float(stop), b, c, zz), (b, -float(stop), c, zz)):
                     assert hyp2f1(*args) == fraction_hyp2f1(*args, stop)
 
+    def test_family_hyp2f1_matches_fraction_sum(self, rng, monkeypatch):
+        # both upper parameters non-positive integers and c in {1, 2}: the
+        # recurrence route, which the continuous draws above never reach
+        def no_series(*args):
+            raise AssertionError("the family must not be summed as a series")
+
+        monkeypatch.setattr(special, "_terminating_sum", no_series)
+        monkeypatch.setattr(special, "_family_state", None)
+        draws = [(int(m), int(big_m), float(z)) for m, big_m, z in zip(
+            rng.integers(0, 41, 30), rng.integers(0, 41, 30), rng.uniform(-3.0, 0.99, 30))]
+        draws += [(0, 0, 0.3), (0, 17, -1.7), (17, 0, 0.4), (5, 9, 0.0), (9, 5, -0.0)]
+        for m, big_m, z in draws:
+            for c in (1.0, 2.0):
+                for zz in (z, z / (z - 1.0), 0.0):
+                    for args in ((-float(m), -float(big_m), c, zz), (-float(big_m), -float(m), c, zz)):
+                        assert hyp2f1(*args) == fraction_hyp2f1(*args, min(m, big_m)), args
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_family_hyp2f1_matches_fraction_sum_in_any_order(self, rng, monkeypatch, order):
+        monkeypatch.setattr(special, "_family_state", None)
+        for n, z in ((40, 0.3), (41, 0.3 / (0.3 - 1.0)), (40, -2.5)):
+            ks = list(range(1, n // 2 + 1))
+            if order == "descending":
+                ks.reverse()
+            elif order == "shuffled":
+                rng.shuffle(ks)
+            for k in ks:
+                for i in (0, 1):
+                    args = (-(k - 1.0), -(n - k - 1.0), 1.0 + i, z)
+                    assert hyp2f1(*args) == fraction_hyp2f1(*args, k - 1), (n, k, i)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(-10000.0, -10001.0, 1.0, 0.5), (-2000.0, -2500.0, 2.0, 1e-300)],
+        ids=["terms", "bits"],
+    )
+    def test_family_hyp2f1_is_capped_before_any_step(self, monkeypatch, args):
+        def no_work(*args):
+            raise AssertionError("an over-cap family call must be refused before any step")
+
+        with pytest.raises(CapExceededError) as series:
+            special._terminating_sum.__wrapped__(*args, int(-max(args[:2])))
+        monkeypatch.setattr(special, "_lhs_step", no_work)
+        monkeypatch.setattr(special, "_family_state", None)
+        with pytest.raises(CapExceededError) as family:
+            hyp2f1(*args)
+        assert str(family.value) == str(series.value)
+        assert special._family_state is None
+
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_sum_identity_lhs_matches_fraction_sum(self, rng, order):
         coins = [hadamard_coin(), validate_coin([[1, 0], [0, 1]]), real_coin(0.1), real_coin(math.sqrt(0.99))]
@@ -154,6 +203,18 @@ class TestExactSeries:
                     lhs, _ = jacobi_sum_identity(coin, n, k, i)
                     series = special._terminating_sum.__wrapped__(-(k - 1.0), -(n - k - 1.0), 1.0 + i, ratio, k - 1)
                     assert lhs == series, (k, i)
+
+    def test_pfaff_residual_matches_exact_series_at_large_n(self, rng):
+        # its right side by the recurrence, against the series summed exactly
+        n = 400
+        for coin in (hadamard_coin(), random_unitary_coin(rng)):
+            z = (1.0 - (2.0 * coin.abs_a_sq - 1.0)) / 2.0
+            for k in range(1, n // 2 + 1):
+                for i in (0, 1):
+                    a, b, c = -(k - 1.0), n - k + i + 0.0, i + 1.0
+                    series = special._terminating_sum.__wrapped__(a, c - b, c, z / (z - 1.0), k - 1)
+                    expected = abs(hyp2f1(a, b, c, z) - (1.0 - z) ** (-a) * series)
+                    assert pfaff_residual(a, b, c, z) == expected, (k, i)
 
     @pytest.mark.parametrize(
         "args, match",
@@ -193,11 +254,13 @@ class TestExactSeries:
 
 class TestSumRecurrence:
     """The kept state of the identity's left side: reused by a call at the same
-    ``n`` and coin moduli and a ``k`` no smaller, restarted by any other."""
+    ``n`` and coin moduli and a ``k`` no smaller, restarted by any other.  The
+    family route of :func:`hyp2f1` keeps its own."""
 
     @pytest.fixture(autouse=True)
     def no_state(self, monkeypatch):
         monkeypatch.setattr(special, "_lhs_state", None)
+        monkeypatch.setattr(special, "_family_state", None)
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -219,6 +282,19 @@ class TestSumRecurrence:
                 # never restarted: the steps so far are exactly those from 1 to k
                 assert steps == [(n, kk) for kk in range(1, k)]
         assert len(steps) == 29
+
+    @pytest.mark.parametrize("n", [20, 21, 60, 61])
+    def test_interleaved_sweep_restarts_neither_state(self, rng, steps, n):
+        # the benchmark's sweep: the identity, then the Pfaff residual, per (k, i)
+        coin = random_unitary_coin(rng)
+        z = (1.0 - (2.0 * coin.abs_a_sq - 1.0)) / 2.0
+        for k in range(1, n // 2 + 1):
+            for i in (0, 1):
+                jacobi_sum_identity(coin, n, k, i)
+                pfaff_residual(-(k - 1), n - k + i, i + 1.0, z)
+        # one step per k on each state, the identity's first
+        assert steps == [(n, kk) for kk in range(1, n // 2) for _ in range(2)]
+        assert special._lhs_state[1] == special._family_state[1] == n // 2
 
     def test_state_keeps_one_entry(self, rng):
         coin = hadamard_coin()
@@ -295,14 +371,17 @@ class TestTerminatingMemo:
                 hyp2f1(*args)
         assert special._terminating_sum.cache_info().currsize == 0
 
-    def test_sweep_sums_each_rho_series_once(self, rng):
+    def test_sweep_sums_each_rho_series_once(self, rng, monkeypatch):
+        monkeypatch.setattr(special, "_family_state", None)
         coin = random_unitary_coin(rng)
         n, k, i = 40, 7, 1
         z = (1.0 - (2.0 * coin.abs_a_sq - 1.0)) / 2.0
         jacobi_sum_identity(coin, n, k, i)
         pfaff_residual(-(k - 1), n - k + i, i + 1.0, z)
         info = special._terminating_sum.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert (info.misses, info.hits) == (1, 1)
+        # the Pfaff right side took the recurrence's k - 1 steps, not the memo
+        assert special._family_state[:2] == ((n, z / (z - 1.0)), k)
 
 
 class TestPfaff:
