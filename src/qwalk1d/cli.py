@@ -4,7 +4,9 @@ Exit codes: 0 = success and all self-checks pass, 2 = input/parse error,
 3 = a numerical self-check failed.  Each command returns its table and its
 verdict, the head's last field ``ok``; :func:`main` alone refuses bad input,
 writes the table and maps the verdict to the exit code.  A reader that closes
-stdout before the table ends changes neither the code nor stderr.  Output is
+stdout before the table ends changes neither the code nor stderr.  Any other
+failure to write the table (a full disk, ``> /dev/full``) exits 2 with
+``error: cannot write output: ...`` on stderr and no traceback.  Output is
 CSV (a header row of the column names, none of which needs quoting) or JSON
 (one object per invocation).  Each command declares its columns' formats next
 to their names, ``INT`` or ``REAL`` (17 significant digits), and hands its
@@ -371,8 +373,13 @@ def main(argv=None) -> int:
         columns, rows, head = _HANDLERS[args.command](args, coin, qubit)
         try:
             _emit(args, args.command, columns, rows, head)
+            sys.stdout.flush()
         except BrokenPipeError:
             _discard_stdout()
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _discard_stdout()
+            return EXIT_PARSE
         return EXIT_OK if head["ok"] else EXIT_SELF_CHECK
     except NumericalHealthError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -159,7 +159,19 @@ def _exact_word_sums(coin: Coin):
     at its first letter: ``P X`` has row 0 ``a X[0] + b X[1]`` and row 1 zero,
     ``Q X`` row 0 zero and row 1 ``c X[0] + d X[1]``.  Over the coin's ``2^E``
     (:func:`_dyadic`) every sum of time ``n`` is a Gaussian integer over
-    ``2^(E n)``, each part rounded once by the correctly rounded true division.
+    ``2^(E n)``, each part rounded once to the float nearest the quotient.
+    Each of the ``C(n, l)`` words of ``Xi(l, n - l)`` is a product of ``n``
+    letters, each one row of the coin, of norm within the coin's unitarity
+    tolerance (1e-12) of 1, and ``C(n, l) <= 2^(n - 1)`` for ``n >= 2``,
+    so every part of a time ``n >= 1`` has ``|part| < 2^((E + 1) n)``.  Where
+    ``(E + 1) n <= 1023``, ``float(part)`` is then finite and correctly
+    rounded, and a nonzero quotient is at least ``2^(-E n) >= 2^-1022``, a
+    normal float, so ``ldexp(float(part), -E n)`` is the correctly rounded
+    quotient.  Past that guard a part is rounded by the integer true division,
+    which is correctly rounded at any size: with imaginary parts of 1e-300 on
+    the Hadamard coin's entries, ``E = 1049`` and every time past 0 takes it.
+    In-process on a 2-vCPU VM, the ``ldexp`` route rounds the 728 parts of a
+    pass to 12 in about half the time of the division.
     """
     e, (a, b, c, d) = _dyadic(coin)
 
@@ -171,8 +183,12 @@ def _exact_word_sums(coin: Coin):
     zero = (0, 0, 0, 0)
     xis = [((1, 0, 0, 0), (0, 0, 1, 0))]  # the identity at time 0, by rows
     for n in itertools.count():
-        scale = 1 << e * n
-        parts = [part / scale for xi in xis for r in xi for part in r]
+        ints = [part for xi in xis for r in xi for part in r]
+        if (e + 1) * n <= 1023:
+            parts = [math.ldexp(float(part), -e * n) for part in ints]
+        else:
+            scale = 1 << e * n
+            parts = [part / scale for part in ints]
         yield np.array(parts).view(np.complex128).reshape(n + 1, 2, 2)
         xis = [(row(a, b, xis[l - 1]) if l else zero, row(c, d, xis[l]) if l <= n else zero)
                for l in range(n + 2)]

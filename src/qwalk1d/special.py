@@ -35,7 +35,11 @@ So a sweep over ascending ``k`` costs O(n) exact steps where it cost O(n^2)
 series terms, and a single cold call costs more than the series did (about 70
 against 16-19 us at ``k = 30``, ``n = 60`` on a 2-vCPU VM).  The series' caps
 (10,000 terms and its bit bound) refuse a left side before any step.  The
-right side stays the independent series through :func:`rho_value`.
+right side is the independent series that :func:`rho_value` sums, which
+:func:`_rho_series` takes straight from the memoised :func:`_terminating_sum`
+with the floats that :func:`jacobi_p` would hand :func:`hyp2f1`: their value
+bit for bit, without their checks, which the identity's own checks make
+redundant.  :func:`rho_value` calls the same helper after its own checks.
 
 The same recurrence sums every ``2F1(-m, -M; 1+i; z)`` that :func:`hyp2f1` is
 given with both upper parameters non-positive integers and ``c = 1 + i`` in
@@ -48,10 +52,12 @@ Pfaff residual's right side, ``2F1(-(k-1), -(n-k-1); 1+i; z/(z-1))``, takes
 it; its left side (upper parameter ``n-k+i > 0``) stays the series.  So each
 identity still sets the series against the recurrence, at its own ratio, and
 an ascending Jacobi/Pfaff sweep sums one series per ``(k, i)`` and takes two
-O(1) steps.  Over 20 random coins in-process on a 2-vCPU VM (best of 5, four
-runs), a sweep took 0.23-0.26/0.53-0.62/0.98-1.09 ms at n = 20/40/60, where
-summing the Pfaff right side as a series took 0.22-0.26/0.60-0.69/1.19-1.35
-ms.  A cold family call costs more than the series: 7.4-8.7/23-27/55-63 us
+O(1) steps.  :func:`hyp2f1` makes its checks in one straight-line pass.  Over
+20 random coins in-process on a 2-vCPU VM (best of 5, four alternating runs),
+a sweep took 0.19-0.23/0.50-0.55/0.93-1.00 ms at n = 20/40/60, where it took
+0.26-0.44/0.64-0.67/1.11-1.64 ms with the identity's right side climbing
+:func:`rho_value`, :func:`jacobi_p` and :func:`hyp2f1` and each layer checking
+again.  A cold family call costs more than the series: 7.4-8.7/23-27/55-63 us
 against 3.2-3.9/6.3-7.6/13-15 us at k = 5/15/30, n = 60.
 """
 
@@ -91,21 +97,6 @@ _SCALE_LIMIT = np.ldexp(np.longdouble(1.0), _SCALE_BITS)
 _SCALE_DOWN = np.ldexp(np.longdouble(1.0), -_SCALE_BITS)
 
 
-def _termination_index(a: float, b: float) -> int | None:
-    """Index of the last nonzero series term, when a or b is a non-positive int."""
-    candidates = [int(-v) for v in (a, b) if v <= 0.0 and float(v).is_integer()]
-    return min(candidates) if candidates else None
-
-
-def _check_pole(c: float, stop: int | None) -> None:
-    # The recurrence divides by (c + j) for j = 0, 1, ...; a non-positive
-    # integer c is a pole unless the series terminates strictly first.
-    if c <= 0.0 and float(c).is_integer():
-        pole_step = int(-c)
-        if stop is None or pole_step < stop:
-            raise PoleAtCError(f"c = {c} hits a pole of the series")
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric series ``2F1(a, b; c; z)`` by partial sums.
 
@@ -136,13 +127,19 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         If ``|z| >= 1`` (non-terminating) or the term cap is hit.
     """
     a, b, c, z = float(a), float(b), float(c), float(z)
-    if not all(map(isfinite, (a, b, c, z))):
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(z)):
         raise ValueError(f"2F1 needs finite arguments, got a={a}, b={b}, c={c}, z={z}")
-    stop = _termination_index(a, b)
-    _check_pole(c, stop)
-    if stop is not None:
-        if c in (1.0, 2.0) and a <= 0.0 and b <= 0.0 and a.is_integer() and b.is_integer():
-            return _family_sum(int(-a), int(-b), int(c) - 1, z)
+    # the series ends after its term -a or -b, whichever upper parameter is a
+    # non-positive integer (the first of them, when both are); the recurrence
+    # divides by (c + j) for j = 0, 1, ..., so a non-positive integer c is a
+    # pole unless the series ends strictly first
+    a_ends, b_ends = a <= 0.0 and a.is_integer(), b <= 0.0 and b.is_integer()
+    if c <= 0.0 and c.is_integer() and not ((a_ends and a >= c) or (b_ends and b >= c)):
+        raise PoleAtCError(f"c = {c} hits a pole of the series")
+    if a_ends and b_ends and (c == 1.0 or c == 2.0):
+        return _family_sum(int(-a), int(-b), int(c) - 1, z)
+    if a_ends or b_ends:
+        stop = int(-max(a, b)) if a_ends and b_ends else int(-a) if a_ends else int(-b)
         return _terminating_sum(a, b, c, z, stop)
     if abs(z) >= 1.0:
         raise NonConvergentError(f"series does not converge for |z| = {abs(z)} >= 1")
@@ -224,12 +221,25 @@ def jacobi_p(degree: int, nu: float, mu: float, x: float) -> float:
 
 
 def rho_value(n: int, k: int, i: int, abs_a_sq: float) -> float:
-    """``P_(k-1)^(i, n-2k)(2|a|^2 - 1)`` for ``1 <= k <= n//2`` and ``i in {0, 1}``."""
+    """``P_(k-1)^(i, n-2k)(2|a|^2 - 1)`` for ``1 <= k <= n//2`` and ``i in {0, 1}``:
+    :func:`jacobi_p`'s value, read straight from its exact series."""
     if i not in (0, 1):
         raise ValueError(f"i must be 0 or 1, got {i}")
     if not 1 <= k <= n // 2:
         raise ValueError(f"need 1 <= k <= n//2, got k={k}, n={n}")
-    return jacobi_p(k - 1, float(i), float(n - 2 * k), 2.0 * abs_a_sq - 1.0)
+    z = (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0
+    if not isfinite(z):
+        raise ValueError(f"2F1 needs finite arguments, got a={1.0 - k}, b={float(n - k + i)}, c={1.0 + i}, z={z}")
+    return _rho_series(n, k, i, z)
+
+
+def _rho_series(n: int, k: int, i: int, z: float) -> float:
+    """:func:`rho_value` at ``z = (1 - (2|a|^2 - 1))/2`` for checked arguments:
+    ``C(k-1+i, k-1) 2F1(-(k-1), n-k+i; 1+i; z)``, the series from the
+    ``_terminating_sum`` memo, so a Pfaff left side at the same ``(n, k, i)``
+    reads it without summing it again.  Its floats are those :func:`jacobi_p`
+    hands :func:`hyp2f1`, so its value is theirs bit for bit."""
+    return float(comb(k - 1 + i, k - 1)) * _terminating_sum(1.0 - k, float(n - k + i), 1.0 + i, z, k - 1)
 
 
 def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, float]:
@@ -248,8 +258,11 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     of :func:`hyp2f1` (10,000 terms, and its bit bound) still refuse a left
     side before any step.
 
-    rhs: ``|a|^(-2(k-1)) * rho(n,k,i) / k^i`` with the Jacobi value evaluated
-    through :func:`jacobi_p`, an independent route.
+    rhs: ``|a|^(-2(k-1)) * rho(n,k,i) / k^i`` with the Jacobi value the
+    exact series that :func:`rho_value` sums, an independent route, reached
+    straight through :func:`_rho_series`: the arguments checked here need
+    none of the checks of :func:`rho_value`, :func:`jacobi_p` and
+    :func:`hyp2f1`, and the value is theirs bit for bit.
 
     Raises
     ------
@@ -266,7 +279,7 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
         raise DegenerateCoinError("the binomial-sum identity needs a != 0")
     abs_a_sq = coin.abs_a_sq
     lhs = _sum_lhs(n, coin.abs_b_sq, abs_a_sq, k, i)
-    rhs = abs_a_sq ** (-(k - 1)) * rho_value(n, k, i, abs_a_sq)
+    rhs = abs_a_sq ** (-(k - 1)) * _rho_series(n, k, i, (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0)
     if i == 1:
         rhs /= k
     return lhs, rhs

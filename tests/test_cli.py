@@ -725,6 +725,46 @@ def test_closed_stdout_keeps_the_verdict_code(capsys, monkeypatch, mirror, verdi
     assert capsys.readouterr().err == ""
 
 
+class FullDisk(io.StringIO):
+    """A stdout on a full device: every write, or only the flush, raises ``ENOSPC``."""
+
+    def __init__(self, on_flush):
+        super().__init__()
+        self.on_flush = on_flush
+
+    def write(self, text):
+        if not self.on_flush:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("on_flush", [False, True])
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, on_flush):
+    monkeypatch.setattr(sys, "stdout", FullDisk(on_flush))
+    for n in ("5", "2000"):  # the one-template writer, and render
+        argv = ["dist", "--coin", "1,0,0,0,0,0,1,0", "--qubit", "0.6,0,0,0.8", "-n", n]
+        for fmt in ("csv", "json"):
+            assert cli.main(argv + ["--format", fmt]) == 2
+            assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_console_writing_to_a_full_device_exits_2(unbuffered):
+    # buffered, the table fits the buffer and only the flush fails
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": unbuffered}
+    for argv in (["dist", "-n", "8", "--format", "json"], ["limit", "--grid-points", "2001"]):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "qwalk1d.cli", *argv], env=env, stdout=full,
+                                    stderr=subprocess.PIPE, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_reader_closing_stdout_early_exits_0():
     # 1.2 MB of table cannot fit in the pipe, so the writes after the close fail
     root = Path(__file__).resolve().parents[1]

@@ -608,6 +608,30 @@ class TestExactPathSums:
                 rows = ((combine(p, r, a, c), combine(p, r, b, d)), (combine(s, q, a, c), combine(s, q, b, d)))
                 assert rows == xis[m], (n, m)
 
+    @pytest.mark.parametrize("case", [*FOURIER_CASES, "a_sq_1e-06", "straddle", "tiny_parts"])
+    def test_word_sums_are_the_exact_integers_rounded_once(self, case, rng):
+        # The word sums scale a part by ldexp only where (E + 1) n <= 1023.  With
+        # imaginary parts of 1e-9 on a and d of the Hadamard coin, E = 82 and the
+        # times 13 and 14 are past that guard, where float(part) would overflow;
+        # with 1e-300 on all four entries, E = 1049 and every time past 0 is.
+        h, cap = 1 / math.sqrt(2.0), paths.ENUMERATION_CAP
+        if case == "straddle":
+            coin, past_guard = validate_coin([[complex(h, 1e-9), h], [h, complex(-h, 1e-9)]]), [13, 14]
+        elif case == "tiny_parts":
+            coin = validate_coin([[complex(h, 1e-300), complex(h, 1e-300)], [complex(h, 1e-300), complex(-h, 1e-300)]])
+            past_guard = list(range(1, cap + 1))
+        else:
+            coin, past_guard = fourier_case(case, rng), []
+        e, _ = dyadic([coin.a, coin.b, coin.c, coin.d])
+        assert [n for n in range(1, cap + 1) if (e + 1) * n > 1023] == past_guard
+        sums = paths._exact_word_sums(coin)
+        assert next(sums).tolist() == [np.eye(2).tolist()]
+        for (n, xis), got in zip(exact_path_integers(coin, cap), sums):
+            # slot l of the word sums is Xi(l, n - l), item m of xis is Xi(n - m, m)
+            expected = np.array([[[complex(re / 2 ** (e * n), im / 2 ** (e * n)) for re, im in row] for row in xi]
+                                 for xi in xis[::-1]])
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), n  # sign of zero included
+
 
 def test_one_sweep_builds_each_letter_once(rng, monkeypatch):
     coin, qubit = random_unitary_coin(rng), random_qubit(rng)

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -112,6 +113,56 @@ class TestHyp2f1:
         value = hyp2f1(-2.0, 1.0, -5.0, 0.4)
         expected = 1.0 + (-2.0) * 1.0 / (-5.0) * 0.4 + ((-2.0) * (-1.0) * 1.0 * 2.0) / ((-5.0) * (-4.0) * 2.0) * 0.16
         assert value == pytest.approx(expected, abs=1e-14)
+
+
+def ending(ends, stop, other=2.5):
+    """``(a, b)`` whose series ends after term ``stop``: ``a``, ``b`` or both
+    non-positive integers (the other one of both ends later)."""
+    return {"a": (-float(stop), other), "b": (other, -float(stop)),
+            "both": (-float(stop), -float(stop + 3))}[ends]
+
+
+@pytest.mark.parametrize("ends", ["a", "b", "both"])
+class TestHyp2f1Refusals:
+    """The refusals of a terminating series, whichever upper parameter ends it."""
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_argument_refused(self, ends, position):
+        for value in (math.nan, math.inf, -math.inf):
+            args = [*ending(ends, 2), 1.0, 0.3]
+            args[position] = value
+            with pytest.raises(ValueError, match="finite"):
+                hyp2f1(*args)
+
+    @pytest.mark.parametrize("stop, c", [(3, -2.0), (5, -2.0), (1, 0.0), (6, -5.0)])
+    def test_pole_reached_first(self, ends, stop, c):
+        with pytest.raises(PoleAtCError, match=f"c = {c} hits a pole"):
+            hyp2f1(*ending(ends, stop), c, 0.3)
+
+    @pytest.mark.parametrize("stop, c", [(2, -2.0), (2, -5.0), (0, 0.0), (5, -5.0)])
+    def test_series_ending_before_the_pole_is_summed(self, ends, stop, c):
+        # the last term, stop, divides by (c + stop - 1), which is not 0 for stop <= -c
+        args = (*ending(ends, stop), c, 0.4)
+        assert hyp2f1(*args) == fraction_hyp2f1(*args, stop)
+
+    def test_polynomial_is_summed_past_the_unit_disc(self, ends):
+        # |z| >= 1 is summed when the series ends; a series that never ends
+        # does not converge there
+        args = (*ending(ends, 3), 1.5, -4.0)
+        assert hyp2f1(*args) == fraction_hyp2f1(*args, 3)
+        with pytest.raises(NonConvergentError, match="does not converge"):
+            hyp2f1(0.5, 2.5, 1.5, -4.0)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_term_cap(self, ends, c):
+        with pytest.raises(CapExceededError, match="10001 terms exceeds the cap"):
+            hyp2f1(*ending(ends, 10_000), c, 0.3)
+        assert hyp2f1(*ending(ends, 9), c, 0.3) == fraction_hyp2f1(*ending(ends, 9), c, 0.3, 9)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_bit_cap(self, ends, c):
+        with pytest.raises(CapExceededError, match="over the cap of 830000"):
+            hyp2f1(*ending(ends, 2000), c, 1e-300)
 
 
 class TestExactSeries:
@@ -440,6 +491,16 @@ class TestJacobi:
             with pytest.raises(ValueError, match="finite"):
                 rho_value(10, 3, 1, abs_a_sq)
 
+    @pytest.mark.parametrize("abs_a_sq", [math.nan, math.inf, -math.inf, 1e308])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rho_refusal_is_that_of_jacobi_p(self, abs_a_sq, k):
+        # 1e308 is finite, but 2|a|^2 - 1 is not
+        with pytest.raises(ValueError) as via_jacobi:
+            jacobi_p(k - 1, 1.0, 10.0 - 2 * k, 2.0 * abs_a_sq - 1.0)
+        with pytest.raises(ValueError, match="finite") as via_rho:
+            rho_value(10, k, 1, abs_a_sq)
+        assert str(via_rho.value) == str(via_jacobi.value)
+
     def test_rho_domain(self):
         with pytest.raises(ValueError):
             rho_value(10, 6, 0, 0.5)
@@ -493,6 +554,36 @@ class TestSumIdentity:
             lhs, rhs = jacobi_sum_identity(validate_coin([[1, 0], [0, 1]]), 10, 4, i)
             assert lhs == 1.0
             assert rhs == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [20, 21, 60, 61, 400])
+    @pytest.mark.parametrize("case", ["hadamard", "random", "a_sq_0.01", "a_sq_0.99"])
+    def test_rhs_is_rho_value_bit_for_bit(self, rng, n, case):
+        # the right side goes straight to rho_value's memoised series; each
+        # value must be that of rho_value, and of jacobi_p, which still climbs
+        # through hyp2f1
+        if case == "hadamard":
+            coins = [hadamard_coin()]
+        elif case == "random":
+            coins = [random_unitary_coin(rng) for _ in range(3)]
+        else:
+            coins = [real_coin(math.sqrt(float(case.removeprefix("a_sq_"))))]
+        for coin in coins:
+            a2 = coin.abs_a_sq
+            for k in range(1, n // 2 + 1):
+                for i in (0, 1):
+                    rho = rho_value(n, k, i, a2)
+                    try:
+                        _, rhs = jacobi_sum_identity(coin, n, k, i)
+                    except OverflowError:  # |a|^2 = 0.01 at n = 400: the sum is past the float range
+                        size = math.log10(abs(rho)) - (k - 1) * math.log10(a2) - i * math.log10(k)
+                        assert size > math.log10(sys.float_info.max), (k, i)
+                        continue
+                    scale = a2 ** -(k - 1)
+                    via_rho = scale * rho
+                    via_jacobi = scale * jacobi_p(k - 1, float(i), float(n - 2 * k), 2.0 * a2 - 1.0)
+                    if i == 1:
+                        via_rho, via_jacobi = via_rho / k, via_jacobi / k
+                    assert rhs.hex() == via_rho.hex() == via_jacobi.hex(), (k, i)
 
     @pytest.mark.parametrize("abs_a_sq", [0.3, 0.6, 0.9])
     def test_parameter_sweep(self, abs_a_sq):
