@@ -18,7 +18,18 @@ No renormalization is ever applied on either route.  The drift of the total
 probability from 1, the primary numerical health signal, is reported, not
 corrected.  It is the stored coin's own non-unitarity, from its rounded
 entries: at ``n <= 120`` each route's total is within 3e-15 of the exact total
-of the stored coin's law, and that exact total is up to about 3e-14 off 1.
+of the stored coin's law (at worst 1.3e-15 on the Fourier route and 2.7e-15 on
+the banded one, over 40 seeds of each coin case), and that exact total is up
+to about 3e-14 off 1.
+
+Long double holds only the symbol's powers, and only where their rounding is
+amplified.  The power ``M^n`` is taken by ``L`` squarings, and the rounding
+of squaring ``j`` reaches ``M^n`` multiplied by ``2^(L-j)``.  So every
+squaring with two or more squarings after it runs in ``numpy.clongdouble``,
+and the last two run in ``complex128``: they add about ``3 eps``.  The state
+vector is ``complex128`` throughout.  Each of its updates adds about ``eps``,
+which the near-unitary later factors never amplify, the size of the double
+FFT's own rounding.
 
 Both routes hand out the law as a :class:`Distribution`, with one signature:
 ``distribution(coin, qubit, n)`` here and ``analytic.law(coin, qubit, n)``; its
@@ -76,7 +87,7 @@ __all__ = [
 
 #: Largest time of a law, on both routes and in ``limit.ks_convergence``, and
 #: of the kernel table of ``limit.asymptotics_envelope``.  At the cap a law
-#: takes 25-60 ms on either route on a 2-vCPU VM.
+#: takes 23-40 ms on either route on a 2-vCPU VM.
 LAW_TIME_CAP = 20000
 
 #: Largest ``n_max`` of a :func:`sweep`, so of :func:`evolve` and of
@@ -321,9 +332,17 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     degenerate ``a = 0`` and ``b = 0`` coins as for any other.  It does carry
     the rounding of the early squares into the n-th power up to ``n/2``-fold
     (in double precision, up to 1.6e-13 in a probability at n = 2000 on a
-    ``b = 0`` coin), so the power is formed in ``numpy.clongdouble`` (64-bit
-    significand on x86-64; no wider than double on some platforms) and only
-    the transform runs in double.
+    ``b = 0`` coin), so each squaring with two or more squarings after it runs
+    in ``numpy.clongdouble`` (64-bit significand on x86-64; no wider than
+    double on some platforms).  The last two squarings, whose rounding is
+    amplified at most twofold, every update of the state vector and the
+    transform run in ``complex128``.  Over 40 seeds of each coin case, at
+    ``n <= 120`` each probability was within 6.9e-15 of the exact law of the
+    stored coin (7.0e-15 with every step in long double) and the total within
+    1.3e-15 of the exact total (8.9e-16); at n = 20000 the exact atoms of
+    ``b = 0`` and ``a = 0`` coins were met to 5.1e-15 and 3.2e-15, as with
+    every step in long double.  A law at n = 2000 takes 1.5-1.7 ms on a 2-vCPU
+    VM, where it took 1.9-2.3 ms with every step in long double.
 
     Accurate in absolute terms only: the transform leaves every amplitude an
     absolute error of a few 1e-15, so each probability has a noise floor (about
@@ -342,19 +361,23 @@ def _distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     """The memo of :func:`distribution`, which has refused a time out of range."""
     size = n + 1
     z = np.exp(2j * np.pi * np.arange(size) / size).astype(np.clongdouble)
-    # the symbol [[p, q], [r, s]] = P + z Q and the state [u, v], per sample
+    # the symbol [[p, q], [r, s]] = P + z Q in long double and the state [u, v]
+    # in double, per sample
     p, q = (np.full(size, x, dtype=np.clongdouble) for x in (coin.a, coin.b))
     r, s = np.clongdouble(coin.c) * z, np.clongdouble(coin.d) * z
-    u, v = (np.full(size, x, dtype=np.clongdouble) for x in qubit.vector)
+    u, v = (np.full(size, x, dtype=np.complex128) for x in qubit.vector)
     power = n
     while power:
         if power & 1:
-            u, v = p * u + q * v, r * u + s * v
+            a, b, c, d = (x.astype(np.complex128, copy=False) for x in (p, q, r, s))
+            u, v = a * u + b * v, c * u + d * v
         power >>= 1
         if power:
+            if power < 4:  # at most one squaring after this one: double is enough
+                p, q, r, s = (x.astype(np.complex128, copy=False) for x in (p, q, r, s))
             trace, qr = p + s, q * r
             p, q, r, s = p * p + qr, q * trace, r * trace, s * s + qr
-    amps = np.fft.fft(np.stack([u, v], axis=1).astype(np.complex128), axis=0, norm="forward")
+    amps = np.fft.fft(np.stack([u, v], axis=1), axis=0, norm="forward")
     dist = AmplitudeField(n=n, amps=amps).to_distribution()
     dist.probs.flags.writeable = False
     return dist

@@ -40,8 +40,8 @@ __all__ = [
 
 #: Most cells, the sum of ``n + 1`` over the distinct times, that one
 #: :func:`ks_convergence` call may compute laws for; the time grows with the
-#: cells.  At the cap ``converge`` took 1.4-1.9 s over the times from 1 and
-#: 2.1-2.7 s over the 50 times up to 20000 (four coins, 2-vCPU VM, in-process).
+#: cells.  At the cap ``converge`` took 0.9-1.0 s over the times from 1 and
+#: 1.3-1.5 s over the 50 times up to 20000 (four coins, 2-vCPU VM, in-process).
 KS_CELLS_CAP = 1_000_000
 
 
@@ -179,8 +179,9 @@ def ks_convergence(coin: Coin, qubit: Qubit, n_list) -> list[tuple[int, float, f
     Every time is checked against ``engine.LAW_TIME_CAP``, and the distinct
     times against :data:`KS_CELLS_CAP`, before any law is computed.  Each
     distinct time is then jumped to once, in increasing order, by one
-    :func:`engine.distribution` call (at the time cap about 50 ms on a 2-vCPU
-    VM, drift near 4e-12), and only its row is kept: one law is held at a time.
+    :func:`engine.distribution` call (at the time cap about 25-35 ms on a
+    2-vCPU VM, drift near 4e-12), and only its row is kept: one law is held
+    at a time.
     """
     ld = LimitDensity(coin=coin, qubit=qubit)
     times = [int(n) for n in n_list]

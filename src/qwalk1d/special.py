@@ -270,6 +270,11 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
         If ``a = 0`` (the ratio is undefined); ``b = 0`` is fine.
     CapExceededError
         If either side's series passes the caps of :func:`hyp2f1`.
+    OverflowError
+        If either side, or a float step of the right side, leaves the float
+        range (``|a|^2 = 0.01`` at ``n = 400`` from ``k = 115``); the message
+        names ``n``, ``k`` and ``i``.  The left side's recurrence state is
+        kept whole, so a later call at a smaller ``k`` still works.
     """
     if i not in (0, 1):
         raise ValueError(f"i must be 0 or 1, got {i}")
@@ -278,10 +283,16 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     if coin.branch == BRANCH_A_ZERO:
         raise DegenerateCoinError("the binomial-sum identity needs a != 0")
     abs_a_sq = coin.abs_a_sq
-    lhs = _sum_lhs(n, coin.abs_b_sq, abs_a_sq, k, i)
-    rhs = abs_a_sq ** (-(k - 1)) * _rho_series(n, k, i, (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0)
+    refusal = f"the identity at n={n}, k={k}, i={i} leaves the float range"
+    try:
+        lhs = _sum_lhs(n, coin.abs_b_sq, abs_a_sq, k, i)
+        rhs = abs_a_sq ** (-(k - 1)) * _rho_series(n, k, i, (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0)
+    except OverflowError:
+        raise OverflowError(refusal) from None
     if i == 1:
         rhs /= k
+    if not (isfinite(lhs) and isfinite(rhs)):
+        raise OverflowError(refusal)
     return lhs, rhs
 
 

@@ -415,6 +415,31 @@ class TestFourierRoute:
                 )
                 assert abs(dist.probability(k) - exact) <= 1e-14
 
+    @pytest.mark.parametrize("case", ["b_zero", "a_zero"])
+    def test_atoms_at_the_time_cap_match_exact_powers(self, case, rng):
+        # At n = 20000 the last two of the 14 squarings run in double.  A b = 0
+        # coin carries the atoms |a|^(2n)|alpha|^2 at -n and |d|^(2n)|beta|^2
+        # at n; at even n an a = 0 coin carries the one atom
+        # |b|^n|c|^n (|alpha|^2 + |beta|^2) at the origin.  On these 5 coins
+        # each the worst error was 5.1e-15 (b = 0) and 2.7e-15 (a = 0), and
+        # over 30 seeds 5.1e-15 and 3.2e-15, the same as with every squaring
+        # in long double.
+        n = 20000
+
+        def norm_sq(x):  # |x|^2 of a stored complex, exactly
+            return Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+
+        for _ in range(5):
+            coin, qubit = fourier_case(case, rng), random_qubit(rng)
+            alpha, beta = norm_sq(qubit.alpha), norm_sq(qubit.beta)
+            if case == "b_zero":
+                atoms = {-n: norm_sq(coin.a) ** n * alpha, n: norm_sq(coin.d) ** n * beta}
+            else:
+                atoms = {0: (norm_sq(coin.b) * norm_sq(coin.c)) ** (n // 2) * (alpha + beta)}
+            dist = distribution(coin, qubit, n)
+            for k, exact in atoms.items():
+                assert abs(dist.probability(k) - float(exact)) <= 2e-14, k
+
     def test_negative_time_rejected(self, hadamard, symmetric_qubit):
         with pytest.raises(ValueError):
             distribution(hadamard, symmetric_qubit, -1)

@@ -572,18 +572,33 @@ class TestSumIdentity:
             for k in range(1, n // 2 + 1):
                 for i in (0, 1):
                     rho = rho_value(n, k, i, a2)
-                    try:
-                        _, rhs = jacobi_sum_identity(coin, n, k, i)
-                    except OverflowError:  # |a|^2 = 0.01 at n = 400: the sum is past the float range
-                        size = math.log10(abs(rho)) - (k - 1) * math.log10(a2) - i * math.log10(k)
-                        assert size > math.log10(sys.float_info.max), (k, i)
+                    # |a|^2 = 0.01 at n = 400: from k = 115 the product
+                    # |a|^(-2(k-1)) rho, before the division by k, is past the
+                    # float range, and the identity is refused
+                    if rho and math.log10(abs(rho)) - (k - 1) * math.log10(a2) > math.log10(sys.float_info.max):
+                        with pytest.raises(OverflowError, match=rf"n={n}, k={k}, i={i} "):
+                            jacobi_sum_identity(coin, n, k, i)
                         continue
+                    _, rhs = jacobi_sum_identity(coin, n, k, i)
                     scale = a2 ** -(k - 1)
                     via_rho = scale * rho
                     via_jacobi = scale * jacobi_p(k - 1, float(i), float(n - 2 * k), 2.0 * a2 - 1.0)
                     if i == 1:
                         via_rho, via_jacobi = via_rho / k, via_jacobi / k
                     assert rhs.hex() == via_rho.hex() == via_jacobi.hex(), (k, i)
+
+    def test_refused_past_the_float_range(self):
+        # |a|^2 = 0.01 at n = 400: at k = 115 the left side's rounding (i = 0)
+        # and the right side's product |a|^(-2(k-1)) rho (i = 1) leave the
+        # float range; one OverflowError names the arguments, and the left
+        # side's recurrence state is left whole for the calls after it
+        coin, n = real_coin(0.1), 400
+        for i in (0, 1):
+            assert all(map(math.isfinite, jacobi_sum_identity(coin, n, 114, i)))
+            with pytest.raises(OverflowError, match=rf"n=400, k=115, i={i} leaves the float range"):
+                jacobi_sum_identity(coin, n, 115, i)
+            lhs, rhs = jacobi_sum_identity(coin, n, 60, i)
+            assert math.isfinite(lhs) and lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("abs_a_sq", [0.3, 0.6, 0.9])
     def test_parameter_sweep(self, abs_a_sq):
