@@ -58,9 +58,12 @@ of terms, bit for bit.  A table of a few thousand terms or more is not summed
 row by row, though.  One vectorised error-free cascade over a block of rows
 (``np.cumsum`` and Knuth's TwoSum, after Ogita, Rump & Oishi 2005) gives each
 row's rounded sum with a rigorous bound on what is left, and accepts it where
-the bound shows it is the correctly rounded sum.  ``fsum`` still sums a small
-table, and each row the cascade cannot certify: exact halfway ties, rows that
-sum to zero, and rows with NaN, infinities or terms near overflow.
+the bound shows it is the correctly rounded sum.  A row that sums to exactly
+zero is certified too, as ``fsum``'s +0.0, where the cascade shows that zero
+or the row equals its own negated mirror, as the sine rows of a
+mirror-symmetric law do.  ``fsum`` still sums a small table, rows of zeros
+(for ``fsum``'s sign), each row the cascade cannot certify in its passes, and
+rows with NaN, infinities or terms near overflow.
 """
 
 from __future__ import annotations
@@ -236,21 +239,33 @@ def _exact_sums(table: np.ndarray) -> list[float]:
       its exact sum ``p[-1] + e`` rounded to nearest, ties to even, as
       ``fsum`` rounds it.  That accepts an exact halfway tie, which no bound
       can certify.
+    - Such an ``hi`` of 0 is an exact zero sum.  ``fsum`` gives that as +0.0
+      when a term is nonzero, and so does the cascade: a partial or a sum of
+      floats is -0.0 only where every term is -0.0.  A row of zeros, the
+      one row whose partials are all 0, goes to ``fsum``, whose zero's sign
+      differs between Python versions.  No bound certifies ``hi == 0``
+      otherwise, so such a row is retried.
+    - A row that the first pass leaves undecided, and whose interval holds
+      0, is compared with its mirror: if every term is the negation of its
+      mirror term, the row sums to exactly 0, and the result is +0.0.  Only
+      those rows are compared: comparing every row of the 64-row ``charfn``
+      table of a random law at ``n = 160`` added about 20 us (12-13%) to its
+      sum on a 2-vCPU VM, and the first pass leaves none of its rows undecided.
     - The rows left undecided run the cascade again on ``(e, p[-1])``, which
       has the same exact sum, up to :data:`_CASCADE_PASSES` passes in all.
 
     ``fsum`` sums from the row's own terms every row that is still undecided,
-    every row with ``hi == 0`` and every row with a partial that is not
-    finite or is 2**1020 or more (``fsum``'s own running sum may overflow
-    there).  So signed zeros, NaN and infinities, and ``fsum``'s exceptions,
-    are ``fsum``'s.
+    every row of zeros and every row with a partial that is not finite or is
+    2**1020 or more (``fsum``'s own running sum may overflow there).  So
+    signed zeros, NaN and infinities, and ``fsum``'s exceptions, are
+    ``fsum``'s.
     """
     if table.size < _CASCADE_TERMS:
         return list(map(fsum, table.tolist()))
     sums = np.full(len(table), np.nan)  # NaN marks the rows left to fsum
     rows, x = np.arange(len(table)), table
     with np.errstate(all="ignore"):  # a row that overflows or holds NaN goes to fsum
-        for _ in range(_CASCADE_PASSES):
+        for step in range(_CASCADE_PASSES):
             p = np.cumsum(x, axis=1)
             prev, term, partial = p[:, :-1], x[:, 1:], p[:, 1:]
             z = prev + term
@@ -264,20 +279,27 @@ def _exact_sums(table: np.ndarray) -> list[float]:
             np.subtract(prev, e, out=e)
             e += np.subtract(term, z, out=z)
             last, tau = p[:, -1].copy(), e.sum(axis=1)
-            usable &= np.abs(p, out=p).max(axis=1) < 2.0**1020
+            peak = np.abs(p, out=p).max(axis=1)
+            usable &= (peak > 0) & (peak < 2.0**1020)  # a row of zeros is fsum's, for its sign
             bound = np.abs(e, out=z).sum(axis=1) * (x.shape[1] * 2.0**-52)
             hi = last + tau
             z = hi - last
             lo = (last - (hi - z)) + (tau - z)
-            usable &= hi != 0
             retry = usable & ~(
                 (lo + bound < (np.nextafter(hi, np.inf) - hi) / 2)
                 & (bound - lo < (hi - np.nextafter(hi, -np.inf)) / 2)
             )
             retry[retry] = np.count_nonzero(e[retry], axis=1) > 1
             certified = usable & ~retry
+            undecided = retry.any()
+            if undecided and not step:  # a row equal to its negated mirror sums to 0
+                mirror = np.flatnonzero(retry & (np.abs(hi) <= 2 * (bound + np.abs(lo))))  # 0 in its interval
+                half, terms = (table.shape[1] + 1) // 2, table[mirror]
+                mirror = mirror[(terms[:, :half] + terms[:, ::-1][:, :half] == 0).all(axis=1)]
+                retry[mirror], certified[mirror], hi[mirror] = False, True, 0.0
+                undecided = retry.any()
             sums[rows[certified]] = hi[certified]
-            if not retry.any():
+            if not undecided:
                 break
             rows, x = rows[retry], np.column_stack([e[retry], last[retry]])
     out = sums.tolist()

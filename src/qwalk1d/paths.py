@@ -23,10 +23,11 @@ combination of
 term by term, but read from the table of the array kernel
 :func:`qwalk1d.special._scaled_jacobi`, cached for one time and ``|a|^2``.  One
 function, :func:`_letter_coordinates`, gives the phase-free coordinates of
-``Xi(n - m, m)`` for an array of ``m``, and of one time or a time per ``m``, in
-one array expression over those tables; the pure words are its ``kk = 0``
-case.  The law in :mod:`qwalk1d.analytic` contracts these coordinates with the
-initial state, and the path sums here multiply them by the unit phase.
+``Xi(n - m, m)`` for an array of ``m`` and a time per ``m``, in one array
+expression over those tables; the pure words are its ``kk = 0`` case.  The
+path sums here multiply them by the unit phase.  The law in
+:mod:`qwalk1d.analytic` reads the same tables but not these coordinates: its
+squared norm needs no phase.
 
 :func:`path_sums_by_time` is the ``oracle`` command's pass, ``Xi(l, m)`` by the
 word sums and the closed form for every ``l + m <= n_max``; the closed forms
@@ -301,39 +302,34 @@ def path_sum_coefficients(coin: Coin, sc: StepCount) -> PqrsMatrix:
     return PqrsMatrix(*(complex(re / scale, im / scale) for re, im in sums), coin=coin)
 
 
-def _letter_coordinates(coin: Coin, n, m: np.ndarray) -> np.ndarray:
-    """Letter coordinates ``(p, q, r, s)`` of ``Xi(n - m, m)`` for the int array ``m``
-    and a generic coin, divided by the unit phase ``(a/|a|)^(l-m) det^m``, as a
-    ``(4, len(m))`` array.  ``n`` is one time, or an int array of a time per ``m``.
+def _letter_coordinates(coin: Coin, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Letter coordinates ``(p, q, r, s)`` of ``Xi(n - m, m)`` for the equal-shape int
+    arrays ``n`` and ``m`` and a generic coin, divided by the unit phase
+    ``(a/|a|)^(l-m) det^m``, as a ``(4, len(m))`` array.
 
     With ``l = n - m``, ``kk = min(l, m)`` and ``(tau_0, tau_1) = |a|^(n-1) (T_0, T_1)``
     they are ``|a| (l tau_1 - tau_0) / a``, ``|a| (m tau_1 - tau_0) / (det conj(a))``,
     ``-|a| tau_0 / (det conj(b))`` and ``|a| tau_0 / b``.  The taus of ``kk >= 1``
     are read from the cached Jacobi table of each time; the pure words are the
     case ``kk = 0``, with ``tau_0 = 0`` and ``n tau_1 = |a|^(n-1)``, one Python
-    power per time.  So an array of times gives each entry the bits of a call
-    for its time alone.  For small ``|a|``, ``kk tau_1 - tau_0`` loses its
-    leading term (the ``g = kk`` terms of ``kk T_1`` and ``T_0`` are equal) and
-    ``1/|a|`` scales up what is left: the law at ``n = 2000`` was 1e-11 to
-    1e-10 off for ``|a|`` from 1e-3 to 1e-7.
+    power per time, so an entry's bits do not depend on the other times.
+    For small ``|a|``, ``kk tau_1 - tau_0`` loses its leading term (the
+    ``g = kk`` terms of ``kk T_1`` and ``T_0`` are equal) and ``1/|a|`` scales
+    up what is left.
     """
     a, b, det = coin.a, coin.b, coin.delta
     abs_a = abs(a)
     l, kk = n - m, np.minimum(m, n - m)
     mixed = kk > 0
     scale = -coin.abs_b_sq / math.sqrt(coin.abs_a_sq)
-    if isinstance(n, np.ndarray):
-        # where each time's table starts, indexed by time (np.unique would load
-        # numpy's sorting code, 1.6 MB of RSS, for no gain)
-        times = sorted(set(n.tolist()))
-        tables = [_jacobi_table(time, coin.abs_a_sq) for time in times]
-        start = np.zeros(times[-1] + 1, dtype=int)
-        start[times] = np.cumsum([0] + [table.shape[1] for table in tables[:-1]])
-        t0, t1 = np.zeros(m.shape), _powers(abs_a, n - 1) / n
-        u = scale * np.concatenate(tables, axis=1)[:, start[n[mixed]] + kk[mixed] - 1]
-    else:
-        t0, t1 = np.zeros(m.shape), np.full(m.shape, abs_a ** (n - 1) / n)
-        u = scale * _jacobi_table(n, coin.abs_a_sq)[:, kk[mixed] - 1]
+    # where each time's table starts, indexed by time (np.unique would load
+    # numpy's sorting code, 1.6 MB of RSS, for no gain)
+    times = sorted(set(n.tolist()))
+    tables = [_jacobi_table(time, coin.abs_a_sq) for time in times]
+    start = np.zeros(times[-1] + 1, dtype=int)
+    start[times] = np.cumsum([0] + [table.shape[1] for table in tables[:-1]])
+    t0, t1 = np.zeros(m.shape), _powers(abs_a, n - 1) / n
+    u = scale * np.concatenate(tables, axis=1)[:, start[n[mixed]] + kk[mixed] - 1]
     t0[mixed], t1[mixed] = u[0], u[1] / kk[mixed]
     return np.array([abs_a * (l * t1 - t0) / a, abs_a * (m * t1 - t0) / (det * a.conjugate()),
                      -abs_a * t0 / (det * b.conjugate()), abs_a * t0 / b])

@@ -59,8 +59,13 @@ def is_symmetric_state(coin: Coin, qubit: Qubit) -> bool:
     """Algebraic membership test for the symmetric class.
 
     True iff ``|alpha|^2 - |beta|^2`` and the interference term
-    ``cross = a*alpha*conj(b*beta) + conj`` vanish.  Each mirror gap and each
-    mean is linear in these two, and a member passes both empirical verdicts:
+    ``cross = a*alpha*conj(b*beta) + conj`` vanish.  The closed form
+    (:mod:`qwalk1d.analytic`) differs from its mirror by ``2*odd``, with
+    ``odd = weight_gap*(e1 - e2)/2 + c`` linear in these two (``c`` is
+    ``cross`` times a profile), so the mirror gap of a time is ``2*max|odd|``
+    (to a rounding), and with both exactly 0 that law is mirror-symmetric bit
+    for bit.  Each mean is linear
+    in the two as well, and a member passes both empirical verdicts:
     measured over coins and times up to 1200, a mirror gap is at most
     ``|weight_gap| + 2*|cross|/|a|`` and ``|E(X_n)|/n`` at most
     ``|weight_gap| + 2*|cross|``, so ``|weight_gap| < MEMBERSHIP_TOL`` and

@@ -13,6 +13,7 @@ from qwalk1d.coin import (
     make_qubit,
     random_qubit,
     random_unitary_coin,
+    real_coin,
     state_terms,
     validate_coin,
 )
@@ -120,7 +121,7 @@ class TestLaw:
         def no_kernel(*args):
             raise AssertionError("an over-cap law must be refused before any work")
 
-        monkeypatch.setattr(analytic, "_letter_coordinates", no_kernel)
+        monkeypatch.setattr(analytic, "_jacobi_table", no_kernel)
         for coin in (hadamard, validate_coin([[1, 0], [0, 1]]), validate_coin([[0, 1], [1, 0]])):
             with pytest.raises(CapExceededError):
                 law(coin, symmetric_qubit, LAW_TIME_CAP + 1)
@@ -245,6 +246,54 @@ class TestMoments:
                 assert max(values) - min(values) < 1e-9
 
 
+def real_twin(coin, qubit):
+    """The real coin ``[[s, t], [t, -s]]`` with the coin's ``|a|^2``, and a qubit whose
+    ``weight_gap`` and ``cross`` on it are those of ``qubit`` on ``coin`` (to rounding)."""
+    weight_gap, cross = state_terms(coin, qubit)
+    twin = real_coin(abs(coin.a))
+    alpha, beta = math.sqrt((1.0 + weight_gap) / 2.0), math.sqrt((1.0 - weight_gap) / 2.0)
+    cosine = cross / (2.0 * twin.a.real * twin.b.real * alpha * beta)
+    return twin, make_qubit(alpha, beta * cmath.exp(1j * math.acos(min(1.0, max(-1.0, cosine)))))
+
+
+class TestDependenceClaim:
+    """The law depends on the coin and the state only through ``|a|^2`` and
+    ``state_terms``: the closed form, which reads nothing else, meets the
+    engine, which steps the whole complex coin, on a real coin and another
+    qubit with the same ``|a|^2``, ``weight_gap`` and ``cross``."""
+
+    @pytest.mark.parametrize("n", [7, 160, 2001])
+    def test_complex_law_is_the_real_twins_engine_law(self, rng, n):
+        for _ in range(5):
+            coin, qubit = random_unitary_coin(rng), random_qubit(rng)
+            twin, twin_qubit = real_twin(coin, qubit)
+            assert twin.abs_a_sq == coin.abs_a_sq
+            assert state_terms(twin, twin_qubit) == pytest.approx(state_terms(coin, qubit), abs=1e-15)
+            gap = np.max(np.abs(law(coin, qubit, n).probs - distribution(twin, twin_qubit, n).probs))
+            assert gap <= 1e-12, gap
+
+
+class TestSymmetricClass:
+    """With ``weight_gap = cross = 0`` the two basis states weigh the same and
+    the interference profile drops out, so the law is mirror-symmetric bit for
+    bit, and the sums of its mirror pairs cancel exactly."""
+
+    @pytest.mark.parametrize("n", [7, 160, 2001])
+    def test_law_and_its_odd_sums_are_exactly_symmetric(self, hadamard, symmetric_qubit, n):
+        xis = np.linspace(-math.pi, math.pi, 33)
+        for coin in (hadamard, real_coin(0.3)):
+            assert state_terms(coin, symmetric_qubit) == (0.0, 0.0)
+            dist = law(coin, symmetric_qubit, n)
+            assert dist.probs.tobytes() == dist.probs[::-1].tobytes()
+            # orders 1 and 3 only: numpy's float power is not odd bit for bit at
+            # every higher order, so those rows do not cancel exactly
+            odd = dist.moment([1, 3])
+            assert odd.tolist() == [0.0, 0.0] and not np.signbit(odd).any()
+            assert dist.mean() == 0.0
+            imag = dist.characteristic_function(xis).imag
+            assert (imag == 0.0).all() and not np.signbit(imag).any()
+
+
 class TestJacobiKernel:
     def test_kernel_matches_exact_jacobi_values(self, rng):
         # rho_value sums the terminating 2F1 exactly.
@@ -329,8 +378,8 @@ class TestJacobiKernel:
             closed = law(coin, qubit, n).probs
             assert np.max(np.abs(closed - distribution(coin, qubit, n).probs)) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="for small |a| the differences kk tau_1 - tau_0 of the "
-                       "letter coordinates lose their leading terms (FOUND in CHANGES.md)")
+    @pytest.mark.xfail(strict=True, reason="for small |a| the profile difference d2 = e0 - m t1 "
+                       "cancels its leading term (FOUND in CHANGES.md)")
     def test_law_against_engine_at_small_abs_a(self, rng):
         # measured 3.3e-11 (|a| = 1e-3), 9.9e-11 (1e-5) and 1.8e-11 (1e-7) off
         # both engine routes, which agree with each other

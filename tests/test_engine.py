@@ -295,6 +295,30 @@ class TestExactSums:
         assert {(math.copysign(1.0, s), up) for s, up in zip(expected, rounded_up.tolist())} == {
             (1.0, False), (1.0, True), (-1.0, False), (-1.0, True)}
 
+    @pytest.mark.parametrize("middle", [None, 0.0, -0.0])
+    def test_a_row_equal_to_its_negated_mirror_is_plus_zero_without_fsum(self, middle, rng, passes):
+        half = rng.standard_normal((64, 50)) * 10.0 ** rng.integers(-20, 3, size=(64, 50))
+        middles = [] if middle is None else [np.full((64, 1), middle)]
+        table = np.hstack([half, *middles, -half[:, ::-1]])
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()]) == bits([0.0] * 64)
+        assert passes == {"cumsum": 1, "fsum": 0}
+
+    def test_a_row_whose_first_sum_is_zero_is_retried_not_fsummed(self, passes):
+        # the errors 1 and 2**-60 sum to 1 in float, which cancels the last
+        # partial, -1: hi is 0 after the first pass, and the exact sum 2**-60
+        table = tiled([2.0**53, 1.0, 2.0**-60, -(2.0**53), -1.0])
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()]) == bits(
+            [2.0**-60] * len(table))
+        assert passes == {"cumsum": 2, "fsum": 0}
+
+    def test_rows_of_zeros_are_fsums(self, rng, passes):
+        # exact sums elsewhere, so that only the rows of zeros can reach fsum
+        table = rng.integers(1, 2**40, size=(64, 64)) * 2.0**-30
+        table[::8] = np.where(rng.random((8, 64)) < 0.5, 0.0, -0.0)
+        table[4] = -0.0
+        assert bits(engine._exact_sums(table)) == bits([fsum(row) for row in table.tolist()])
+        assert passes == {"cumsum": 1, "fsum": 9}
+
     def test_the_moments_of_a_symmetric_law_need_no_fsum(self, hadamard, symmetric_qubit, passes):
         # the order-9 row ties in the cascade's third pass; no row goes to fsum
         dist = law(hadamard, symmetric_qubit, 63)

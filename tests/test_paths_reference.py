@@ -23,7 +23,7 @@ def _closed_forms(coin, n, m):
         return paths.PqrsMatrix(np.where(m == 0, a ** (n - 1), zero),
                                 np.where(m == n, (det * a.conjugate()) ** (n - 1), zero), zero, zero, coin)
     phase = np.array([(a / abs(a)) ** (n - 2 * j) * det**j for j in m.tolist()])
-    return paths.PqrsMatrix(*(phase * paths._letter_coordinates(coin, n, m)), coin=coin)
+    return paths.PqrsMatrix(*(phase * paths._letter_coordinates(coin, np.full(m.shape, n), m)), coin=coin)
 
 
 def reference_pass(coin, n_max):
