@@ -12,9 +12,10 @@ field at time ``n`` is ``U(t)^n psi_0`` with the symbol
 ``U(t) = e^{-it} P + e^{it} Q``, and one transform of ``n + 1`` samples jumps
 straight to time ``n`` in O(n log n) (Ambainis, Bach, Nayak, Vishwanath &
 Watrous, STOC 2001).  That route is accurate in absolute terms only: tail
-probabilities below about 1e-27 lose their relative accuracy, which the banded
-recurrence keeps, so the banded recurrence is the independent oracle for it.
-No renormalization is ever applied on either route.  The drift of the total
+probabilities near its noise floor (up to about 2e-26 at n = 12800) lose their
+relative accuracy, which the banded recurrence keeps, so the banded
+recurrence is the independent oracle for it.  No renormalization is ever
+applied on either route.  The drift of the total
 probability from 1, the primary numerical health signal, is reported, not
 corrected.  It is the stored coin's own non-unitarity, from its rounded
 entries: at ``n <= 120`` each route's total is within 3e-15 of the exact total
@@ -367,9 +368,11 @@ def distribution(coin: Coin, qubit: Qubit, n: int) -> Distribution:
     VM, where it took 1.9-2.3 ms with every step in long double.
 
     Accurate in absolute terms only: the transform leaves every amplitude an
-    absolute error of a few 1e-15, so each probability has a noise floor (about
-    1e-28 at n = 2000, 1e-27 at n = 12800), and probabilities below about 1e-27
-    lose their relative accuracy.  The banded :func:`evolve` keeps it.
+    absolute error of a few 1e-15, so each probability has a noise floor
+    (3.3e-28 at n = 2000 and 4.3e-27 at n = 12800 for Hadamard with the
+    symmetric qubit; at most 1.9e-27 and 2.2e-26 over 300 random coins), and
+    probabilities near or below it lose their relative accuracy.  The banded
+    :func:`evolve` keeps it.
     """
     if n < 0:
         raise ValueError(f"time must be non-negative, got {n}")

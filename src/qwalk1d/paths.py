@@ -31,13 +31,10 @@ squared norm needs no phase.
 
 :func:`path_sums_by_time` is the ``oracle`` command's pass, ``Xi(l, m)`` by the
 word sums and the closed form for every ``l + m <= n_max``; the closed forms
-are one array pass over all the pairs.  numpy's complex multiply may fuse
-multiply-adds (it does on x86-64 with FMA), so the unit phases take their
-products from :func:`_python_products`, which rounds each as Python rounds a
-product of complex scalars: they keep the bits of the scalar code they
-replace, which ``tests/test_paths_reference.py`` keeps as the reference.  The
-pass's rows equal the per-entry functions bit for bit, because both run the
-same array code.  The per-entry word sum runs the recurrence afresh up to its
+are one pass over all the pairs: one array expression for the coordinates,
+and each unit phase Python's product of two Python powers, complex scalars.
+The pass's rows equal the per-entry functions bit for bit, because both run
+the same code.  The per-entry word sum runs the recurrence afresh up to its
 own time.
 """
 
@@ -215,27 +212,6 @@ def _require_generic(coin: Coin) -> None:
         )
 
 
-def _powers(x: complex, exponents: np.ndarray) -> np.ndarray:
-    """``x ** e`` for each ``e`` of the int array ``exponents``, each power Python's;
-    each distinct power is formed once."""
-    distinct = sorted(set(exponents.tolist()))
-    values = np.array([x**e for e in distinct])
-    table = np.empty(distinct[-1] - distinct[0] + 1, dtype=values.dtype)
-    table[np.array(distinct) - distinct[0]] = values
-    return table[exponents - distinct[0]]
-
-
-def _python_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` for broadcastable complex arrays, each product rounded as Python
-    rounds one of two complex scalars: ``(xr yr - xi yi, xr yi + xi yr)``.  numpy's
-    own complex multiply may fuse multiply-adds (it does on x86-64 with FMA), which
-    rounds some products differently."""
-    real = x.real * y.real - x.imag * y.imag
-    out = np.empty(real.shape, dtype=np.complex128)
-    out.real, out.imag = real, x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """The product of two Gaussian integers, each an ``(re, im)`` pair."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
@@ -312,7 +288,7 @@ def _letter_coordinates(coin: Coin, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     ``-|a| tau_0 / (det conj(b))`` and ``|a| tau_0 / b``.  The taus of ``kk >= 1``
     are read from the cached Jacobi table of each time; the pure words are the
     case ``kk = 0``, with ``tau_0 = 0`` and ``n tau_1 = |a|^(n-1)``, one Python
-    power per time, so an entry's bits do not depend on the other times.
+    power per entry, so an entry's bits do not depend on the other times.
     For small ``|a|``, ``kk tau_1 - tau_0`` loses its leading term (the
     ``g = kk`` terms of ``kk T_1`` and ``T_0`` are equal) and ``1/|a|`` scales
     up what is left.
@@ -328,7 +304,7 @@ def _letter_coordinates(coin: Coin, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     tables = [_jacobi_table(time, coin.abs_a_sq) for time in times]
     start = np.zeros(times[-1] + 1, dtype=int)
     start[times] = np.cumsum([0] + [table.shape[1] for table in tables[:-1]])
-    t0, t1 = np.zeros(m.shape), _powers(abs_a, n - 1) / n
+    t0, t1 = np.zeros(m.shape), np.array([abs_a ** (t - 1) for t in n.tolist()]) / n
     u = scale * np.concatenate(tables, axis=1)[:, start[n[mixed]] + kk[mixed] - 1]
     t0[mixed], t1[mixed] = u[0], u[1] / kk[mixed]
     return np.array([abs_a * (l * t1 - t0) / a, abs_a * (m * t1 - t0) / (det * a.conjugate()),
@@ -337,8 +313,8 @@ def _letter_coordinates(coin: Coin, n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _closed_forms(coin: Coin, n: np.ndarray, m: np.ndarray) -> PqrsMatrix:
     """``Xi(n - m, m)`` for the equal-length int arrays ``n >= 1`` and ``m``: the
-    :func:`_letter_coordinates` times the unit phase, each phase a product of two
-    of Python's powers.  A degenerate coin has only its pure words."""
+    :func:`_letter_coordinates` times the unit phase, each phase Python's product
+    of two of Python's powers.  A degenerate coin has only its pure words."""
     if np.any(n < 1):
         raise ValueError("path sums are defined for l + m >= 1")
     a, det = coin.a, coin.delta
@@ -346,9 +322,11 @@ def _closed_forms(coin: Coin, n: np.ndarray, m: np.ndarray) -> PqrsMatrix:
         if np.any((m > 0) & (m < n)):
             _require_generic(coin)
         zero = np.zeros(m.shape, dtype=complex)
-        return PqrsMatrix(np.where(m == 0, _powers(a, n - 1), zero),
-                          np.where(m == n, _powers(det * a.conjugate(), n - 1), zero), zero, zero, coin)
-    phase = _python_products(_powers(a / abs(a), n - 2 * m), _powers(det, m))
+        pure_left = np.array([a ** (t - 1) for t in n.tolist()])
+        pure_right = np.array([(det * a.conjugate()) ** (t - 1) for t in n.tolist()])
+        return PqrsMatrix(np.where(m == 0, pure_left, zero), np.where(m == n, pure_right, zero), zero, zero, coin)
+    unit = a / abs(a)
+    phase = np.array([unit ** (t - 2 * j) * det ** j for t, j in zip(n.tolist(), m.tolist())])
     return PqrsMatrix(*(phase * _letter_coordinates(coin, n, m)), coin=coin)
 
 

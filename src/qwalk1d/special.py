@@ -35,11 +35,10 @@ So a sweep over ascending ``k`` costs O(n) exact steps where it cost O(n^2)
 series terms, and a single cold call costs more than the series did (about 70
 against 16-19 us at ``k = 30``, ``n = 60`` on a 2-vCPU VM).  The series' caps
 (10,000 terms and its bit bound) refuse a left side before any step.  The
-right side is the independent series that :func:`rho_value` sums, which
-:func:`_rho_series` takes straight from the memoised :func:`_terminating_sum`
-with the floats that :func:`jacobi_p` would hand :func:`hyp2f1`: their value
-bit for bit, without their checks, which the identity's own checks make
-redundant.  :func:`rho_value` calls the same helper after its own checks.
+right side is the independent series that :func:`rho_value` sums, taken
+straight from the memoised :func:`_terminating_sum` with the floats that
+:func:`jacobi_p` hands :func:`hyp2f1`: their value bit for bit, without their
+checks, which the identity's own checks make redundant.
 
 The same recurrence sums every ``2F1(-m, -M; 1+i; z)`` that :func:`hyp2f1` is
 given with both upper parameters non-positive integers and ``c = 1 + i`` in
@@ -54,11 +53,9 @@ identity still sets the series against the recurrence, at its own ratio, and
 an ascending Jacobi/Pfaff sweep sums one series per ``(k, i)`` and takes two
 O(1) steps.  :func:`hyp2f1` makes its checks in one straight-line pass.  Over
 20 random coins in-process on a 2-vCPU VM (best of 5, four alternating runs),
-a sweep took 0.19-0.23/0.50-0.55/0.93-1.00 ms at n = 20/40/60, where it took
-0.26-0.44/0.64-0.67/1.11-1.64 ms with the identity's right side climbing
-:func:`rho_value`, :func:`jacobi_p` and :func:`hyp2f1` and each layer checking
-again.  A cold family call costs more than the series: 7.4-8.7/23-27/55-63 us
-against 3.2-3.9/6.3-7.6/13-15 us at k = 5/15/30, n = 60.
+a sweep took 0.19-0.23/0.50-0.55/0.93-1.00 ms at n = 20/40/60.  A cold family
+call costs more than the series: 7.4-8.7/23-27/55-63 us against
+3.2-3.9/6.3-7.6/13-15 us at k = 5/15/30, n = 60.
 """
 
 from __future__ import annotations
@@ -221,25 +218,13 @@ def jacobi_p(degree: int, nu: float, mu: float, x: float) -> float:
 
 
 def rho_value(n: int, k: int, i: int, abs_a_sq: float) -> float:
-    """``P_(k-1)^(i, n-2k)(2|a|^2 - 1)`` for ``1 <= k <= n//2`` and ``i in {0, 1}``:
-    :func:`jacobi_p`'s value, read straight from its exact series."""
+    """``P_(k-1)^(i, n-2k)(2|a|^2 - 1)`` for ``1 <= k <= n//2`` and ``i in {0, 1}``,
+    by :func:`jacobi_p`."""
     if i not in (0, 1):
         raise ValueError(f"i must be 0 or 1, got {i}")
     if not 1 <= k <= n // 2:
         raise ValueError(f"need 1 <= k <= n//2, got k={k}, n={n}")
-    z = (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0
-    if not isfinite(z):
-        raise ValueError(f"2F1 needs finite arguments, got a={1.0 - k}, b={float(n - k + i)}, c={1.0 + i}, z={z}")
-    return _rho_series(n, k, i, z)
-
-
-def _rho_series(n: int, k: int, i: int, z: float) -> float:
-    """:func:`rho_value` at ``z = (1 - (2|a|^2 - 1))/2`` for checked arguments:
-    ``C(k-1+i, k-1) 2F1(-(k-1), n-k+i; 1+i; z)``, the series from the
-    ``_terminating_sum`` memo, so a Pfaff left side at the same ``(n, k, i)``
-    reads it without summing it again.  Its floats are those :func:`jacobi_p`
-    hands :func:`hyp2f1`, so its value is theirs bit for bit."""
-    return float(comb(k - 1 + i, k - 1)) * _terminating_sum(1.0 - k, float(n - k + i), 1.0 + i, z, k - 1)
+    return jacobi_p(k - 1, i, n - 2 * k, 2.0 * abs_a_sq - 1.0)
 
 
 def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, float]:
@@ -254,15 +239,17 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     sum.  The recurrence's last state is kept, so a call at the same ``n``
     and coin moduli and a ``k`` no smaller than the last one's takes only the
     steps between them: an ascending sweep over ``k`` costs O(n) steps in
-    all, where each call once summed a ``k``-term series.  The series' caps
-    of :func:`hyp2f1` (10,000 terms, and its bit bound) still refuse a left
-    side before any step.
+    all.  The series' caps of :func:`hyp2f1` (10,000 terms, and its bit
+    bound) still refuse a left side before any step.
 
     rhs: ``|a|^(-2(k-1)) * rho(n,k,i) / k^i`` with the Jacobi value the
-    exact series that :func:`rho_value` sums, an independent route, reached
-    straight through :func:`_rho_series`: the arguments checked here need
+    exact series that :func:`rho_value` sums, an independent route:
+    ``C(k-1+i, k-1) 2F1(-(k-1), n-k+i; 1+i; z)`` at ``z = (1 - (2|a|^2 - 1))/2``,
+    read straight from the ``_terminating_sum`` memo with the floats that
+    :func:`jacobi_p` hands :func:`hyp2f1`.  The arguments checked here need
     none of the checks of :func:`rho_value`, :func:`jacobi_p` and
-    :func:`hyp2f1`, and the value is theirs bit for bit.
+    :func:`hyp2f1`, and the value is theirs bit for bit.  A Pfaff left side
+    at the same ``(n, k, i)`` reads that memo entry without summing it again.
 
     Raises
     ------
@@ -286,7 +273,9 @@ def jacobi_sum_identity(coin: Coin, n: int, k: int, i: int) -> tuple[float, floa
     refusal = f"the identity at n={n}, k={k}, i={i} leaves the float range"
     try:
         lhs = _sum_lhs(n, coin.abs_b_sq, abs_a_sq, k, i)
-        rhs = abs_a_sq ** (-(k - 1)) * _rho_series(n, k, i, (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0)
+        scale, z = abs_a_sq ** (-(k - 1)), (1.0 - (2.0 * abs_a_sq - 1.0)) / 2.0
+        rho = float(comb(k - 1 + i, k - 1)) * _terminating_sum(1.0 - k, float(n - k + i), 1.0 + i, z, k - 1)
+        rhs = scale * rho
     except OverflowError:
         raise OverflowError(refusal) from None
     if i == 1:

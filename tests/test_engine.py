@@ -464,6 +464,19 @@ class TestFourierRoute:
             for k, exact in atoms.items():
                 assert abs(dist.probability(k) - float(exact)) <= 2e-14, k
 
+    @pytest.mark.parametrize("n, floor", [(2000, 5e-27), (12800, 5e-26)])
+    def test_noise_floor_where_the_law_vanishes(self, n, floor, rng, hadamard, symmetric_qubit):
+        # Where the closed-form law is below 1e-40, the Fourier route returns
+        # only the noise of its transform.  On x86-64 that noise was at most
+        # 3.3e-28 (n = 2000) and 4.3e-27 (n = 12800) for Hadamard with the
+        # symmetric qubit, and 1.9e-27 and 2.2e-26 over 300 random coins and
+        # qubits (seeds 0-299).
+        cases = [(hadamard, symmetric_qubit)] + [(random_unitary_coin(rng), random_qubit(rng)) for _ in range(10)]
+        for coin, qubit in cases:
+            vanishing = law(coin, qubit, n).probs < 1e-40
+            assert vanishing.any() or coin.abs_a_sq > 0.9, coin  # only |a| near 1 keeps every entry above 1e-40
+            assert np.max(distribution(coin, qubit, n).probs[vanishing], initial=0.0) <= floor, coin
+
     def test_negative_time_rejected(self, hadamard, symmetric_qubit):
         with pytest.raises(ValueError):
             distribution(hadamard, symmetric_qubit, -1)

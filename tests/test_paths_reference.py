@@ -1,11 +1,12 @@
-"""The whole-pass path sums of ``qwalk1d.paths`` against the per-time reference.
+"""The whole-pass path sums of ``qwalk1d.paths`` against a per-time reference.
 
-``reference_pass`` is the pass that ``path_sums_by_time`` made before its closed
-forms became one array pass: one time after another, each time's closed forms
-one array with a Python phase per entry.  The word sums are ``exact_path_sums``
-of ``tests/test_engine.py``, the exact recurrence written apart from the
-module's, so that the module's word sums are not checked against themselves.
-Every row must come out byte-identical to it.
+``reference_pass`` runs one time after another.  Its closed forms call
+``paths._letter_coordinates`` once per time, on that time's table alone, so
+the pass's gather from the tables of all its times is checked against one
+call per time; the unit phases are the same Python products as the module's.
+Its word sums are ``exact_path_sums`` of ``tests/test_engine.py``, the exact
+recurrence written apart from the module's, so that the module's word sums
+are not checked against themselves.  Every row must come out byte-identical.
 """
 
 import numpy as np
